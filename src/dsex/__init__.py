@@ -44,6 +44,7 @@ _EXPORTS = {
     "space": [
         "DesignSpace",
         "Enumerated",
+        "KeepSide",
         "Linear",
         "NamedMetric",
         "Norm",
@@ -56,7 +57,6 @@ _EXPORTS = {
         "project_space",
     ],
     "strategy": [
-        "KeepSide",
         "Pipeline",
         "Step",
         "StepContext",

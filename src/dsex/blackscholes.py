@@ -298,5 +298,3 @@ def latency_evaluator(overhead: int = 0, name: str = "latency") -> Evaluator:
 
     return Evaluator(name, ("latency_cycles",), func)
 
-
-THROUGHPUT_EXPR = "freq_mhz * 1e6 / latency_cycles"

@@ -29,7 +29,7 @@ from .config import (
 from .errors import ConfigError, DsexError, PipelineAborted
 from .expr import parse_expr
 from .frame import load_rows, render_rows_table, render_top_table
-from .metrics import Cache
+from .metrics import Cache, render_raw
 from .space import build_space, project_space
 from .strategy import run_pipeline
 
@@ -43,10 +43,7 @@ def _setup_logging() -> None:
 
 def _render_point(space, point) -> str:
     values = [str(v) for v in space.raw_values(point)]
-    values += [
-        str(int(m.value)) if m.value.is_integer() else repr(m.value)
-        for m in point.frozen_params
-    ]
+    values += [render_raw(m.value) for m in point.frozen_params]
     return "[" + ", ".join(values) + "]"
 
 

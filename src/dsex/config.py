@@ -25,9 +25,8 @@ from .metrics import (
     expr_evaluator,
     external_command,
 )
-from .space import Enumerated, Linear, ParamSpec, Pow2, Schema
+from .space import Enumerated, KeepSide, Linear, ParamSpec, Pow2, Schema
 from .strategy import (
-    KeepSide,
     Pipeline,
     Step,
     exhaustive_map,

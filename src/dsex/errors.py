@@ -17,10 +17,6 @@ class NoSuchConcern(DsexError):
     """No parameter in the schema carries the requested concern tag."""
 
 
-class AllDimensionsRemoved(DsexError):
-    """A projection would remove every parameter of the schema."""
-
-
 class PointNotInSpace(DsexError):
     """The reference point is not a member of the design space."""
 
@@ -56,7 +52,6 @@ class EvalErrorKind(str, Enum):
     NAME_NOT_FOUND = "name_not_found"
     DIV_BY_ZERO = "div_by_zero"
     TYPE_MISMATCH = "type_mismatch"
-    NONDETERMINISTIC = "nondeterministic"
 
 
 class EvalError(DsexError):

@@ -16,7 +16,6 @@ import os
 import re
 import subprocess
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -60,15 +59,13 @@ class Evaluator:
     """Produces a fixed set of named metrics for any point.
 
     ``func`` returns the metric values in ``produces`` order, or raises
-    EvalError. Evaluators must be deterministic with respect to the
-    point they see unless declared otherwise; nondeterministic ones are
-    still cached, first result wins.
+    EvalError. Evaluators should be deterministic with respect to the
+    point they see; results are cached per point, first result wins.
     """
 
     name: str
     produces: tuple[str, ...]
     func: Callable[[PointView], Sequence[float]]
-    deterministic: bool = True
 
     def __post_init__(self):
         check_name(self.name)
@@ -179,14 +176,6 @@ class Cache:
             return self.hits, self.misses
 
 
-def _indexed_map(fn, items: Sequence, parallelism: int) -> list:
-    """Apply ``fn`` to items, in parallel when asked, keeping index order."""
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
-
-
 def enhance_point(
     point: Point,
     schema: Schema,
@@ -244,7 +233,8 @@ def enhance_points(
         except EvalError as err:
             return err
 
-    results = _indexed_map(one, points, parallelism)
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = list(pool.map(one, points))  # index order, not completion order
     for r in results:
         if isinstance(r, EvalError):
             raise r
@@ -301,7 +291,9 @@ def constant_evaluator(name: str, produces: str, value: float) -> Evaluator:
     return Evaluator(name, (produces,), lambda view: (float(value),))
 
 
-def _render_raw(value: float) -> str:
+def render_raw(value: float) -> str:
+    """A raw value as tools and listings see it: integral values without
+    a fractional part, others in full precision."""
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
@@ -320,13 +312,10 @@ class CommandSpec:
     produces: tuple[str, ...]
     env: Mapping[str, str] = field(default_factory=dict)
     timeout_s: float | None = None
-    output_format: str = "json"
 
     def __post_init__(self):
         object.__setattr__(self, "argv", tuple(self.argv))
         object.__setattr__(self, "produces", tuple(self.produces))
-        if self.output_format != "json":
-            raise ConfigError(f"unsupported output format {self.output_format!r}")
         if not self.argv:
             raise ConfigError("command argv must not be empty")
 
@@ -345,7 +334,7 @@ def _substitute(template: str, env: Mapping[str, float]) -> str:
                 f"template {template!r} references unknown name {name!r}",
                 name=name,
             )
-        return _render_raw(env[name])
+        return render_raw(env[name])
 
     return _PLACEHOLDER_RE.sub(repl, template)
 
@@ -359,9 +348,9 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
         proc_env = dict(os.environ)
         for spec_param, c in zip(view.schema.params, view.point.coords):
             raw = spec_param.domain.values()[c]
-            proc_env[f"DSEX_{spec_param.name.upper()}"] = _render_raw(raw)
+            proc_env[f"DSEX_{spec_param.name.upper()}"] = render_raw(raw)
         for m in view.point.frozen_params:
-            proc_env[f"DSEX_{m.name.upper()}"] = _render_raw(m.value)
+            proc_env[f"DSEX_{m.name.upper()}"] = render_raw(m.value)
         for key, tmpl in spec.env.items():
             proc_env[key] = _substitute(tmpl, env_map)
         try:
@@ -408,9 +397,3 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
         return out
 
     return Evaluator(name, spec.produces, func)
-
-
-def simulated_latency(seconds: float) -> None:
-    """Sleep helper for evaluators that model slow tools."""
-    if seconds > 0:
-        time.sleep(seconds)

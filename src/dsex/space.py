@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import (
     EmptySpaceError,
@@ -214,6 +215,11 @@ class Norm(Enum):
     LINF = "linf"  # Chebyshev
 
 
+class KeepSide(Enum):
+    UPWARD = "upward"  # keep p when p >= q componentwise for some frontier q
+    DOWNWARD = "downward"
+
+
 def _distance(a: tuple[int, ...], b: tuple[int, ...], norm: Norm) -> int:
     deltas = (abs(x - y) for x, y in zip(a, b))
     return sum(deltas) if norm is Norm.L1 else max(deltas)
@@ -359,6 +365,21 @@ class DesignSpace:
             )
         return [self.points[self._positions[c][0]] for c in coords_list]
 
+    def dominance_closure(
+        self, frontier: Iterable[tuple[int, ...]], side: KeepSide
+    ) -> set[tuple[int, ...]]:
+        """Coords of the points at or above (``UPWARD``) or at or below
+        (``DOWNWARD``) some ``frontier`` coords, componentwise in index
+        space. Costs O(points x frontier); an empty frontier closes
+        nothing.
+        """
+        fronts = list(frontier)
+        cmp = operator.ge if side is KeepSide.UPWARD else operator.le
+        return {
+            p.coords for p in self.points
+            if any(all(map(cmp, p.coords, q)) for q in fronts)
+        }
+
 
 def build_space(schema: Schema) -> DesignSpace:
     """Materialize the full Cartesian product of a schema.
@@ -371,46 +392,51 @@ def build_space(schema: Schema) -> DesignSpace:
     return DesignSpace(schema, points)
 
 
+def concern_image(
+    schema: Schema, concern: str, project_to_min: bool = True
+) -> tuple[tuple[int, ...], Callable[[Point], tuple]]:
+    """The rule projecting points of ``schema`` onto ``concern``.
+
+    Returns the kept axes (those carrying ``concern``, in schema order)
+    and a function mapping a point to the key (coords, frozen params)
+    of its image: its coords on the kept axes, and its frozen params
+    followed by every removed parameter frozen at its domain's minimum
+    raw value (maximum when ``project_to_min`` is false).
+    """
+    keep = tuple(i for i, p in enumerate(schema.params) if concern in p.concerns)
+    if not keep:
+        # equivalently, every dimension would be removed
+        raise NoSuchConcern(f"no parameter carries concern {concern!r}")
+    pick = min if project_to_min else max
+    frozen_extra = tuple(
+        NamedMetric(p.name, float(pick(p.domain.values())))
+        for i, p in enumerate(schema.params)
+        if i not in keep
+    )
+
+    def image(point: Point) -> tuple:
+        return tuple(point.coords[i] for i in keep), point.frozen_params + frozen_extra
+
+    return keep, image
+
+
 def project_space(space: DesignSpace, concern: str, project_to_min: bool = True) -> DesignSpace:
     """Project a space onto the parameters carrying ``concern``.
 
-    Removed parameters are frozen at their domain's minimum raw value
-    (maximum when ``project_to_min`` is false) and appended to every
-    surviving point's frozen params. Points are deduplicated on
+    Each point maps to its image under ``concern_image``: removed
+    parameters are frozen at their domain's minimum raw value (maximum
+    when ``project_to_min`` is false). Points are deduplicated on
     (coords, frozen params), first occurrence winning, with relative
     order preserved.
     """
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
-    keep = [i for i, p in enumerate(space.schema.params) if concern in p.concerns]
-    if not keep:
-        # equivalently, every dimension would be removed
-        raise NoSuchConcern(f"no parameter carries concern {concern!r}")
+    keep, image = concern_image(space.schema, concern, project_to_min)
     if len(keep) == len(space.schema):
         return space
-    removed = [i for i in range(len(space.schema)) if i not in keep]
-
-    new_schema = Schema(space.schema.params[i] for i in keep)
-    frozen_extra = tuple(
-        NamedMetric(
-            space.schema.params[i].name,
-            float(
-                min(space.schema.params[i].domain.values())
-                if project_to_min
-                else max(space.schema.params[i].domain.values())
-            ),
-        )
-        for i in removed
-    )
-
-    seen = set()
-    new_points = []
+    new_points: dict[tuple, Point] = {}
     for p in space.points:
-        coords = tuple(p.coords[i] for i in keep)
-        frozen = p.frozen_params + frozen_extra
-        key = (coords, frozen)
-        if key in seen:
-            continue
-        seen.add(key)
-        new_points.append(Point(coords, frozen, p.metrics, p.degraded))
-    return DesignSpace(new_schema, new_points)
+        key = image(p)
+        if key not in new_points:
+            new_points[key] = Point(*key, p.metrics, p.degraded)
+    return DesignSpace(Schema(space.schema.params[i] for i in keep), new_points.values())

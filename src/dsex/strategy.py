@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from enum import Enum
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -37,7 +37,7 @@ from .metrics import (
     enhance_point,
     enhance_points,
 )
-from .space import DesignSpace, Norm, Point, project_space
+from .space import DesignSpace, KeepSide, Norm, Point, concern_image, project_space
 
 
 @dataclass
@@ -256,17 +256,6 @@ def gradient_sort(
     return Step(name, "gradient", apply_fn, evaluators)
 
 
-class KeepSide(Enum):
-    UPWARD = "upward"  # keep p when p >= q componentwise for some frontier q
-    DOWNWARD = "downward"
-
-
-def _dominates(p: tuple[int, ...], q: tuple[int, ...], side: KeepSide) -> bool:
-    if side is KeepSide.UPWARD:
-        return all(a >= b for a, b in zip(p, q))
-    return all(a <= b for a, b in zip(p, q))
-
-
 def quick_prune(
     evaluators: Sequence[Evaluator],
     keep: str | MetricExpr,
@@ -280,9 +269,11 @@ def quick_prune(
     continuous frontier. Walks the grid diagonal for a first kept
     point, grows the frontier through Chebyshev-distance-1 expansion,
     then keeps exactly the points dominating (or dominated by, per
-    ``side``) some frontier point in index space. With ``concern`` the
-    decision runs on the concern-projected grid and is re-expanded to
-    the input space afterwards.
+    ``side``) some frontier point in index space
+    (``DesignSpace.dominance_closure``). With ``concern`` the decision
+    runs on the concern-projected grid, and an input point survives
+    when its image under ``concern_image`` (the rule ``project_space``
+    projects with) is retained.
 
     A point is on the frontier iff it is kept and at least one of its
     Chebyshev-distance-1 neighbors is not.
@@ -298,8 +289,9 @@ def quick_prune(
 
         if concern is not None:
             work = project_space(space, concern, True)
+            image = concern_image(space.schema, concern, True)[1]
         else:
-            work = space
+            work, image = space, attrgetter("key")
         diag = work.diagonal()  # also enforces the full-grid precondition
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
@@ -340,17 +332,8 @@ def quick_prune(
             return False
 
         # Start: first kept point on the diagonal, nudged onto the frontier
-        seed = None
-        for p in diag:
-            if kept(p):
-                seed = p
-                break
-        if seed is None:
-            ctx.extra.update(
-                {"predicate_evaluations": len(kept_status), "frontier_size": 0, "frontier": []}
-            )
-            return DesignSpace(space.schema, ())
-        if not on_frontier(seed):
+        seed = next((p for p in diag if kept(p)), None)
+        if seed is not None and not on_frontier(seed):
             for q in work.neighbours(seed, Norm.LINF, 1):
                 if kept(q) and on_frontier(q):
                     seed = q
@@ -358,8 +341,8 @@ def quick_prune(
             # no kept frontier neighbor: the seed alone seeds the frontier
 
         # Frontier: breadth-wise Chebyshev expansion from the seed
-        frontier: dict[tuple, Point] = {seed.key: seed}
-        wave = [seed]
+        frontier: dict[tuple, Point] = {} if seed is None else {seed.key: seed}
+        wave = list(frontier.values())
         while wave:
             new_points: dict[tuple, Point] = {}
             for p in wave:
@@ -371,12 +354,6 @@ def quick_prune(
             frontier.update(new_points)
             wave = list(new_points.values())
 
-        # Update: retain the dominance closure of the frontier
-        frontier_coords = [p.coords for p in frontier.values()]
-
-        def retained(coords: tuple[int, ...]) -> bool:
-            return any(_dominates(coords, q, side) for q in frontier_coords)
-
         ctx.extra.update(
             {
                 "predicate_evaluations": len(kept_status),
@@ -385,37 +362,28 @@ def quick_prune(
             }
         )
 
-        if concern is None:
-            out = []
-            for p in work.points:
-                if retained(p.coords):
-                    out.append(_attach(p, enhanced))
-            return DesignSpace(space.schema, out)
-
-        # re-expand the projected decision onto the input space
-        keep_idx = [
-            i for i, spec in enumerate(space.schema.params) if concern in spec.concerns
-        ]
-        frozen_extra = work.points[0].frozen_params[len(space.points[0].frozen_params):]
+        # Update: retain the dominance closure of the frontier, carried
+        # back to the input space through each point's image on the work grid
+        closed = work.dominance_closure((p.coords for p in frontier.values()), side)
         out = []
         for p in space.points:
-            proj_coords = tuple(p.coords[i] for i in keep_idx)
-            if retained(proj_coords):
-                proj_key = (proj_coords, p.frozen_params + frozen_extra)
-                out.append(_attach(p, enhanced, proj_key))
+            key = image(p)
+            if key[0] in closed:
+                out.append(_attach(p, enhanced, key))
         return DesignSpace(space.schema, out)
 
     return Step(name, "quick_prune", apply_fn, evaluators)
 
 
-def _attach(point: Point, enhanced: dict[tuple, Point], key: tuple | None = None) -> Point:
-    """Copy evaluator-produced metrics onto a surviving point, if known.
+def _attach(point: Point, enhanced: dict[tuple, Point], key: tuple) -> Point:
+    """Copy the metrics produced for the work-grid point ``key`` onto a
+    surviving point, if that work-grid point was probed.
 
     Only points actually probed during the walk carry the produced
     metrics; interior points were never evaluated, which is the point
     of the quick prune.
     """
-    enh = enhanced.get(point.key if key is None else key)
+    enh = enhanced.get(key)
     if enh is None:
         return point
     produced = enh.metrics[len(point.metrics):]

@@ -161,6 +161,16 @@ class TestRunCommand:
             outs.append((out / "frame.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("bundle", ["blackscholes", "dsp-pipeline", "gradient-synth"])
+    def test_bundle_reproduces_golden_frames(self, bundle, tmp_path):
+        from dsex.cli import main
+
+        manifest = PIPELINES / bundle / "manifest.yaml"
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 0
+        for name in ("frame.csv", "frame.jsonl"):
+            golden = ROOT / "runs" / bundle / name
+            assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+
 
 @pytest.fixture(scope="module")
 def saved_frame(tmp_path_factory):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from dsex import (
     ParamSpec,
     Pipeline,
     PipelineAborted,
+    Point,
     PointView,
     Pow2,
     Schema,
@@ -396,28 +398,48 @@ class TestQuickPrune:
         for p in probed:
             assert env_of(out, p)["height"] == sum(p.coords)
 
-    def test_concern_projection_matches_exhaustive(self):
-        schema = Schema(
-            [
-                ParamSpec("a", Linear(0, 7), ("qos",)),
-                ParamSpec("b", Linear(0, 5), ("qos",)),
-                ParamSpec("c", Linear(0, 3), ("resource",)),
-            ]
+    @pytest.mark.parametrize(
+        "params, frozen, threshold",
+        [
+            # qos axes form a prefix of the schema, points carry no frozen params
+            ([("a", 7, "qos"), ("b", 5, "qos"), ("c", 3, "resource")], (), 6),
+            # a resource axis sits between the qos axes, every point carries f
+            (
+                [("a", 5, "qos"), ("c", 2, "resource"), ("b", 4, "qos")],
+                (NamedMetric("f", 3.0),),
+                5,
+            ),
+        ],
+        ids=["prefix", "interleaved_frozen"],
+    )
+    def test_concern_projection_matches_exhaustive(self, params, frozen, threshold):
+        schema = Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in params])
+        space = DesignSpace(
+            schema, (Point(p.coords, frozen) for p in build_space(schema).points)
         )
-        space = build_space(schema)
+        qos = [i for i, (_, _, tag) in enumerate(params) if tag == "qos"]
+
+        def image(p):
+            return tuple(p.coords[i] for i in qos)
+
         ev, calls = counting(expr_evaluator("estim", "quality", "a + b"))
         context = ctx()
-        out = quick_prune([ev], "quality >= 6", concern="qos").apply(space, context)
+        out = quick_prune([ev], f"quality >= {threshold}", concern="qos").apply(
+            space, context
+        )
         kept = {p.coords for p in out.points}
-        oracle = {p.coords for p in space.points if p.coords[0] + p.coords[1] >= 6}
+        oracle = {p.coords for p in space.points if sum(image(p)) >= threshold}
         assert kept == oracle
-        # decisions ran on the 8x6 projected grid, not the 192-point space
-        assert len(set(calls)) <= 48
+        # decisions ran on the projected grid, not the whole space
+        assert len(set(calls)) <= math.prod(params[i][1] + 1 for i in qos)
         # metrics propagate to every re-expanded copy of a probed projection
-        probed = {p.coords[:2] for p in out.points if p.metrics}
+        probed = {image(p) for p in out.points if p.metrics}
+        assert probed
         for p in out.points:
-            if p.coords[:2] in probed:
-                assert env_of(out, p)["quality"] == p.coords[0] + p.coords[1]
+            if image(p) in probed:
+                assert env_of(out, p)["quality"] == sum(image(p))
+            # the projection's frozen minima stay on the work grid
+            assert p.frozen_params == frozen
 
     def test_numeric_keep_rejected(self):
         with pytest.raises(ConfigError):
