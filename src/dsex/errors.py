@@ -52,6 +52,7 @@ class EvalErrorKind(str, Enum):
     NAME_NOT_FOUND = "name_not_found"
     DIV_BY_ZERO = "div_by_zero"
     TYPE_MISMATCH = "type_mismatch"
+    NON_FINITE = "non_finite"
 
 
 class EvalError(DsexError):

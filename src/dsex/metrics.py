@@ -12,6 +12,7 @@ output never depends on completion timing.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -134,8 +135,9 @@ class Cache:
     def run(self, evaluator: Evaluator, view: PointView) -> tuple[float, ...]:
         """Return the evaluator's metrics for the point, memoized.
 
-        Stored EvalErrors are re-raised on later lookups without
-        re-invoking the evaluator.
+        NaN or infinite values fail with a NON_FINITE EvalError. Stored
+        EvalErrors are re-raised on later lookups without re-invoking
+        the evaluator.
         """
         key = self.key(evaluator, view.point)
         with self._lock:
@@ -148,21 +150,27 @@ class Cache:
             self.misses += 1
         try:
             values = tuple(float(v) for v in evaluator.func(view))
+            if len(values) != evaluator.arity:
+                raise ConfigError(
+                    f"evaluator {evaluator.name!r} returned {len(values)} values, "
+                    f"declared arity is {evaluator.arity}"
+                )
+            if not all(map(math.isfinite, values)):
+                raise EvalError(
+                    EvalErrorKind.NON_FINITE,
+                    f"evaluator {evaluator.name!r} returned "
+                    f"{dict(zip(evaluator.produces, values))}",
+                )
         except EvalError as err:
-            tagged = err.at(view.point.coords) if err.coords is None else err
-            stored = self._put(key, tagged)
-            if isinstance(stored, EvalError):
-                raise stored
-            return stored
-        if len(values) != evaluator.arity:
-            raise ConfigError(
-                f"evaluator {evaluator.name!r} returned {len(values)} values, "
-                f"declared arity is {evaluator.arity}"
-            )
+            values = err.at(view.point.coords) if err.coords is None else err
         stored = self._put(key, values)
         if isinstance(stored, EvalError):
             raise stored
         return stored
+
+    def holds(self, evaluators: Sequence[Evaluator], point: Point) -> bool:
+        """Whether every evaluator's result (or failure) for the point is stored."""
+        return all(self.key(ev, point) in self._store for ev in evaluators)
 
     def _put(self, key, value):
         # first write wins; a racing computation is discarded
@@ -218,14 +226,11 @@ def enhance_points(
 ) -> list[Point | None]:
     """Batch form of enhance_point; output is aligned with the input.
 
-    Under ABORT with parallel execution the error surfaced is the one
-    of the earliest failing point in index order, never the first to
-    complete.
+    Only points with an evaluation missing from the cache go to the
+    thread pool; the others resolve on the calling thread. Under ABORT
+    with parallel execution the error surfaced is the one of the
+    earliest failing point in index order, never the first to complete.
     """
-
-    if parallelism <= 1 or len(points) <= 1:
-        # sequential: stop at the first failure instead of finishing the batch
-        return [enhance_point(p, schema, evaluators, cache, policy) for p in points]
 
     def one(point: Point):
         try:
@@ -233,8 +238,19 @@ def enhance_points(
         except EvalError as err:
             return err
 
+    cold = []
+    if parallelism > 1:
+        # a point whose every evaluation is cached is not worth a thread
+        cold = [i for i, p in enumerate(points) if not cache.holds(evaluators, p)]
+    if len(cold) <= 1:
+        # sequential: stop at the first failure instead of finishing the batch
+        return [enhance_point(p, schema, evaluators, cache, policy) for p in points]
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = list(pool.map(one, points))  # index order, not completion order
+        futures = {i: pool.submit(one, points[i]) for i in cold}
+        results = [
+            futures[i].result() if i in futures else one(p) for i, p in enumerate(points)
+        ]
     for r in results:
         if isinstance(r, EvalError):
             raise r

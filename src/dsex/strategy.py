@@ -13,6 +13,7 @@ side of that frontier by componentwise index dominance.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -34,10 +35,12 @@ from .metrics import (
     PointView,
     apply_transform,
     check_no_collision,
-    enhance_point,
+    enhance_point,  # noqa: F401  perfbench/worker.py patches it here by name
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, concern_image, project_space
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -73,8 +76,11 @@ class Pipeline:
     """Sequential composition of steps.
 
     Steps consume the previous step's output in listed order. The
-    parallelism bound applies to point evaluations inside each step;
-    steps themselves never run concurrently with each other.
+    parallelism bound caps how many point evaluations of one batch run
+    at once: every point of a map, sort or prune, each ring of a
+    gradient walk, each probe batch of a quick prune. Results never
+    depend on it. Steps themselves never run concurrently with each
+    other.
     """
 
     steps: tuple[Step, ...]
@@ -273,10 +279,15 @@ def quick_prune(
     (``DesignSpace.dominance_closure``). With ``concern`` the decision
     runs on the concern-projected grid, and an input point survives
     when its image under ``concern_image`` (the rule ``project_space``
-    projects with) is retained.
+    projects with) is retained. A point is on the frontier iff it is
+    kept and at least one of its Chebyshev-distance-1 neighbors is not.
 
-    A point is on the frontier iff it is kept and at least one of its
-    Chebyshev-distance-1 neighbors is not.
+    Probes run in batches at the pipeline's parallelism, in a fixed
+    order: the diagonal point by point, the seed's ring (and for an
+    interior seed its members' rings), then per wave the wave's rings
+    and the kept candidates' rings. They evaluate the same set as a
+    point-by-point walk would. Under ABORT the error raised is that of
+    the earliest failing point in probe order, at any parallelism.
     """
     keep_expr = _as_expr(keep)
     if not keep_expr.is_predicate:
@@ -298,69 +309,63 @@ def quick_prune(
             # region, so the first kept diagonal point sits near it
             diag = list(reversed(diag))
 
-        kept_status: dict[tuple, bool] = {}
+        kept: dict[tuple, bool] = {}
         enhanced: dict[tuple, Point] = {}
+        rings: dict[tuple, list[Point]] = {}
 
-        def kept(point: Point) -> bool:
-            key = point.key
-            if key in kept_status:
-                return kept_status[key]
-            enh = enhance_point(point, work.schema, evaluators, ctx.cache, ctx.policy)
-            if enh is None:
-                kept_status[key] = False  # pruned by policy: treat as not kept
-                return False
-            enhanced[key] = enh
-            kept_status[key] = bool(keep_expr(PointView(work.schema, enh).env))
-            return kept_status[key]
+        def ring(point: Point) -> list[Point]:
+            if point.key not in rings:
+                rings[point.key] = work.neighbours(point, Norm.LINF, 1)
+            return rings[point.key]
+
+        def probe(points: list[Point]) -> list[bool]:
+            """Statuses of the points, evaluating the unknown ones as one batch."""
+            todo = list({p.key: p for p in points if p.key not in kept}.values())
+            if todo:
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug("%s: probing a batch of %d points", name, len(todo))
+                batch = enhance_points(
+                    todo, work.schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
+                )
+                for p, enh in zip(todo, batch):
+                    if enh is None:
+                        kept[p.key] = False  # pruned by policy: treat as not kept
+                    else:
+                        enhanced[p.key] = enh
+                        kept[p.key] = bool(keep_expr(PointView(work.schema, enh).env))
+            return [kept[p.key] for p in points]
 
         def on_frontier(point: Point) -> bool:
-            if not kept(point):
-                return False
-            ring = work.neighbours(point, Norm.LINF, 1)
-            # consult memoized statuses first: a known pruned neighbor
-            # settles the existential without any new evaluation
-            unknown = []
-            for q in ring:
-                status = kept_status.get(q.key)
-                if status is False:
-                    return True
-                if status is None:
-                    unknown.append(q)
-            for q in unknown:
-                if not kept(q):
-                    return True
-            return False
+            # the point and its whole ring have been probed
+            return kept[point.key] and not all(kept[q.key] for q in ring(point))
 
         # Start: first kept point on the diagonal, nudged onto the frontier
-        seed = next((p for p in diag if kept(p)), None)
-        if seed is not None and not on_frontier(seed):
-            for q in work.neighbours(seed, Norm.LINF, 1):
-                if kept(q) and on_frontier(q):
-                    seed = q
-                    break
-            # no kept frontier neighbor: the seed alone seeds the frontier
+        seed = next((p for p in diag if probe([p])[0]), None)
+        if seed is not None:
+            probe(ring(seed))
+            if not on_frontier(seed):
+                # interior: move to the first ring member on the frontier, if any
+                for q in ring(seed):
+                    probe(ring(q))
+                    if on_frontier(q):
+                        seed = q
+                        break
 
         # Frontier: breadth-wise Chebyshev expansion from the seed
         frontier: dict[tuple, Point] = {} if seed is None else {seed.key: seed}
         wave = list(frontier.values())
         while wave:
-            new_points: dict[tuple, Point] = {}
-            for p in wave:
-                for q in work.neighbours(p, Norm.LINF, 1):
-                    if q.key in frontier or q.key in new_points:
-                        continue
-                    if kept(q) and on_frontier(q):
-                        new_points[q.key] = q
-            frontier.update(new_points)
-            wave = list(new_points.values())
+            around = list(
+                {q.key: q for p in wave for q in ring(p) if q.key not in frontier}.values()
+            )
+            candidates = [q for q, k in zip(around, probe(around)) if k]
+            probe([r for q in candidates for r in ring(q)])
+            wave = [q for q in candidates if on_frontier(q)]
+            frontier.update((q.key, q) for q in wave)
 
-        ctx.extra.update(
-            {
-                "predicate_evaluations": len(kept_status),
-                "frontier_size": len(frontier),
-                "frontier": sorted(p.coords for p in frontier.values()),
-            }
-        )
+        ctx.extra["predicate_evaluations"] = len(kept)
+        ctx.extra["frontier_size"] = len(frontier)
+        ctx.extra["frontier"] = sorted(p.coords for p in frontier.values())
 
         # Update: retain the dominance closure of the frontier, carried
         # back to the input space through each point's image on the work grid
@@ -405,53 +410,50 @@ def run_pipeline(
     cache = cache if cache is not None else Cache()
     reports: list[StepReport] = []
     t_start = time.perf_counter()
+
+    def provenance() -> Provenance:
+        return Provenance(
+            tuple(reports),
+            pipeline.parallelism,
+            time.perf_counter() - t_start,
+            dict(info or {}),
+        )
+
     current = space
     for step in pipeline.steps:
         policy = step.fail_policy if step.fail_policy is not None else pipeline.fail_policy
         ctx = StepContext(cache=cache, policy=policy, parallelism=pipeline.parallelism)
         hits0, misses0 = cache.counters()
         t0 = time.perf_counter()
+        nxt, error = None, None
         try:
             nxt = step.apply(current, ctx)
         except EvalError as err:
-            hits1, misses1 = cache.counters()
-            reports.append(
-                StepReport(
-                    step.name,
-                    step.kind,
-                    len(current),
-                    None,
-                    misses1 - misses0,
-                    hits1 - hits0,
-                    time.perf_counter() - t0,
-                    {**ctx.extra, "error": str(err)},
-                )
-            )
-            partial = Provenance(
-                tuple(reports),
-                pipeline.parallelism,
-                time.perf_counter() - t_start,
-                dict(info or {}),
-            )
-            raise PipelineAborted(step.name, err, partial) from err
+            error = err
+            ctx.extra = {**ctx.extra, "error": str(err)}
         hits1, misses1 = cache.counters()
-        reports.append(
-            StepReport(
-                step.name,
-                step.kind,
-                len(current),
-                len(nxt),
-                misses1 - misses0,
-                hits1 - hits0,
-                time.perf_counter() - t0,
-                ctx.extra,
-            )
+        report = StepReport(
+            step.name,
+            step.kind,
+            len(current),
+            None if nxt is None else len(nxt),
+            misses1 - misses0,
+            hits1 - hits0,
+            time.perf_counter() - t0,
+            ctx.extra,
         )
+        reports.append(report)
+        if log.isEnabledFor(logging.INFO):
+            log.info(
+                "step %s: %d points in, %s, %d invocations, %d hits, %.3f s",
+                report.step,
+                report.points_in,
+                "aborted" if nxt is None else f"{report.points_out} out",
+                report.evaluator_invocations,
+                report.cache_hits,
+                report.wall_time_s,
+            )
+        if error is not None:
+            raise PipelineAborted(step.name, error, provenance()) from error
         current = nxt
-    provenance = Provenance(
-        tuple(reports),
-        pipeline.parallelism,
-        time.perf_counter() - t_start,
-        dict(info or {}),
-    )
-    return build_frame(current, provenance)
+    return build_frame(current, provenance())

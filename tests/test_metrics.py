@@ -5,6 +5,7 @@ import pytest
 from dsex import (
     Cache,
     CommandSpec,
+    DesignSpace,
     Evaluator,
     EvalError,
     FailMode,
@@ -13,14 +14,19 @@ from dsex import (
     MetricCollision,
     NamedMetric,
     ParamSpec,
+    Pipeline,
+    PipelineAborted,
     PointView,
     Schema,
     apply_transform,
     build_space,
     constant_evaluator,
+    exhaustive_map,
     expr_evaluator,
     external_command,
+    run_pipeline,
 )
+from dsex import metrics
 from dsex.errors import ConfigError, EvalErrorKind
 
 from conftest import counting
@@ -112,6 +118,28 @@ class TestApplyTransform:
         par = apply_transform(grid_17x9, ev, Cache(), parallelism=8)
         assert seq.points == par.points
 
+    def test_cached_points_take_no_thread(self, grid_17x9, monkeypatch):
+        ev, calls = counting(expr_evaluator("s", "s", "a * 10 + b"))
+        cache = Cache()
+        half = DesignSpace(grid_17x9.schema, grid_17x9.points[::2])
+        apply_transform(half, ev, cache)
+        mixed = apply_transform(grid_17x9, ev, cache, parallelism=4)
+        assert sorted(calls) == sorted(p.coords for p in grid_17x9.points)
+        assert mixed.points == apply_transform(grid_17x9, ev, Cache()).points
+        # a fully cached batch never reaches the pool
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", None)
+        assert apply_transform(grid_17x9, ev, cache, parallelism=4).points == mixed.points
+
+    def test_abort_in_a_partly_cached_batch(self, grid_17x9):
+        ev = failing_on_first_axis()
+        cache = Cache()
+        head = DesignSpace(grid_17x9.schema, grid_17x9.points[:1])
+        apply_transform(head, ev, cache, FailPolicy(FailMode.PRUNE))
+        # the stored failure at (0, 0) replays ahead of the fresh ones
+        with pytest.raises(EvalError) as err:
+            apply_transform(grid_17x9, ev, cache, parallelism=4)
+        assert err.value.coords == (0, 0)
+
     def test_composition_equals_fused(self, grid_17x9):
         f = expr_evaluator("f", "f_m", "a + 1")
         g = expr_evaluator("g", "g_m", "b * 2")
@@ -158,6 +186,61 @@ class TestCache:
         cache.run(ev, PointView(schema, p_plain))
         cache.run(ev, PointView(schema, p_frozen))
         assert cache.misses == 2
+
+
+def nan_on_first_axis():
+    def func(view):
+        return (float("nan") if view.point.coords[0] == 0 else 1.0,)
+
+    return Evaluator("nan", ("m",), func)
+
+
+class TestNonFinite:
+    def test_prune_drops_the_point(self, grid_17x9):
+        out = apply_transform(
+            grid_17x9, nan_on_first_axis(), Cache(), FailPolicy(FailMode.PRUNE)
+        )
+        assert len(out) == 16 * 9
+        assert all(p.coords[0] != 0 for p in out.points)
+
+    def test_assign_worst_substitutes_and_tags(self, grid_17x9):
+        policy = FailPolicy(FailMode.ASSIGN_WORST, {"m": -1.0})
+        out = apply_transform(grid_17x9, nan_on_first_axis(), Cache(), policy)
+        degraded = [p for p in out.points if p.degraded]
+        assert [p.coords for p in degraded] == [(0, b) for b in range(9)]
+        assert all(p.metrics == (NamedMetric("m", -1.0),) for p in degraded)
+
+    def test_abort_aborts_the_pipeline(self, grid_17x9):
+        with pytest.raises(PipelineAborted) as err:
+            run_pipeline(Pipeline((exhaustive_map(nan_on_first_axis()),)), grid_17x9)
+        assert err.value.cause.kind is EvalErrorKind.NON_FINITE
+        assert err.value.cause.coords == (0, 0)
+
+    def test_failure_is_stored_and_replayed(self, grid_17x9):
+        ev, calls = counting(nan_on_first_axis())
+        cache = Cache()
+        view = PointView(grid_17x9.schema, grid_17x9.points[0])
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                cache.run(ev, view)
+            assert err.value.kind is EvalErrorKind.NON_FINITE
+        assert len(calls) == 1
+        assert cache.counters() == (1, 1)
+
+    def test_overflowing_expression(self, grid_17x9):
+        ev = expr_evaluator("x", "m", "a * 1e308 * 10")
+        out = apply_transform(grid_17x9, ev, Cache(), FailPolicy(FailMode.PRUNE))
+        # a == 0 gives 0, every other point overflows to inf
+        assert [p.coords for p in out.points] == [(0, b) for b in range(9)]
+
+    def test_command_printing_nan(self):
+        space = build_space(Schema([ParamSpec("x", Linear(0, 0))]))
+        spec = CommandSpec(argv=(sys.executable, "-c", "print('{\"m\": NaN}')"), produces=("m",))
+        tool = external_command("tool", spec)
+        with pytest.raises(EvalError) as err:
+            apply_transform(space, tool, Cache())
+        assert err.value.kind is EvalErrorKind.NON_FINITE
+        assert len(apply_transform(space, tool, Cache(), FailPolicy(FailMode.PRUNE))) == 0
 
 
 class TestExternalCommand:

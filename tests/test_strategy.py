@@ -1,5 +1,8 @@
+import logging
 import math
 import random
+import threading
+import time
 
 import pytest
 
@@ -36,7 +39,7 @@ from dsex import (
     reduce_dimension,
     run_pipeline,
 )
-from dsex.errors import ConfigError
+from dsex.errors import ConfigError, EvalErrorKind
 
 from conftest import counting
 
@@ -444,6 +447,132 @@ class TestQuickPrune:
     def test_numeric_keep_rejected(self):
         with pytest.raises(ConfigError):
             quick_prune([], "a + b")
+
+
+def concern_grid(*axes):
+    return build_space(Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in axes]))
+
+
+# (space, evaluator expression, keep, side, concern, predicate evaluations);
+# the counts are those of the point-by-point walk the batched one replaced,
+# so a batching scheme that evaluates speculatively fails the pin
+BATCH_CASES = {
+    "2d_up": (grid(9, 7), "p0 + 2 * p1", "m >= 10", KeepSide.UPWARD, None, 48),
+    "2d_down": (grid(9, 7), "2 * p0 + p1", "m <= 9", KeepSide.DOWNWARD, None, 39),
+    # the first kept diagonal point is interior and is nudged onto the frontier
+    "2d_seed_nudge": (
+        grid(7, 7),
+        "(p0 - 3) * (p0 - 3) + (p1 - 3) * (p1 - 3)",
+        "m >= 8",
+        KeepSide.UPWARD,
+        None,
+        44,
+    ),
+    "3d_up": (grid(5, 4, 6), "p0 + p1 + p2", "m >= 7", KeepSide.UPWARD, None, 99),
+    "3d_down": (grid(5, 4, 6), "p0 + 2 * p1 + p2", "m <= 8", KeepSide.DOWNWARD, None, 114),
+    "concern_3d_up": (
+        concern_grid(("a", 4, "qos"), ("c", 2, "resource"), ("b", 5, "qos"), ("d", 3, "qos")),
+        "a + b + d",
+        "m >= 6",
+        KeepSide.UPWARD,
+        "qos",
+        110,
+    ),
+    "concern_2d_down": (
+        concern_grid(("a", 6, "qos"), ("c", 2, "resource"), ("b", 5, "qos")),
+        "2 * a + b",
+        "m <= 8",
+        KeepSide.DOWNWARD,
+        "qos",
+        32,
+    ),
+}
+
+
+class TestQuickPruneBatches:
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=str)
+    def test_evaluations_do_not_depend_on_parallelism(self, case):
+        space, expression, keep, side, concern, pinned = BATCH_CASES[case]
+        runs = {}
+        for parallelism in (1, 4):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            context = ctx(parallelism=parallelism)
+            out = quick_prune([ev], keep, side=side, concern=concern).apply(space, context)
+            # every probed point is evaluated exactly once
+            assert len(calls) == len(set(calls)) == context.extra["predicate_evaluations"]
+            runs[parallelism] = (
+                set(calls),
+                context.extra["predicate_evaluations"],
+                context.extra["frontier"],
+                out.points,
+            )
+        assert runs[1] == runs[4]
+        assert runs[1][1] == pinned
+
+    def test_parallelism_reaches_the_probes(self):
+        space = grid(5, 5)
+        peaks = {}
+        for parallelism in (1, 2):
+            lock = threading.Lock()
+            state = {"now": 0, "peak": 0}
+
+            def func(view):
+                with lock:
+                    state["now"] += 1
+                    state["peak"] = max(state["peak"], state["now"])
+                time.sleep(0.02)
+                with lock:
+                    state["now"] -= 1
+                return (float(sum(view.point.coords)),)
+
+            ev = Evaluator("slow", ("m",), func)
+            quick_prune([ev], "m >= 4").apply(space, ctx(parallelism=parallelism))
+            peaks[parallelism] = state["peak"]
+        assert peaks[1] == 1
+        assert peaks[2] >= 2
+
+    def test_abort_surfaces_the_earliest_failure_in_probe_order(self):
+        space, expression, keep, side, _, _ = BATCH_CASES["2d_up"]
+        ev, calls = counting(expr_evaluator("e", "m", expression))
+        quick_prune([ev], keep, side=side).apply(space, ctx())
+        first, second = calls[-2], calls[-1]  # both probed, in one batch
+
+        def func(view):
+            if view.point.coords == first:
+                time.sleep(0.05)  # let the later failure finish first
+            if view.point.coords in (first, second):
+                raise EvalError(EvalErrorKind.TOOL_FAILURE, "dead", exit_code=1)
+            return ev.func(view)
+
+        bad = Evaluator("e", ("m",), func)
+        errors = []
+        for parallelism in (1, 4):
+            with pytest.raises(EvalError) as err:
+                quick_prune([bad], keep, side=side).apply(space, ctx(parallelism=parallelism))
+            errors.append((err.value.kind, err.value.coords))
+        assert errors == [(EvalErrorKind.TOOL_FAILURE, first)] * 2
+
+    def test_log_lines(self, caplog):
+        space = grid(9, 7)
+        ev = expr_evaluator("e", "m", "p0 + 2 * p1")
+        pipeline = Pipeline((quick_prune([ev], "m >= 10"), exhaustive_sort("p0 + p1")))
+        caplog.set_level(logging.DEBUG, logger="dsex")
+        frame = run_pipeline(pipeline, space)
+        records = [r for r in caplog.records if r.name == "dsex.strategy"]
+        steps = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert steps[0].startswith("step quick_prune: 63 points in, 34 out, 48 invocations")
+        assert steps[1].startswith("step sort: 34 points in, 34 out, 0 invocations")
+        assert len(steps) == len(frame.provenance.steps) == 2
+        batches = [
+            int(r.getMessage().split()[-2]) for r in records if r.levelno == logging.DEBUG
+        ]
+        assert len(batches) > 1
+        assert sum(batches) == frame.provenance.steps[0].extra["predicate_evaluations"]
+
+        caplog.clear()
+        caplog.set_level(logging.WARNING, logger="dsex")
+        run_pipeline(pipeline, space)
+        assert not [r for r in caplog.records if r.name == "dsex.strategy"]
 
 
 class TestPipeline:
