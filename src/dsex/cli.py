@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -82,23 +83,19 @@ def _manifest_from_args(args) -> RunManifest:
             return getattr(base, flag)
         raise ConfigError(f"--{flag} is required (or pass --manifest)")
 
-    def pick(flag: str, default):
+    def pick(flag: str):
         value = getattr(args, flag)
-        if value is not None:
-            return value
-        if base is not None:
-            return getattr(base, flag)
-        return default
+        return value if value is not None or base is None else getattr(base, flag)
 
+    # an option neither the command line nor the manifest sets keeps
+    # RunManifest's default
+    picked = {flag: pick(flag) for flag in ("parallelism", "seed", "fail_policy", "top")}
     return RunManifest(
         schema=path_of("schema"),
         pipeline=path_of("pipeline"),
         evaluators=path_of("evaluators"),
-        out=Path(pick("out", "out")).resolve() if args.out or base is None else base.out,
-        parallelism=int(pick("parallelism", 1)),
-        seed=int(pick("seed", 0)),
-        fail_policy=pick("fail_policy", None),
-        top=int(pick("top", 5)),
+        out=Path(args.out or "out").resolve() if args.out or base is None else base.out,
+        **{flag: value for flag, value in picked.items() if value is not None},
     )
 
 
@@ -124,7 +121,8 @@ def cmd_run(args) -> int:
 
     out_dir = manifest.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    echo_manifest(manifest, out_dir / "manifest.yaml")
+    effective = replace(manifest, parallelism=pipeline.parallelism)
+    echo_manifest(effective, out_dir / "manifest.yaml")
     log.info("exploring %d points through %d steps", len(space), len(pipeline.steps))
 
     try:

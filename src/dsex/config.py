@@ -9,7 +9,7 @@ relocatable. Schema files round-trip losslessly through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -180,9 +180,7 @@ def _build_step(entry: Mapping, registry: Mapping[str, Evaluator]) -> Step:
         policy = parse_fail_policy(str(entry["fail_policy"]), entry.get("worst"))
 
     def with_policy(step: Step) -> Step:
-        if policy is None:
-            return step
-        return Step(step.name, step.kind, step.apply_fn, step.evaluators, policy)
+        return step if policy is None else replace(step, fail_policy=policy)
 
     if kind == "identity":
         return with_policy(identity(label or "identity"))
@@ -287,7 +285,7 @@ class RunManifest:
     pipeline: Path
     evaluators: Path
     out: Path
-    parallelism: int = 1
+    parallelism: int | None = None  # None: the pipeline file's value
     seed: int = 0
     fail_policy: str | None = None
     top: int = 5
@@ -307,10 +305,9 @@ class RunManifest:
             "parallelism": self.parallelism,
             "seed": self.seed,
             "top": self.top,
+            "fail_policy": self.fail_policy,
         }
-        if self.fail_policy is not None:
-            out["fail_policy"] = self.fail_policy
-        return out
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def load_manifest(path: str | Path) -> RunManifest:
@@ -323,15 +320,13 @@ def load_manifest(path: str | Path) -> RunManifest:
             raise ConfigError(f"manifest {path} is missing {key!r}")
         return (base / str(data[key])).resolve()
 
+    optional = {"parallelism": int, "seed": int, "fail_policy": str, "top": int}
     return RunManifest(
         schema=resolve("schema"),
         pipeline=resolve("pipeline"),
         evaluators=resolve("evaluators"),
         out=(base / str(data.get("out", "out"))).resolve(),
-        parallelism=int(data.get("parallelism", 1)),
-        seed=int(data.get("seed", 0)),
-        fail_policy=str(data["fail_policy"]) if "fail_policy" in data else None,
-        top=int(data.get("top", 5)),
+        **{key: kind(data[key]) for key, kind in optional.items() if key in data},
     )
 
 

@@ -291,10 +291,6 @@ class DesignSpace:
         return len(self.points)
 
     @cached_property
-    def _key_set(self) -> frozenset:
-        return frozenset(p.key for p in self.points)
-
-    @cached_property
     def _positions(self) -> dict[tuple[int, ...], list[int]]:
         # coords -> positions of the points holding them, in enumeration
         # order; coords repeat when points differ only in frozen params
@@ -310,7 +306,10 @@ class DesignSpace:
         )
 
     def contains(self, point: Point) -> bool:
-        return point.key in self._key_set
+        return any(
+            self.points[i].frozen_params == point.frozen_params
+            for i in self._positions.get(point.coords, ())
+        )
 
     def is_full_grid(self) -> bool:
         expected = math.prod(self.schema.cardinalities)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, gt, itemgetter, lt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -38,7 +38,7 @@ from .metrics import (
     enhance_point,  # noqa: F401  perfbench/worker.py patches it here by name
     enhance_points,
 )
-from .space import DesignSpace, KeepSide, Norm, Point, concern_image, project_space
+from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,6 @@ class Step:
     name: str
     kind: str
     apply_fn: Callable[[DesignSpace, StepContext], DesignSpace]
-    evaluators: tuple[Evaluator, ...] = ()
     fail_policy: FailPolicy | None = None
 
     def apply(self, space: DesignSpace, ctx: StepContext) -> DesignSpace:
@@ -109,7 +108,7 @@ def exhaustive_map(evaluator: Evaluator, name: str | None = None) -> Step:
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         return apply_transform(space, evaluator, ctx.cache, ctx.policy, ctx.parallelism)
 
-    return Step(name or f"map_{evaluator.name}", "map", apply_fn, (evaluator,))
+    return Step(name or f"map_{evaluator.name}", "map", apply_fn)
 
 
 def exhaustive_sort(
@@ -130,8 +129,7 @@ def exhaustive_sort(
         order = sorted(range(len(keys)), key=keys.__getitem__, reverse=not ascending)
         return DesignSpace(space.schema, (space.points[i] for i in order))
 
-    evs = (evaluator,) if evaluator is not None else ()
-    return Step(name, "sort", apply_fn, evs)
+    return Step(name, "sort", apply_fn)
 
 
 def exhaustive_prune(
@@ -150,8 +148,7 @@ def exhaustive_prune(
         kept = [p for p in space.points if keep_expr(PointView(space.schema, p).env)]
         return DesignSpace(space.schema, kept)
 
-    evs = (evaluator,) if evaluator is not None else ()
-    return Step(name, "prune", apply_fn, evs)
+    return Step(name, "prune", apply_fn)
 
 
 def reduce_dimension(concern: str, to_min: bool = True, name: str | None = None) -> Step:
@@ -171,11 +168,37 @@ def reduce_dimension(concern: str, to_min: bool = True, name: str | None = None)
     return Step(name or f"reduce_{concern}", "reduce_dimension", apply_fn)
 
 
-def _objective_value(expr: MetricExpr, space: DesignSpace, point: Point) -> float:
-    value = expr(PointView(space.schema, point).env)
-    if isinstance(value, bool):
-        raise ConfigError("objective must be numeric, not boolean")
-    return value
+def _prober(
+    schema: Schema,
+    evaluators: tuple[Evaluator, ...],
+    expr: MetricExpr,
+    ctx: StepContext,
+    name: str,
+) -> tuple[Callable[[Sequence[Point]], list], dict[tuple, tuple[Point, object] | None]]:
+    """A step-local probe: ``expr`` on points enhanced through ``evaluators``.
+
+    ``probe(points)`` returns each point's ``expr`` value, or None when
+    the fail policy pruned the point. Points not yet probed in this step
+    go out as one ``enhance_points`` batch, in first-seen order, at the
+    step's parallelism. The memo returned with it maps each probed key to
+    ``(enhanced point, value)``, or None for a pruned point, in probe
+    order; it is the step's only record of what was evaluated.
+    """
+    memo: dict[tuple, tuple[Point, object] | None] = {}
+
+    def probe(points: Sequence[Point]) -> list:
+        todo = list({p.key: p for p in points if p.key not in memo}.values())
+        if todo:
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s: probing a batch of %d points", name, len(todo))
+            batch = enhance_points(
+                todo, schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
+            )
+            for p, enh in zip(todo, batch):
+                memo[p.key] = None if enh is None else (enh, expr(PointView(schema, enh).env))
+        return [entry and entry[1] for entry in (memo[p.key] for p in points)]
+
+    return probe, memo
 
 
 def gradient_sort(
@@ -186,80 +209,56 @@ def gradient_sort(
 ) -> Step:
     """Hill-climb from the head of the space toward a local optimum.
 
-    Starting at the first point, all L1-distance-1 neighbors of the
-    incumbent are evaluated (through the cache); the best neighbor
-    replaces the incumbent only on strict improvement, ties going to
-    the earliest point in enumeration order. The output contains
-    exactly the points evaluated during the walk, stable-sorted by the
+    The descent starts at the first point the fail policy does not
+    prune. All L1-distance-1 neighbors of the incumbent are then
+    evaluated (through the cache); the best neighbor replaces the
+    incumbent only on strict improvement, ties going to the earliest
+    point in enumeration order. The output contains exactly the
+    surviving points evaluated during the walk, stable-sorted by the
     objective, best first.
+
+    Each ring goes out as one batch of the points not yet probed in
+    this step, at the pipeline's parallelism; a step-local memo keeps
+    every probed point's enhanced copy and objective value, so no point
+    is evaluated twice and the evaluated set does not depend on the
+    parallelism.
     """
     objective_expr = _as_expr(objective)
     if objective_expr.is_predicate:
         raise ConfigError("objective must be numeric, not boolean")
     evaluators = tuple(evaluators)
+    better = gt if maximize else lt
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if not space.points:
             raise EmptySpaceError("gradient sort requires a nonempty space")
         for ev in evaluators:
             check_no_collision(space, ev)
+        probe, memo = _prober(space.schema, evaluators, objective_expr, ctx, name)
 
-        collected: dict[tuple, Point] = {}
-        values: dict[tuple, float] = {}
-
-        def probe(points: Sequence[Point]) -> list[tuple[Point, float] | None]:
-            """Evaluate points through the chain; None when pruned."""
-            todo = [p for p in points if p.key not in collected]
-            enhanced = enhance_points(
-                todo, space.schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
-            )
-            for base, enh in zip(todo, enhanced):
-                if enh is None:
-                    collected[base.key] = base
-                    values[base.key] = float("nan")  # pruned, never a candidate
-                else:
-                    collected[base.key] = enh
-                    values[base.key] = _objective_value(objective_expr, space, enh)
-            out = []
-            for p in points:
-                v = values[p.key]
-                out.append(None if v != v else (collected[p.key], v))
-            return out
-
-        # first viable point is the descent start
-        moves = 0
-        current = None
-        for p in space.points:
-            result = probe([p])[0]
-            if result is not None:
-                current, cost = result
-                break
+        current = next((p for p in space.points if probe([p])[0] is not None), None)
         if current is None:
-            ctx.extra.update({"moves": 0, "evaluated": len(collected)})
+            ctx.extra.update({"moves": 0, "evaluated": len(memo)})
             return DesignSpace(space.schema, ())
 
+        moves, cost = 0, memo[current.key][1]
         while True:
             ring = space.neighbours(current, Norm.L1, 1)
-            candidates = [r for r in probe(ring) if r is not None]
             best = None
-            for cand, value in candidates:
-                if best is None or (value > best[1] if maximize else value < best[1]):
-                    best = (cand, value)
-            if best is None or not (best[1] > cost if maximize else best[1] < cost):
+            for q, value in zip(ring, probe(ring)):
+                if value is not None and (best is None or better(value, best[1])):
+                    best = (q, value)
+            if best is None or not better(best[1], cost):
                 break
             current, cost = best
             moves += 1
 
-        survivors = [
-            (p, values[p.key]) for p in collected.values() if values[p.key] == values[p.key]
-        ]
-        ordered = sorted(
-            range(len(survivors)), key=lambda i: survivors[i][1], reverse=maximize
-        )
+        survivors = [entry for entry in memo.values() if entry is not None]
+        survivors.sort(key=itemgetter(1), reverse=maximize)
         ctx.extra.update({"moves": moves, "evaluated": len(survivors)})
-        return DesignSpace(space.schema, (survivors[i][0] for i in ordered))
+        return DesignSpace(space.schema, (p for p, _ in survivors))
 
-    return Step(name, "gradient", apply_fn, evaluators)
+    return Step(name, "gradient", apply_fn)
 
 
 def quick_prune(
@@ -309,8 +308,7 @@ def quick_prune(
             # region, so the first kept diagonal point sits near it
             diag = list(reversed(diag))
 
-        kept: dict[tuple, bool] = {}
-        enhanced: dict[tuple, Point] = {}
+        probe, memo = _prober(work.schema, evaluators, keep_expr, ctx, name)
         rings: dict[tuple, list[Point]] = {}
 
         def ring(point: Point) -> list[Point]:
@@ -318,26 +316,14 @@ def quick_prune(
                 rings[point.key] = work.neighbours(point, Norm.LINF, 1)
             return rings[point.key]
 
-        def probe(points: list[Point]) -> list[bool]:
-            """Statuses of the points, evaluating the unknown ones as one batch."""
-            todo = list({p.key: p for p in points if p.key not in kept}.values())
-            if todo:
-                if log.isEnabledFor(logging.DEBUG):
-                    log.debug("%s: probing a batch of %d points", name, len(todo))
-                batch = enhance_points(
-                    todo, work.schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
-                )
-                for p, enh in zip(todo, batch):
-                    if enh is None:
-                        kept[p.key] = False  # pruned by policy: treat as not kept
-                    else:
-                        enhanced[p.key] = enh
-                        kept[p.key] = bool(keep_expr(PointView(work.schema, enh).env))
-            return [kept[p.key] for p in points]
+        def kept(point: Point) -> bool:
+            # a probed point the fail policy pruned is not kept
+            entry = memo[point.key]
+            return entry is not None and entry[1]
 
         def on_frontier(point: Point) -> bool:
             # the point and its whole ring have been probed
-            return kept[point.key] and not all(kept[q.key] for q in ring(point))
+            return kept(point) and not all(map(kept, ring(point)))
 
         # Start: first kept point on the diagonal, nudged onto the frontier
         seed = next((p for p in diag if probe([p])[0]), None)
@@ -363,7 +349,7 @@ def quick_prune(
             wave = [q for q in candidates if on_frontier(q)]
             frontier.update((q.key, q) for q in wave)
 
-        ctx.extra["predicate_evaluations"] = len(kept)
+        ctx.extra["predicate_evaluations"] = len(memo)
         ctx.extra["frontier_size"] = len(frontier)
         ctx.extra["frontier"] = sorted(p.coords for p in frontier.values())
 
@@ -374,23 +360,23 @@ def quick_prune(
         for p in space.points:
             key = image(p)
             if key[0] in closed:
-                out.append(_attach(p, enhanced, key))
+                out.append(_attach(p, memo.get(key)))
         return DesignSpace(space.schema, out)
 
-    return Step(name, "quick_prune", apply_fn, evaluators)
+    return Step(name, "quick_prune", apply_fn)
 
 
-def _attach(point: Point, enhanced: dict[tuple, Point], key: tuple) -> Point:
-    """Copy the metrics produced for the work-grid point ``key`` onto a
-    surviving point, if that work-grid point was probed.
+def _attach(point: Point, entry: tuple[Point, object] | None) -> Point:
+    """Copy the metrics produced for a work-grid point onto a surviving
+    point, given that work-grid point's probe memo entry.
 
     Only points actually probed during the walk carry the produced
     metrics; interior points were never evaluated, which is the point
     of the quick prune.
     """
-    enh = enhanced.get(key)
-    if enh is None:
+    if entry is None:
         return point
+    enh = entry[0]
     produced = enh.metrics[len(point.metrics):]
     return point.with_metrics(produced, enh.degraded)
 

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import PIPELINES, ROOT, subprocess_env
 
@@ -170,6 +171,31 @@ class TestRunCommand:
         for name in ("frame.csv", "frame.jsonl"):
             golden = ROOT / "runs" / bundle / name
             assert (tmp_path / name).read_bytes() == golden.read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "in_manifest, flags, expected",
+        [
+            ("", [], 4),  # only the pipeline file sets it
+            ("parallelism: 3\n", [], 3),
+            ("parallelism: 3\n", ["--parallelism", "2"], 2),
+        ],
+        ids=["pipeline", "manifest", "flag"],
+    )
+    def test_parallelism_precedence(self, tmp_path, in_manifest, flags, expected):
+        from dsex.cli import main
+
+        (tmp_path / "pipeline.yaml").write_text("parallelism: 4\nsteps:\n  - {step: identity}\n")
+        (tmp_path / "evaluators.yaml").write_text("evaluators: []\n")
+        manifest = tmp_path / "manifest.yaml"
+        manifest.write_text(
+            f"schema: {PIPELINES / 'schemas' / 'dummy.yaml'}\n"
+            "pipeline: pipeline.yaml\nevaluators: evaluators.yaml\n" + in_manifest
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out), *flags]) == 0
+        provenance = json.loads((out / "provenance.json").read_text())
+        assert provenance["parallelism"] == expected
+        assert yaml.safe_load((out / "manifest.yaml").read_text())["parallelism"] == expected
 
 
 @pytest.fixture(scope="module")

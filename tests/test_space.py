@@ -191,6 +191,10 @@ class TestNeighbours:
         for norm in (Norm.L1, Norm.LINF):
             assert other in space.neighbours(twin, norm, 1)
             assert twin in space.neighbours(other, norm, 1)
+        # membership needs the coords and the frozen params
+        assert all(space.contains(p) for p in space.points)
+        assert not space.contains(Point((3, 1), (NamedMetric("z", 0.0),)))
+        assert not space.contains(Point((2, 1), (NamedMetric("z", 2.0),)))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import random
@@ -575,6 +576,106 @@ class TestQuickPruneBatches:
         assert not [r for r in caplog.records if r.name == "dsex.strategy"]
 
 
+# (space, evaluator expression, maximize, moves, output coords); the
+# output is the evaluated set, best first, as the per-ring walk before the
+# shared probe produced it
+GRADIENT_CASES = {
+    "2d_max": (
+        grid(9, 7),
+        quadratic_bowl((5, 4)),
+        True,
+        9,
+        [(5, 4), (4, 4), (5, 3), (5, 5), (6, 4), (4, 3), (4, 5), (3, 4), (3, 3), (4, 2),
+         (3, 2), (2, 3), (2, 2), (3, 1), (2, 1), (1, 2), (1, 1), (2, 0), (1, 0), (0, 1),
+         (0, 0)],
+    ),
+    "2d_min": (
+        grid(9, 7),
+        "(p0 - 7) * (p0 - 7) + (p1 - 2) * (p1 - 2)",
+        False,
+        9,
+        [(7, 2), (6, 2), (7, 1), (7, 3), (8, 2), (6, 1), (6, 3), (5, 2), (5, 1), (6, 0),
+         (5, 0), (4, 1), (4, 0), (3, 1), (3, 0), (2, 1), (2, 0), (1, 1), (1, 0), (0, 1),
+         (0, 0)],
+    ),
+    "3d_max": (
+        grid(5, 4, 6),
+        quadratic_bowl((3, 2, 4)),
+        True,
+        9,
+        [(3, 2, 4), (2, 2, 4), (3, 1, 4), (3, 2, 3), (3, 2, 5), (3, 3, 4), (4, 2, 4),
+         (2, 1, 4), (2, 2, 3), (3, 1, 3), (2, 2, 5), (2, 3, 4), (2, 1, 3), (2, 1, 5),
+         (1, 2, 4), (1, 1, 4), (1, 2, 3), (2, 0, 4), (1, 1, 3), (2, 0, 3), (2, 1, 2),
+         (1, 0, 4), (1, 0, 3), (1, 1, 2), (2, 0, 2), (0, 1, 3), (1, 0, 2), (0, 0, 3),
+         (0, 1, 2), (0, 0, 2), (1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0),
+         (0, 0, 0)],
+    ),
+    "3d_min": (
+        grid(5, 4, 6),
+        "(p0 - 4) * (p0 - 4) + (p1 - 1) * (p1 - 1) + (p2 - 5) * (p2 - 5)",
+        False,
+        10,
+        [(4, 1, 5), (3, 1, 5), (4, 0, 5), (4, 1, 4), (4, 2, 5), (3, 0, 5), (3, 1, 4),
+         (4, 0, 4), (3, 2, 5), (3, 0, 4), (2, 1, 5), (2, 0, 5), (2, 1, 4), (2, 0, 4),
+         (3, 0, 3), (2, 1, 3), (2, 0, 3), (1, 0, 4), (1, 1, 3), (1, 0, 3), (2, 0, 2),
+         (1, 1, 2), (1, 0, 2), (0, 0, 3), (0, 1, 2), (0, 0, 2), (1, 0, 1), (0, 1, 1),
+         (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0)],
+    ),
+}
+
+
+class TestGradientBatches:
+    @pytest.mark.parametrize("case", GRADIENT_CASES, ids=str)
+    def test_evaluations_do_not_depend_on_parallelism(self, case):
+        space, expression, maximize, moves, coords = GRADIENT_CASES[case]
+        runs = {}
+        for parallelism in (1, 4):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            context = ctx(parallelism=parallelism)
+            out = gradient_sort([ev], "m", maximize=maximize).apply(space, context)
+            # every point is evaluated exactly once, and the output is that set
+            assert len(calls) == len(set(calls)) == context.extra["evaluated"]
+            assert set(calls) == {p.coords for p in out.points}
+            runs[parallelism] = (
+                context.extra["moves"],
+                context.extra["evaluated"],
+                [p.coords for p in out.points],
+            )
+        assert runs[1] == runs[4] == (moves, len(coords), coords)
+
+    def test_prune_skips_a_failing_head(self):
+        space = grid(6, 5)
+        score = expr_evaluator("e", "m", quadratic_bowl((4, 3)))
+
+        def func(view):
+            if view.point.coords == (0, 0):
+                raise EvalError(EvalErrorKind.TIMEOUT, "slow")
+            return score.func(view)
+
+        runs = {}
+        for parallelism in (1, 4):
+            ev, calls = counting(Evaluator("e", ("m",), func))
+            context = ctx(policy=FailPolicy(FailMode.PRUNE), parallelism=parallelism)
+            out = gradient_sort([ev], "m").apply(space, context)
+            # the head is tried once, then the walk starts at the next point
+            assert calls[:2] == [(0, 0), (0, 1)]
+            assert len(calls) == len(set(calls)) == 18
+            runs[parallelism] = (context.extra, [p.coords for p in out.points])
+        assert runs[1] == runs[4]
+        extra, coords = runs[1]
+        assert extra == {"moves": 6, "evaluated": 17}
+        assert (0, 0) not in coords and (0, 1) in coords and coords[0] == (4, 3)
+
+    def test_debug_log_covers_the_batches(self, caplog):
+        space, expression, maximize, _, coords = GRADIENT_CASES["3d_max"]
+        ev = expr_evaluator("e", "m", expression)
+        caplog.set_level(logging.DEBUG, logger="dsex")
+        gradient_sort([ev], "m", maximize=maximize).apply(space, ctx())
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert all(line.startswith("gradient: probing a batch of ") for line in lines)
+        assert sum(int(line.split()[-2]) for line in lines) == len(coords)
+
+
 class TestPipeline:
     def test_compose_equals_pipeline(self):
         space = grid(10, 7)
@@ -667,9 +768,7 @@ class TestPipeline:
 
 
 def Step_with_policy(step, policy):
-    from dsex import Step
-
-    return Step(step.name, step.kind, step.apply_fn, step.evaluators, policy)
+    return dataclasses.replace(step, fail_policy=policy)
 
 
 def _purity_steps():
