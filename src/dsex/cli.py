@@ -12,6 +12,7 @@ debug/info/warning to control verbosity.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -132,8 +133,6 @@ def cmd_run(args) -> int:
     except PipelineAborted as err:
         print(f"error: {err}", file=sys.stderr)
         if err.provenance is not None:
-            import json
-
             (out_dir / "provenance.json").write_text(
                 json.dumps(err.provenance.to_dict(), indent=2) + "\n"
             )

@@ -1,50 +1,34 @@
 """Metric expression mini-language.
 
-A small recursive-descent parser and evaluator for cost expressions
-over named metrics: arithmetic (+ - * /, unary minus, parentheses),
-comparisons (< <= > >= == !=) and boolean connectives (&& || !).
+A small recursive-descent parser for cost expressions over named
+metrics: arithmetic (+ - * /, unary minus, parentheses), comparisons
+(< <= > >= == !=) and boolean connectives (&& || !).
 
 Precedence, loosest to tightest: || , && , ! , comparisons, + -, * /,
 unary minus. All binary operators associate to the left. Values are
 floats; comparisons yield booleans; mixing the two kinds is an
 evaluation-time type error. Division by zero is an error, never
 infinity.
+
+The parser compiles each expression once into nested closures. Every
+subexpression's kind (number or boolean) is fixed by its syntax, so
+the kind checks are settled at parse time: a well-kinded expression
+evaluates with no check at all, and a mixed one compiles to a closure
+that evaluates its operands in order and then raises the type error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Union
 
 from .errors import EvalError, EvalErrorKind, ExprSyntaxError
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Mapping
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # '-' or '!'
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Num, Var, Unary, Binary]
+    # a compiled subexpression: its closure, and whether it yields a boolean
+    Compiled = tuple[Callable[[Mapping[str, float]], object], bool]
 
 _COMPARISONS = ("<=", ">=", "==", "!=", "<", ">")
 _TOKEN_RE = re.compile(
@@ -79,11 +63,81 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _divide(left, right):
+    def fn(env):
+        a = left(env)
+        b = right(env)
+        if b == 0.0:
+            raise EvalError(EvalErrorKind.DIV_BY_ZERO, "division by zero")
+        return a / b
+
+    return fn
+
+
+# closure builders for well-kinded operands; each evaluates left before right
+_OPS = {
+    "+": lambda a, b: lambda env: a(env) + b(env),
+    "-": lambda a, b: lambda env: a(env) - b(env),
+    "*": lambda a, b: lambda env: a(env) * b(env),
+    "/": _divide,
+    "<": lambda a, b: lambda env: a(env) < b(env),
+    "<=": lambda a, b: lambda env: a(env) <= b(env),
+    ">": lambda a, b: lambda env: a(env) > b(env),
+    ">=": lambda a, b: lambda env: a(env) >= b(env),
+    "==": lambda a, b: lambda env: a(env) == b(env),
+    "!=": lambda a, b: lambda env: a(env) != b(env),
+    "&&": lambda a, b: lambda env: a(env) and b(env),
+    "||": lambda a, b: lambda env: a(env) or b(env),
+}
+
+
+def _raising(operands, expected: str, got_bool: bool):
+    """A closure that evaluates ``operands`` in order, then raises the
+    type error that their kinds make certain."""
+    detail = f"expected {expected}, got {'boolean' if got_bool else 'number'}"
+
+    def fn(env):
+        for operand in operands:
+            operand(env)
+        raise EvalError(EvalErrorKind.TYPE_MISMATCH, detail)
+
+    return fn
+
+
+def _expect(node: Compiled, boolean: bool):
+    """The closure of ``node``, raising once evaluated if its kind is wrong."""
+    fn, is_bool = node
+    if is_bool == boolean:
+        return fn
+    return _raising((fn,), "boolean" if boolean else "number", is_bool)
+
+
+def _unary(op: str, operand: Compiled) -> Compiled:
+    if op == "-":
+        fn = _expect(operand, False)
+        return (lambda env: -fn(env)), False
+    fn = _expect(operand, True)
+    return (lambda env: not fn(env)), True
+
+
+def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
+    if op in ("&&", "||"):
+        # the left operand's kind is checked before the short circuit
+        return _OPS[op](_expect(left, True), _expect(right, True)), True
+    (lf, l_bool), (rf, r_bool) = left, right
+    if op in ("==", "!="):
+        if l_bool != r_bool:
+            return _raising((lf, rf), "operands of the same kind", r_bool), True
+    elif l_bool or r_bool:
+        return _raising((lf, rf), "number", True), op in _COMPARISONS
+    return _OPS[op](lf, rf), op in _COMPARISONS
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.names: set[str] = set()
 
     def peek(self):
         return self.tokens[self.i]
@@ -99,68 +153,50 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         self.take()
 
-    def parse(self) -> Node:
+    def parse(self) -> Compiled:
         node = self.or_expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         return node
 
-    def or_expr(self) -> Node:
-        node = self.and_expr()
-        while self._at_op("||"):
-            self.take()
-            node = Binary("||", node, self.and_expr())
-        return node
+    def or_expr(self) -> Compiled:
+        return self._left_assoc(self.and_expr, ("||",))
 
-    def and_expr(self) -> Node:
-        node = self.not_expr()
-        while self._at_op("&&"):
-            self.take()
-            node = Binary("&&", node, self.not_expr())
-        return node
+    def and_expr(self) -> Compiled:
+        return self._left_assoc(self.not_expr, ("&&",))
 
-    def not_expr(self) -> Node:
+    def not_expr(self) -> Compiled:
         if self._at_op("!"):
             self.take()
-            return Unary("!", self.not_expr())
+            return _unary("!", self.not_expr())
         return self.comparison()
 
-    def comparison(self) -> Node:
-        node = self.additive()
-        while self._at_op(*_COMPARISONS):
-            _, op, _ = self.take()
-            node = Binary(op, node, self.additive())
-        return node
+    def comparison(self) -> Compiled:
+        return self._left_assoc(self.additive, _COMPARISONS)
 
-    def additive(self) -> Node:
-        node = self.multiplicative()
-        while self._at_op("+", "-"):
-            _, op, _ = self.take()
-            node = Binary(op, node, self.multiplicative())
-        return node
+    def additive(self) -> Compiled:
+        return self._left_assoc(self.multiplicative, ("+", "-"))
 
-    def multiplicative(self) -> Node:
-        node = self.unary()
-        while self._at_op("*", "/"):
-            _, op, _ = self.take()
-            node = Binary(op, node, self.unary())
-        return node
+    def multiplicative(self) -> Compiled:
+        return self._left_assoc(self.unary, ("*", "/"))
 
-    def unary(self) -> Node:
+    def unary(self) -> Compiled:
         if self._at_op("-"):
             self.take()
-            return Unary("-", self.unary())
+            return _unary("-", self.unary())
         return self.primary()
 
-    def primary(self) -> Node:
+    def primary(self) -> Compiled:
         kind, value, pos = self.peek()
         if kind == "num":
             self.take()
-            return Num(float(value))
+            number = float(value)
+            return (lambda env: number), False
         if kind == "name":
             self.take()
-            return Var(value)
+            self.names.add(value)
+            return (lambda env: float(env[value])), False
         if kind == "op" and value == "(":
             self.take()
             node = self.or_expr()
@@ -172,129 +208,66 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "op" and value in ops
 
-
-def _free_names(node: Node, acc: set[str]) -> None:
-    if isinstance(node, Var):
-        acc.add(node.name)
-    elif isinstance(node, Unary):
-        _free_names(node.operand, acc)
-    elif isinstance(node, Binary):
-        _free_names(node.left, acc)
-        _free_names(node.right, acc)
+    def _left_assoc(self, operand, ops: tuple[str, ...]) -> Compiled:
+        node = operand()
+        while self._at_op(*ops):
+            _, op, _ = self.take()
+            node = _binary(op, node, operand())
+        return node
 
 
-def returns_bool(node: Node) -> bool:
-    """Whether the expression statically produces a boolean."""
-    if isinstance(node, Unary):
-        return node.op == "!"
-    if isinstance(node, Binary):
-        return node.op in _COMPARISONS or node.op in ("&&", "||")
-    return False
-
-
-@dataclass(frozen=True)
 class MetricExpr:
-    """A parsed, reusable expression tree with its source text."""
+    """A parsed, reusable expression: its source text, the free names it
+    reads, whether it yields a boolean, and its compiled closure.
 
-    source: str
-    root: Node
+    Two expressions are equal when their sources are.
+    """
 
-    @cached_property
-    def names(self) -> frozenset[str]:
-        acc: set[str] = set()
-        _free_names(self.root, acc)
-        return frozenset(acc)
+    __slots__ = ("source", "names", "is_predicate", "_sorted_names", "_fn")
 
-    @property
-    def is_predicate(self) -> bool:
-        return returns_bool(self.root)
+    def __init__(self, source: str, fn, names: frozenset[str], is_predicate: bool):
+        self.source = source
+        self.names = names
+        self.is_predicate = is_predicate
+        self._sorted_names = tuple(sorted(names))
+        self._fn = fn
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricExpr):
+            return NotImplemented
+        return self.source == other.source
+
+    def __hash__(self):
+        return hash(self.source)
+
+    def __repr__(self):
+        return f"MetricExpr({self.source!r})"
 
     def __call__(self, env: Mapping[str, float]):
         return evaluate(self, env)
 
 
 def parse_expr(text: str) -> MetricExpr:
-    """Parse expression text into a reusable tree.
+    """Parse expression text and compile it into a reusable expression.
 
     Raises ExprSyntaxError (with position) on malformed input.
     """
-    return MetricExpr(text, _Parser(text).parse())
-
-
-def _type_error(expected: str, got) -> EvalError:
-    kind = "boolean" if isinstance(got, bool) else "number"
-    return EvalError(EvalErrorKind.TYPE_MISMATCH, f"expected {expected}, got {kind}")
-
-
-def _num(v) -> float:
-    if isinstance(v, bool):
-        raise _type_error("number", v)
-    return v
-
-
-def _bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise _type_error("boolean", v)
-    return v
-
-
-def _eval(node: Node, env: Mapping[str, float]):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(env[node.name])
-    if isinstance(node, Unary):
-        if node.op == "-":
-            return -_num(_eval(node.operand, env))
-        return not _bool(_eval(node.operand, env))
-    op = node.op
-    if op == "&&":
-        return _bool(_eval(node.left, env)) and _bool(_eval(node.right, env))
-    if op == "||":
-        return _bool(_eval(node.left, env)) or _bool(_eval(node.right, env))
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if op == "==":
-        if isinstance(left, bool) != isinstance(right, bool):
-            raise _type_error("operands of the same kind", right)
-        return left == right
-    if op == "!=":
-        if isinstance(left, bool) != isinstance(right, bool):
-            raise _type_error("operands of the same kind", right)
-        return left != right
-    left, right = _num(left), _num(right)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0.0:
-            raise EvalError(EvalErrorKind.DIV_BY_ZERO, "division by zero")
-        return left / right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise AssertionError(f"unknown operator {op!r}")
+    parser = _Parser(text)
+    fn, is_bool = parser.parse()
+    return MetricExpr(text, fn, frozenset(parser.names), is_bool)
 
 
 def evaluate(expr: MetricExpr, env: Mapping[str, float]):
     """Evaluate an expression against a name -> value environment.
 
     All free names must resolve; missing names raise EvalError
-    (name_not_found) before any evaluation, so boolean short-circuiting
-    never hides an unresolvable name.
+    (name_not_found, naming the alphabetically first) before any
+    evaluation, so boolean short-circuiting never hides an unresolvable
+    name.
     """
-    missing = expr.names - set(env)
-    if missing:
-        name = sorted(missing)[0]
-        raise EvalError(
-            EvalErrorKind.NAME_NOT_FOUND, f"name {name!r} not found on point", name=name
-        )
-    return _eval(expr.root, env)
+    for name in expr._sorted_names:
+        if name not in env:
+            raise EvalError(
+                EvalErrorKind.NAME_NOT_FOUND, f"name {name!r} not found on point", name=name
+            )
+    return expr._fn(env)

@@ -273,9 +273,10 @@ def quick_prune(
     Assumes the kept region is a single connected region bounded by one
     continuous frontier. Walks the grid diagonal for a first kept
     point, grows the frontier through Chebyshev-distance-1 expansion,
-    then keeps exactly the points dominating (or dominated by, per
-    ``side``) some frontier point in index space
-    (``DesignSpace.dominance_closure``). With ``concern`` the decision
+    then keeps the points dominating (or dominated by, per ``side``)
+    some frontier point in index space (``DesignSpace.dominance_closure``),
+    except any point the walk probed and saw fail ``keep`` or pruned
+    under the fail policy. With ``concern`` the decision
     runs on the concern-projected grid, and an input point survives
     when its image under ``concern_image`` (the rule ``project_space``
     projects with) is retained. A point is on the frontier iff it is
@@ -354,13 +355,15 @@ def quick_prune(
         ctx.extra["frontier"] = sorted(p.coords for p in frontier.values())
 
         # Update: retain the dominance closure of the frontier, carried
-        # back to the input space through each point's image on the work grid
+        # back to the input space through each point's image on the work
+        # grid, less every image probed and seen to fail or pruned
         closed = work.dominance_closure((p.coords for p in frontier.values()), side)
         out = []
         for p in space.points:
             key = image(p)
-            if key[0] in closed:
-                out.append(_attach(p, memo.get(key)))
+            entry = memo.get(key)
+            if key[0] in closed and (entry[1] if entry else key not in memo):
+                out.append(_attach(p, entry))
         return DesignSpace(space.schema, out)
 
     return Step(name, "quick_prune", apply_fn)

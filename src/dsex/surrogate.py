@@ -17,15 +17,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind
-from .expr import MetricExpr, parse_expr
+from .expr import parse_expr
 
+# the served model starts once per point, so this module imports neither
+# dataclasses nor typing at run time; annotation-only names load here
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from pathlib import Path
+    from typing import Mapping, Sequence
 
+    from .expr import MetricExpr
     from .metrics import Evaluator, PointView
 
 
@@ -34,7 +37,6 @@ if TYPE_CHECKING:
 FAIL_STALL_S = 600.0
 
 
-@dataclass(frozen=True)
 class ResourceModel:
     """Per-metric formulas over schema parameters.
 
@@ -44,15 +46,19 @@ class ResourceModel:
     long per evaluation to mimic slow tools.
     """
 
-    name: str
-    produces: tuple[str, ...]
-    formulas: Mapping[str, MetricExpr]
-    latency_s: float = 0.0
-    fail_if: MetricExpr | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "produces", tuple(self.produces))
-        object.__setattr__(self, "formulas", dict(self.formulas))
+    def __init__(
+        self,
+        name: str,
+        produces: Sequence[str],
+        formulas: Mapping[str, MetricExpr],
+        latency_s: float = 0.0,
+        fail_if: MetricExpr | None = None,
+    ):
+        self.name = name
+        self.produces = tuple(produces)
+        self.formulas = dict(formulas)
+        self.latency_s = latency_s
+        self.fail_if = fail_if
         for metric in self.produces:
             if metric not in self.formulas:
                 raise ConfigError(f"model {self.name!r} lacks a formula for {metric!r}")

@@ -1,8 +1,10 @@
+import collections
 import math
+import operator
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsex import EvalError, ExprSyntaxError, parse_expr
@@ -79,6 +81,13 @@ class TestEvaluation:
             parse_expr("1 == 1 || missing > 0")({})
         assert err.value.kind is EvalErrorKind.NAME_NOT_FOUND
 
+    def test_first_missing_name_in_alphabetical_order(self):
+        with pytest.raises(EvalError) as err:
+            parse_expr("x == x || zeta > 0 && alpha > 0")({"x": 1.0})
+        assert err.value.kind is EvalErrorKind.NAME_NOT_FOUND
+        assert err.value.name == "alpha"
+        assert err.value.detail == "name 'alpha' not found on point"
+
     def test_short_circuit_guards_division(self):
         assert parse_expr("a == 0 || b / a > 1")({"a": 0.0, "b": 3.0}) is True
 
@@ -105,76 +114,178 @@ class TestEvaluation:
         assert parse_expr("1 == 0")({}) is False
 
 
-class _RefNode:
-    """Independent oracle: random trees evaluated directly as they are built."""
+class _Fail:
+    """The error the reference semantics predicts, in place of a value."""
 
-    def __init__(self, text, value):
-        self.text = text
-        self.value = value
+    def __init__(self, kind, detail):
+        self.kind = kind
+        self.detail = detail
 
 
-def _random_numeric(rng: random.Random, env: dict, depth: int) -> _RefNode:
-    if depth <= 0 or rng.random() < 0.3:
-        if env and rng.random() < 0.5:
-            name = rng.choice(sorted(env))
-            return _RefNode(name, env[name])
-        value = round(rng.uniform(0.1, 50.0), 3)
-        return _RefNode(repr(value), value)
-    op = rng.choice(["+", "-", "*", "/", "neg"])
-    left = _random_numeric(rng, env, depth - 1)
+def _mismatch(expected, got):
+    kind = "boolean" if isinstance(got, bool) else "number"
+    return _Fail(EvalErrorKind.TYPE_MISMATCH, f"expected {expected}, got {kind}")
+
+
+_ARITH = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _apply(op, a, b=None):
+    """Reference semantics of one operator over operand values computed
+    left to right; a _Fail operand is the error raised first. Operands
+    are computed eagerly, which is safe because the reference is pure:
+    a short circuit simply ignores the right operand."""
+    if isinstance(a, _Fail):
+        return a
     if op == "neg":
-        return _RefNode(f"-({left.text})", -left.value)
-    right = _random_numeric(rng, env, depth - 1)
-    if op == "/" and abs(right.value) < 1e-6:
-        op = "+"
-    value = {
-        "+": left.value + right.value,
-        "-": left.value - right.value,
-        "*": left.value * right.value,
-        "/": left.value / right.value if abs(right.value) >= 1e-6 else 0.0,
-    }[op]
-    return _RefNode(f"({left.text} {op} {right.text})", value)
+        return _mismatch("number", a) if isinstance(a, bool) else -a
+    if op == "!":
+        return (not a) if isinstance(a, bool) else _mismatch("boolean", a)
+    if op in ("&&", "||"):
+        if not isinstance(a, bool):
+            return _mismatch("boolean", a)
+        if a is (op == "||"):
+            return a
+        if isinstance(b, _Fail):
+            return b
+        return b if isinstance(b, bool) else _mismatch("boolean", b)
+    if isinstance(b, _Fail):
+        return b
+    if op in ("==", "!="):
+        if isinstance(a, bool) != isinstance(b, bool):
+            return _mismatch("operands of the same kind", b)
+        return (a == b) if op == "==" else (a != b)
+    if isinstance(a, bool) or isinstance(b, bool):
+        return _mismatch("number", True)
+    if op == "/" and b == 0.0:
+        return _Fail(EvalErrorKind.DIV_BY_ZERO, "division by zero")
+    return _ARITH[op](a, b)
+
+
+def _fold(node, env):
+    """Render a tree to fully parenthesised text and evaluate it with
+    the reference semantics; returns (text, value or _Fail, free names)."""
+    if isinstance(node, float):
+        return repr(node), node, set()
+    if node[0] == "var":
+        name = node[1]
+        return name, float(env.get(name, 1.0)), {name}
+    if node[0] in ("neg", "!"):
+        text, value, names = _fold(node[1], env)
+        # '!' binds looser than arithmetic, so it needs parentheses of its own
+        text = f"-({text})" if node[0] == "neg" else f"(!({text}))"
+        return text, _apply(node[0], value), names
+    op, left, right = node
+    lt, lv, ln = _fold(left, env)
+    rt, rv, rn = _fold(right, env)
+    return f"({lt} {op} {rt})", _apply(op, lv, rv), ln | rn
+
+
+def _check_against_reference(tree, env):
+    text, expected, names = _fold(tree, env)
+    missing = sorted(names - set(env))
+    if missing:
+        # every free name is resolved before anything is evaluated
+        expected = _Fail(EvalErrorKind.NAME_NOT_FOUND, f"name {missing[0]!r} not found on point")
+    expr = parse_expr(text)
+    if isinstance(expected, _Fail):
+        with pytest.raises(EvalError) as err:
+            expr(env)
+        assert (err.value.kind, err.value.detail) == (expected.kind, expected.detail), text
+        if missing:
+            assert err.value.name == missing[0]
+        return expected.kind
+    got = expr(env)
+    assert type(got) is type(expected), text
+    # bit for bit: the same float operations in the same order
+    assert got == expected or (math.isnan(got) and math.isnan(expected)), text
+    return "boolean" if isinstance(got, bool) else "number"
+
+
+_COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+def _random_tree(rng: random.Random, depth: int, boolean: bool):
+    if rng.random() < 0.05:
+        boolean = not boolean  # now and then an operand of the wrong kind
+    if boolean:
+        op = rng.choice(_COMPARISONS + ["&&", "||", "!"] if depth > 0 else _COMPARISONS)
+        if op == "!":
+            return ("!", _random_tree(rng, depth - 1, True))
+        if op in ("&&", "||"):
+            return (op, _random_tree(rng, depth - 1, True), _random_tree(rng, depth - 1, True))
+        kind = op in ("==", "!=") and rng.random() < 0.3
+        return (op, _random_tree(rng, depth - 1, kind), _random_tree(rng, depth - 1, kind))
+    if depth <= 0 or rng.random() < 0.3:
+        roll = rng.random()
+        if roll < 0.45:
+            return ("var", f"m{rng.randrange(5)}")
+        if roll < 0.5:
+            return 0.0
+        return round(rng.uniform(0.1, 50.0), 3)
+    op = rng.choice(["+", "-", "*", "/", "neg"])
+    if op == "neg":
+        return ("neg", _random_tree(rng, depth - 1, False))
+    return (op, _random_tree(rng, depth - 1, False), _random_tree(rng, depth - 1, False))
 
 
 def test_matches_reference_interpreter_on_random_expressions():
     rng = random.Random(20240817)
-    for _ in range(1000):
-        env = {f"m{k}": round(rng.uniform(-20, 20), 3) for k in range(rng.randint(0, 4))}
-        ref = _random_numeric(rng, env, rng.randint(1, 5))
-        got = parse_expr(ref.text)(env)
-        assert math.isclose(got, ref.value, rel_tol=1e-12, abs_tol=1e-12)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        env = {f"m{k}": round(rng.uniform(-20, 20), 3) for k in range(5) if rng.random() < 0.85}
+        tree = _random_tree(rng, rng.randint(1, 5), rng.random() < 0.5)
+        outcomes[_check_against_reference(tree, env)] += 1
+    # the draw reaches every outcome, each error kind included
+    assert set(outcomes) == {
+        "number",
+        "boolean",
+        EvalErrorKind.DIV_BY_ZERO,
+        EvalErrorKind.TYPE_MISMATCH,
+        EvalErrorKind.NAME_NOT_FOUND,
+    }
 
 
-_literals = st.floats(0.125, 64.0, allow_nan=False).map(lambda v: round(v, 3))
+_literals = st.one_of(
+    st.just(0.0), st.floats(0.125, 64.0, allow_nan=False).map(lambda v: round(v, 3))
+)
 
 
-def _tree(children):
+def _numeric(children):
     binary = st.tuples(st.sampled_from("+-*/"), children, children)
     return st.one_of(binary, st.tuples(st.just("neg"), children))
 
 
-_trees = st.recursive(_literals, _tree, max_leaves=20)
+def _logical(children):
+    binary = st.tuples(st.sampled_from(["&&", "||"]), children, children)
+    return st.one_of(binary, st.tuples(st.just("!"), children))
 
 
-def _fold(node):
-    if isinstance(node, float):
-        return repr(node), node
-    if node[0] == "neg":
-        text, value = _fold(node[1])
-        return f"-({text})", -value
-    op, left, right = node
-    lt, lv = _fold(left)
-    rt, rv = _fold(right)
-    if op == "/" and rv == 0.0:
-        op = "+"
-    value = {"+": lv + rv, "-": lv - rv, "*": lv * rv, "/": lv / rv if rv else 0.0}[op]
-    return f"({lt} {op} {rt})", value
+def _any(children):
+    ops = list("+-*/") + _COMPARISONS + ["&&", "||"]
+    binary = st.tuples(st.sampled_from(ops), children, children)
+    return st.one_of(binary, st.tuples(st.sampled_from(["neg", "!"]), children))
+
+
+_numbers = st.recursive(_literals, _numeric, max_leaves=12)
+_comparisons = st.tuples(st.sampled_from(_COMPARISONS), _numbers, _numbers)
+_trees = st.one_of(
+    _numbers,
+    st.recursive(_comparisons, _logical, max_leaves=6),
+    st.recursive(_literals, _any, max_leaves=20),
+)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_render_parse_round_trip(tree):
-    text, expected = _fold(tree)
-    assume(math.isfinite(expected))
-    got = parse_expr(text)({})
-    assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12)
+    _check_against_reference(tree, {})

@@ -51,6 +51,10 @@ def grid(*dims):
     )
 
 
+def concern_grid(*axes):
+    return build_space(Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in axes]))
+
+
 def ctx(policy=None, parallelism=1):
     kwargs = {"cache": Cache(), "parallelism": parallelism}
     if policy is not None:
@@ -403,6 +407,47 @@ class TestQuickPrune:
             assert env_of(out, p)["height"] == sum(p.coords)
 
     @pytest.mark.parametrize(
+        "space, concern",
+        [
+            (grid(7, 7), None),
+            (concern_grid(("p0", 6, "qos"), ("c", 2, "resource"), ("p1", 6, "qos")), "qos"),
+        ],
+        ids=["plain", "concern"],
+    )
+    def test_no_survivor_was_seen_to_fail_keep(self, space, concern):
+        # a bowl is not monotone: its rim passes, so the upward closure of
+        # the traced frontier covers probed points in the failing hollow
+        ev, calls = counting(
+            expr_evaluator("e", "m", "(p0 - 3) * (p0 - 3) + (p1 - 3) * (p1 - 3)")
+        )
+        keep = parse_expr("m >= 8")
+        out = quick_prune([ev], keep, concern=concern).apply(space, ctx())
+        measured = [env_of(out, p) for p in out.points if p.metrics]
+        assert measured
+        assert all(keep(env) for env in measured)
+        hollow = [c for c in calls if not keep({"m": (c[0] - 3) ** 2 + (c[1] - 3) ** 2})]
+        assert hollow, "the fixture must probe failing points inside the closure"
+        survivors = {p.coords for p in out.points}
+        if concern is None:
+            assert survivors.isdisjoint(hollow)
+
+    def test_no_survivor_was_pruned_by_the_fail_policy(self):
+        space = grid(6, 6)
+
+        def func(view):
+            if view.point.coords == (3, 3):
+                raise EvalError(EvalErrorKind.TOOL_FAILURE, "dead", exit_code=1)
+            return (float(sum(view.point.coords)),)
+
+        ev, calls = counting(Evaluator("e", ("m",), func))
+        out = quick_prune([ev], "m >= 5").apply(
+            space, ctx(policy=FailPolicy(FailMode.PRUNE))
+        )
+        assert (3, 3) in calls
+        kept = {p.coords for p in out.points}
+        assert kept == {p.coords for p in space.points if sum(p.coords) >= 5} - {(3, 3)}
+
+    @pytest.mark.parametrize(
         "params, frozen, threshold",
         [
             # qos axes form a prefix of the schema, points carry no frozen params
@@ -448,10 +493,6 @@ class TestQuickPrune:
     def test_numeric_keep_rejected(self):
         with pytest.raises(ConfigError):
             quick_prune([], "a + b")
-
-
-def concern_grid(*axes):
-    return build_space(Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in axes]))
 
 
 # (space, evaluator expression, keep, side, concern, predicate evaluations);

@@ -123,6 +123,51 @@ class TestSubprocessProtocol:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"dsp_estim": 20}
 
+    def test_import_stays_light(self):
+        # the served model starts once per point; dataclasses alone would
+        # pull in inspect, ast and dis
+        probe = (
+            "import dsex.surrogate, sys; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "model, params, payload",
+        [
+            ("dummy_synth", {"PARAM1": "3", "PARAM2": "16", "PARAM3": "6"},
+             '{"dsp_synth": 38, "freq_mhz": 385.4}'),
+            ("bs_synth", {"DYNAMIC": "17", "PRECISION": "23", "NBCORE": "48"},
+             '{"freq_mhz": 250, "dsp_pct": 75, "lut_pct": 60}'),
+            ("fft_synth", {"BANDWIDTH": "7"},
+             '{"freq_mhz": 493, "throughput": 376.4727272727273}'),
+        ],
+        ids=["dummy_synth", "bs_synth", "fft_synth"],
+    )
+    def test_served_payload_is_pinned(self, model, params, payload):
+        # -X importtime lists every module the served process loads on stderr
+        proc = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "dsex.surrogate",
+             "--model", str(PIPELINES / "models" / f"{model}.json")],
+            env=subprocess_env({f"DSEX_{k}": v for k, v in params.items()}),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == payload + "\n"
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert loaded.isdisjoint({"dataclasses", "typing", "inspect"})
+        assert "dsex.expr" in loaded
+
     def test_in_process_equals_subprocess_on_sample(self, dummy_schema):
         model_path = PIPELINES / "models" / "dummy_synth.json"
         model = load_model(model_path)
