@@ -64,14 +64,20 @@ def schema_from_dict(data: Mapping) -> Schema:
         if not isinstance(domain_spec, dict) or len(domain_spec) != 1:
             raise ConfigError(f"{where}: domain must be one of linear/pow2/enum")
         (kind, args), = domain_spec.items()
-        if kind == "linear":
-            domain = Linear(int(args[0]), int(args[1]))
-        elif kind == "pow2":
-            domain = Pow2(int(args[0]), int(args[1]))
-        elif kind == "enum":
-            domain = Enumerated(args)
-        else:
+        if kind not in ("linear", "pow2", "enum"):
             raise ConfigError(f"{where}: unknown domain kind {kind!r}")
+        bounds = kind != "enum"
+        if not isinstance(args, list) or (len(args) != 2 if bounds else not args):
+            count = "two integers" if bounds else "a non-empty list of integers"
+            raise ConfigError(f"{where}: {kind} domain takes {count}, got {args!r}")
+        if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
+            raise ConfigError(f"{where}: {kind} domain values must be integers, got {args!r}")
+        if kind == "linear":
+            domain = Linear(*args)
+        elif kind == "pow2":
+            domain = Pow2(*args)
+        else:
+            domain = Enumerated(args)
         specs.append(
             ParamSpec(str(entry["name"]), domain, tuple(entry.get("concerns", ())))
         )
@@ -163,7 +169,7 @@ def parse_fail_policy(mode: str, worst: Mapping[str, float] | None = None) -> Fa
     except ValueError:
         options = ", ".join(m.value for m in FailMode)
         raise ConfigError(f"unknown fail policy {mode!r} (expected one of: {options})") from None
-    return FailPolicy(fail_mode, dict(worst or {}))
+    return FailPolicy(fail_mode, worst or {})
 
 
 def _registry_get(registry: Mapping[str, Evaluator], name: str) -> Evaluator:

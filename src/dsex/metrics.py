@@ -102,6 +102,17 @@ class FailPolicy:
     mode: FailMode = FailMode.ABORT
     worst: Mapping[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if not isinstance(self.worst, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v)
+            for k, v in self.worst.items()
+        ):
+            raise ConfigError(
+                f"worst values must map metric names to finite numbers, got {self.worst!r}"
+            )
+        object.__setattr__(self, "worst", dict(self.worst))
+
     def worst_value(self, metric: str) -> float:
         if metric not in self.worst:
             raise ConfigError(
@@ -362,11 +373,8 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
         env_map = view.env
         argv = [_substitute(a, env_map) for a in spec.argv]
         proc_env = dict(os.environ)
-        for spec_param, c in zip(view.schema.params, view.point.coords):
-            raw = spec_param.domain.values()[c]
-            proc_env[f"DSEX_{spec_param.name.upper()}"] = render_raw(raw)
-        for m in view.point.frozen_params:
-            proc_env[f"DSEX_{m.name.upper()}"] = render_raw(m.value)
+        for param in (*view.schema.names, *(m.name for m in view.point.frozen_params)):
+            proc_env[f"DSEX_{param.upper()}"] = render_raw(env_map[param])
         for key, tmpl in spec.env.items():
             proc_env[key] = _substitute(tmpl, env_map)
         try:

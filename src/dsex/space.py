@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Union
@@ -57,13 +57,15 @@ class Linear:
 
     lo: int
     hi: int
+    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise SchemaError(f"linear domain requires lo <= hi, got ({self.lo}, {self.hi})")
+        object.__setattr__(self, "_values", tuple(range(self.lo, self.hi + 1)))
 
     def values(self) -> tuple[int, ...]:
-        return tuple(range(self.lo, self.hi + 1))
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,7 @@ class Pow2:
 
     lo_exp: int
     hi_exp: int
+    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lo_exp < 0:
@@ -80,9 +83,11 @@ class Pow2:
             raise SchemaError(
                 f"pow2 domain requires lo_exp <= hi_exp, got ({self.lo_exp}, {self.hi_exp})"
             )
+        exps = range(self.lo_exp, self.hi_exp + 1)
+        object.__setattr__(self, "_values", tuple(2**e for e in exps))
 
     def values(self) -> tuple[int, ...]:
-        return tuple(2**e for e in range(self.lo_exp, self.hi_exp + 1))
+        return self._values
 
 
 @dataclass(frozen=True)
@@ -220,23 +225,6 @@ class KeepSide(Enum):
     DOWNWARD = "downward"
 
 
-def _distance(a: tuple[int, ...], b: tuple[int, ...], norm: Norm) -> int:
-    deltas = (abs(x - y) for x, y in zip(a, b))
-    return sum(deltas) if norm is Norm.L1 else max(deltas)
-
-
-def _ball_size(spans: list[range], norm: Norm, dist: int) -> int:
-    """How many coords lie within ``dist`` of a centre whose per-axis
-    ranges, clipped to the grid, are ``spans``; exact under Linf, an
-    upper bound under L1 (the unclipped ball, or the box if smaller)."""
-    box = math.prod(len(r) for r in spans)
-    if norm is Norm.LINF:
-        return box
-    d = len(spans)
-    ball = sum(2**k * math.comb(d, k) * math.comb(dist, k) for k in range(min(d, dist) + 1))
-    return min(box, ball)
-
-
 def _ball(
     centre: tuple[int, ...], spans: list[range], norm: Norm, dist: int
 ) -> Iterable[tuple[int, ...]]:
@@ -322,8 +310,7 @@ class DesignSpace:
         ``point``'s coords but differ in frozen params sit at distance 0
         and are included. The coords of the ball are probed in the
         coords index, so the cost follows the size of the ball, not of
-        the space; when the ball holds more coords than the space holds
-        points, every point is scanned instead.
+        the space.
         """
         if dist < 1:
             raise ValueError("distance must be a positive integer")
@@ -333,11 +320,6 @@ class DesignSpace:
             range(max(c - dist, 0), min(c + dist, n - 1) + 1)
             for c, n in zip(point.coords, self.schema.cardinalities)
         ]
-        if _ball_size(spans, norm, dist) > len(self.points):
-            return [
-                q for q in self.points
-                if q.key != point.key and _distance(point.coords, q.coords, norm) <= dist
-            ]
         at = self._positions
         ball = _ball(point.coords, spans, norm, dist)
         hits = sorted(i for coords in ball for i in at.get(coords, ()))

@@ -58,6 +58,15 @@ class TestSpaceCommand:
         proc = dsex("space", "--schema", schema)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("domain", ["{enum: [a, b]}", "{linear: 5}", "{enum: [2.5, 3.7]}"])
+    def test_malformed_domain_exits_2(self, tmp_path, domain):
+        schema = tmp_path / "bad.yaml"
+        schema.write_text(f"params:\n  - name: p\n    domain: {domain}\n")
+        proc = dsex("space", "--schema", schema)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: params[0]") and proc.stderr.count("\n") == 1
+
 
 class TestRunCommand:
     def test_dsp_pipeline_top_row_is_exhaustive_minimum(self, tmp_path):
@@ -149,6 +158,23 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert proc.returncode == 2
+
+    def test_malformed_worst_exits_2(self, tmp_path):
+        pipe = tmp_path / "pipeline.yaml"
+        pipe.write_text(
+            "steps:\n  - {step: identity}\nfail_policy: assign_worst\nworst: {m: abc}\n"
+        )
+        evs = tmp_path / "evaluators.yaml"
+        evs.write_text("evaluators: []\n")
+        proc = dsex(
+            "run",
+            "--schema", PIPELINES / "schemas" / "dummy.yaml",
+            "--pipeline", pipe,
+            "--evaluators", evs,
+            "--out", tmp_path / "out",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_reproducible_bytes(self, tmp_path):
         outs = []

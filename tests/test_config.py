@@ -48,6 +48,17 @@ class TestSchemaFormat:
             {"params": [{"name": "p"}]},
             {"params": [{"name": "p", "domain": {"weird": [0, 1]}}]},
             {"params": [{"name": "p", "domain": {"linear": [0, 1], "pow2": [0, 1]}}]},
+            {"params": [{"name": "p", "domain": {"enum": ["a", "b"]}}]},
+            {"params": [{"name": "p", "domain": {"enum": [2.5, 3.7]}}]},
+            {"params": [{"name": "p", "domain": {"enum": []}}]},
+            {"params": [{"name": "p", "domain": {"enum": 5}}]},
+            {"params": [{"name": "p", "domain": {"linear": [1]}}]},
+            {"params": [{"name": "p", "domain": {"linear": 5}}]},
+            {"params": [{"name": "p", "domain": {"linear": [1.9, 3]}}]},
+            {"params": [{"name": "p", "domain": {"linear": [True, 3]}}]},
+            {"params": [{"name": "p", "domain": {"linear": ["1", "3"]}}]},
+            {"params": [{"name": "p", "domain": {"pow2": [0, "x"]}}]},
+            {"params": [{"name": "p", "domain": {"pow2": [0, 1, 2]}}]},
         ],
     )
     def test_invalid_schemas(self, data):
@@ -180,6 +191,21 @@ class TestPipelineFormat:
         space = build_space(Schema([ParamSpec("a", Linear(0, 2))]))
         frame = run_pipeline(pipeline, space, Cache())
         assert len(frame) == 2
+
+    @pytest.mark.parametrize("value", ['"abc"', ".inf", ".nan"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "steps:\n  - {{step: identity}}\nfail_policy: assign_worst\nworst: {{m: {}}}\n",
+            "steps:\n  - {{step: identity, fail_policy: assign_worst, worst: {{m: {}}}}}\n",
+        ],
+        ids=["pipeline", "step"],
+    )
+    def test_worst_must_be_finite_numbers(self, tmp_path, template, value):
+        pipe = tmp_path / "pipe.yaml"
+        pipe.write_text(template.format(value))
+        with pytest.raises(ConfigError, match="finite numbers"):
+            load_pipeline(pipe, {})
 
     def test_parse_fail_policy(self):
         assert parse_fail_policy("assign_worst", {"m": 0}).mode is FailMode.ASSIGN_WORST

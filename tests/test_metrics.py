@@ -6,6 +6,7 @@ from dsex import (
     Cache,
     CommandSpec,
     DesignSpace,
+    Enumerated,
     Evaluator,
     EvalError,
     FailMode,
@@ -16,7 +17,9 @@ from dsex import (
     ParamSpec,
     Pipeline,
     PipelineAborted,
+    Point,
     PointView,
+    Pow2,
     Schema,
     apply_transform,
     build_space,
@@ -99,6 +102,15 @@ class TestApplyTransform:
         policy = FailPolicy(FailMode.ASSIGN_WORST)
         with pytest.raises(ConfigError):
             apply_transform(grid_17x9, failing_on_first_axis(), Cache(), policy)
+
+    @pytest.mark.parametrize(
+        "worst",
+        [{"m": "abc"}, {"m": "1.5"}, {"m": float("inf")}, {"m": float("nan")}, {"m": True},
+         {1: 0.0}, [("m", 0.0)]],
+    )
+    def test_worst_values_checked_at_construction(self, worst):
+        with pytest.raises(ConfigError, match="finite numbers"):
+            FailPolicy(FailMode.ASSIGN_WORST, worst)
 
     def test_name_collision_rejected(self, grid_17x9):
         with pytest.raises(MetricCollision):
@@ -285,6 +297,25 @@ class TestExternalCommand:
         )
         out = apply_transform(space, external_command("tool", spec), Cache())
         assert out.points[0].metrics == (NamedMetric("a", 7.0), NamedMetric("b", 7.0))
+
+    def test_dsex_vars_render_raw_values(self):
+        # pow2 and enum axes give their raw values, integral frozen
+        # params lose the fractional part, others keep it
+        schema = Schema(
+            [ParamSpec("width", Pow2(0, 4)), ParamSpec("depth", Enumerated([4, 11, 9]))]
+        )
+        point = Point((3, 1), (NamedMetric("lanes", 4.0), NamedMetric("ratio", 2.5)))
+        space = DesignSpace(schema, [point])
+        code = (
+            "import os, sys\n"
+            "got = [os.environ.get('DSEX_' + n) for n in ('WIDTH', 'DEPTH', 'LANES', 'RATIO')]\n"
+            "if got != ['8', '11', '4', '2.5']:\n"
+            "    sys.exit(str(got))\n"
+            "print('{\"ok\": 1}')\n"
+        )
+        spec = CommandSpec(argv=(sys.executable, "-c", code), produces=("ok",))
+        out = apply_transform(space, external_command("tool", spec), Cache())
+        assert out.points[0].metrics == (NamedMetric("ok", 1.0),)
 
     def test_timeout(self):
         schema = Schema([ParamSpec("x", Linear(0, 0))])

@@ -198,6 +198,32 @@ class TestNeighbours:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        d=st.integers(1, 3),
+        norm=st.sampled_from([Norm.L1, Norm.LINF]),
+        data=st.data(),
+    )
+    def test_random_sparse_space_matches_brute_force(self, dims, d, norm, data):
+        # a random subset of the grid in random order; some cells get a
+        # twin told apart only by a frozen param
+        cells = data.draw(st.permutations(list(itertools.product(*map(range, dims)))))
+        cells = cells[: data.draw(st.integers(1, len(cells)))]
+        twinned = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+        points = [Point(c) for c in cells]
+        points += [Point(c, (NamedMetric("z", 1.0),)) for c, t in zip(cells, twinned) if t]
+        schema = Schema([ParamSpec(f"p{k}", Linear(0, n - 1)) for k, n in enumerate(dims)])
+        space = DesignSpace(schema, data.draw(st.permutations(points)))
+        for p in space.points:
+            brute = []
+            for q in space.points:
+                deltas = [abs(a - b) for a, b in zip(p.coords, q.coords)]
+                reach = sum(deltas) if norm is Norm.L1 else max(deltas)
+                if q.key != p.key and reach <= d:
+                    brute.append(q)
+            assert space.neighbours(p, norm, d) == brute, (norm, d, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
         d=st.integers(1, 3),
         norm=st.sampled_from([Norm.L1, Norm.LINF]),
