@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision
 from .expr import MetricExpr, parse_expr
-from .space import DesignSpace, NamedMetric, Point, Schema, check_name
+from .space import DesignSpace, NamedMetric, Point, Schema, _unchecked, check_name
 
 
 @dataclass(frozen=True)
@@ -205,10 +205,13 @@ def enhance_point(
     """Run a chain of evaluators over one point, applying the policy.
 
     Returns the enhanced point, or None when the policy pruned it.
-    Under ABORT the EvalError propagates.
+    Under ABORT the EvalError propagates. Nothing is re-checked here:
+    ``Evaluator`` checked the produced names, ``Cache.run`` or ``FailPolicy``
+    the values, and the caller rules out clashes (``check_no_collision``).
     """
     current = point
     for ev in evaluators:
+        degraded = False
         try:
             values = cache.run(ev, PointView(schema, current))
         except EvalError:
@@ -216,13 +219,9 @@ def enhance_point(
                 return None
             if policy.mode is FailMode.ABORT:
                 raise
-            values = tuple(policy.worst_value(n) for n in ev.produces)
-            current = current.with_metrics(
-                (NamedMetric(n, v) for n, v in zip(ev.produces, values)), degraded=True
-            )
-            continue
+            values, degraded = tuple(map(policy.worst_value, ev.produces)), True
         current = current.with_metrics(
-            NamedMetric(n, v) for n, v in zip(ev.produces, values)
+            [_unchecked(NamedMetric, n, v) for n, v in zip(ev.produces, values)], degraded
         )
     return current
 
@@ -268,8 +267,8 @@ def enhance_points(
     return results
 
 
-def check_no_collision(space: DesignSpace, evaluator: Evaluator) -> None:
-    produced = set(evaluator.produces)
+def check_no_collision(space: DesignSpace, evaluators: Sequence[Evaluator]) -> None:
+    produced = {n for ev in evaluators for n in ev.produces}
     clash = produced & set(space.schema.names)
     if clash:
         raise MetricCollision(f"produced names collide with parameters: {sorted(clash)}")
@@ -294,11 +293,11 @@ def apply_transform(
     Point order is unchanged; failures are handled per the policy
     (pruned points are dropped, never reordered).
     """
-    check_no_collision(space, evaluator)
+    check_no_collision(space, [evaluator])
     results = enhance_points(
         space.points, space.schema, [evaluator], cache, policy, parallelism
     )
-    return DesignSpace(space.schema, (p for p in results if p is not None))
+    return space.derive(p for p in results if p is not None)
 
 
 def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Evaluator:

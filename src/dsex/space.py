@@ -37,7 +37,20 @@ def check_name(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
+def _unchecked(cls, *values):
+    """``cls(*values)`` for a frozen dataclass, skipping its checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_ints(kind: str, *values) -> None:
+    if not all(type(v) is int for v in values):
+        raise SchemaError(f"{kind} domain takes integers, got {values!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class NamedMetric:
     """A (name, value) pair; the atom of all measurement."""
 
@@ -60,6 +73,7 @@ class Linear:
     _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_ints("linear", self.lo, self.hi)
         if self.lo > self.hi:
             raise SchemaError(f"linear domain requires lo <= hi, got ({self.lo}, {self.hi})")
         object.__setattr__(self, "_values", tuple(range(self.lo, self.hi + 1)))
@@ -77,6 +91,7 @@ class Pow2:
     _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_ints("pow2", self.lo_exp, self.hi_exp)
         if self.lo_exp < 0:
             raise SchemaError(f"pow2 domain requires lo_exp >= 0, got {self.lo_exp}")
         if self.lo_exp > self.hi_exp:
@@ -97,7 +112,8 @@ class Enumerated:
     items: tuple[int, ...]
 
     def __init__(self, items: Iterable[int]):
-        object.__setattr__(self, "items", tuple(int(v) for v in items))
+        object.__setattr__(self, "items", tuple(items))
+        _check_ints("enum", *self.items)
         if not self.items:
             raise SchemaError("enum domain must be non-empty")
         if len(set(self.items)) != len(self.items):
@@ -174,7 +190,7 @@ class Schema:
         return len(self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """One implementation candidate.
 
@@ -183,6 +199,7 @@ class Point:
     demoted by dimension reduction, stored at their raw value.
     ``metrics`` accumulate in production order. ``degraded`` marks
     points whose metrics were substituted by a worst-value policy.
+    ``with_metrics`` skips the constructor's name-collision check.
     """
 
     coords: tuple[int, ...]
@@ -207,12 +224,9 @@ class Point:
         return tuple(m.name for m in self.metrics)
 
     def with_metrics(self, extra: Iterable[NamedMetric], degraded: bool = False) -> "Point":
-        return Point(
-            self.coords,
-            self.frozen_params,
-            self.metrics + tuple(extra),
-            self.degraded or degraded,
-        )
+        """Unchecked: steps rule out clashes (``check_no_collision``, ``_chain``)."""
+        metrics = self.metrics + tuple(extra)
+        return _unchecked(Point, self.coords, self.frozen_params, metrics, self.degraded or degraded)
 
 
 class Norm(Enum):
@@ -248,7 +262,9 @@ class DesignSpace:
 
     Order is significant: strategies may sort, and the head of the
     space is the hill-climbing start. No two points may share identical
-    coords and frozen params.
+    coords and frozen params. The constructor checks every point against
+    the schema (coords arity and range, names, duplicate keys);
+    ``derive`` does not.
     """
 
     schema: Schema
@@ -277,6 +293,11 @@ class DesignSpace:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def derive(self, points: Iterable[Point]) -> "DesignSpace":
+        """This schema with ``points``, unchecked: each a distinct point of
+        this space, its added metric names cleared by ``check_no_collision``."""
+        return _unchecked(DesignSpace, self.schema, tuple(points))
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], list[int]]:

@@ -127,7 +127,7 @@ def exhaustive_sort(
             space = apply_transform(space, evaluator, ctx.cache, ctx.policy, ctx.parallelism)
         keys = [key_expr(PointView(space.schema, p).env) for p in space.points]
         order = sorted(range(len(keys)), key=keys.__getitem__, reverse=not ascending)
-        return DesignSpace(space.schema, (space.points[i] for i in order))
+        return space.derive(space.points[i] for i in order)
 
     return Step(name, "sort", apply_fn)
 
@@ -146,7 +146,7 @@ def exhaustive_prune(
         if evaluator is not None:
             space = apply_transform(space, evaluator, ctx.cache, ctx.policy, ctx.parallelism)
         kept = [p for p in space.points if keep_expr(PointView(space.schema, p).env)]
-        return DesignSpace(space.schema, kept)
+        return space.derive(kept)
 
     return Step(name, "prune", apply_fn)
 
@@ -166,6 +166,15 @@ def reduce_dimension(concern: str, to_min: bool = True, name: str | None = None)
         return out
 
     return Step(name or f"reduce_{concern}", "reduce_dimension", apply_fn)
+
+
+def _chain(evaluators: Sequence[Evaluator]) -> tuple[Evaluator, ...]:
+    """A step's evaluator chain; no two of them may produce one name."""
+    evaluators = tuple(evaluators)
+    names = [n for ev in evaluators for n in ev.produces]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"evaluator chain produces a name twice: {names}")
+    return evaluators
 
 
 def _prober(
@@ -226,20 +235,19 @@ def gradient_sort(
     objective_expr = _as_expr(objective)
     if objective_expr.is_predicate:
         raise ConfigError("objective must be numeric, not boolean")
-    evaluators = tuple(evaluators)
+    evaluators = _chain(evaluators)
     better = gt if maximize else lt
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if not space.points:
             raise EmptySpaceError("gradient sort requires a nonempty space")
-        for ev in evaluators:
-            check_no_collision(space, ev)
+        check_no_collision(space, evaluators)
         probe, memo = _prober(space.schema, evaluators, objective_expr, ctx, name)
 
         current = next((p for p in space.points if probe([p])[0] is not None), None)
         if current is None:
             ctx.extra.update({"moves": 0, "evaluated": len(memo)})
-            return DesignSpace(space.schema, ())
+            return space.derive(())
 
         moves, cost = 0, memo[current.key][1]
         while True:
@@ -256,7 +264,7 @@ def gradient_sort(
         survivors = [entry for entry in memo.values() if entry is not None]
         survivors.sort(key=itemgetter(1), reverse=maximize)
         ctx.extra.update({"moves": moves, "evaluated": len(survivors)})
-        return DesignSpace(space.schema, (p for p, _ in survivors))
+        return space.derive(p for p, _ in survivors)
 
     return Step(name, "gradient", apply_fn)
 
@@ -292,11 +300,10 @@ def quick_prune(
     keep_expr = _as_expr(keep)
     if not keep_expr.is_predicate:
         raise ConfigError("keep condition must be boolean, not numeric")
-    evaluators = tuple(evaluators)
+    evaluators = _chain(evaluators)
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
-        for ev in evaluators:
-            check_no_collision(space, ev)
+        check_no_collision(space, evaluators)
 
         if concern is not None:
             work = project_space(space, concern, True)
@@ -356,32 +363,20 @@ def quick_prune(
 
         # Update: retain the dominance closure of the frontier, carried
         # back to the input space through each point's image on the work
-        # grid, less every image probed and seen to fail or pruned
+        # grid, less every image probed and seen to fail or pruned. Only
+        # a point whose image was probed gets the metrics produced there;
+        # interior points were never evaluated, which is what the step saves.
         closed = work.dominance_closure((p.coords for p in frontier.values()), side)
         out = []
         for p in space.points:
             key = image(p)
             entry = memo.get(key)
             if key[0] in closed and (entry[1] if entry else key not in memo):
-                out.append(_attach(p, entry))
-        return DesignSpace(space.schema, out)
+                out.append(p if entry is None else p.with_metrics(
+                    entry[0].metrics[len(p.metrics):], entry[0].degraded))
+        return space.derive(out)
 
     return Step(name, "quick_prune", apply_fn)
-
-
-def _attach(point: Point, entry: tuple[Point, object] | None) -> Point:
-    """Copy the metrics produced for a work-grid point onto a surviving
-    point, given that work-grid point's probe memo entry.
-
-    Only points actually probed during the walk carry the produced
-    metrics; interior points were never evaluated, which is the point
-    of the quick prune.
-    """
-    if entry is None:
-        return point
-    enh = entry[0]
-    produced = enh.metrics[len(point.metrics):]
-    return point.with_metrics(produced, enh.degraded)
 
 
 def run_pipeline(

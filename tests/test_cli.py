@@ -176,6 +176,27 @@ class TestRunCommand:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_chain_producing_a_name_twice_exits_2(self, tmp_path):
+        evs = tmp_path / "evaluators.yaml"
+        evs.write_text(
+            "evaluators:\n"
+            "  - {name: e1, kind: expr, produces: x, expr: \"param1\"}\n"
+            "  - {name: e2, kind: expr, produces: x, expr: \"param2\"}\n"
+        )
+        pipe = tmp_path / "pipeline.yaml"
+        pipe.write_text("steps:\n  - {step: gradient, evaluators: [e1, e2], objective: x}\n")
+        proc = dsex(
+            "run",
+            "--schema", PIPELINES / "schemas" / "dummy.yaml",
+            "--pipeline", pipe,
+            "--evaluators", evs,
+            "--out", tmp_path / "out",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "produces a name twice" in proc.stderr
+        assert not (tmp_path / "out").exists()  # refused before the run starts
+
     def test_reproducible_bytes(self, tmp_path):
         outs = []
         for name in ("a", "b"):

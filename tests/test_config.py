@@ -165,6 +165,19 @@ class TestPipelineFormat:
         with pytest.raises(ConfigError):
             load_pipeline(pipe, {})
 
+    @pytest.mark.parametrize("step", ["gradient, objective: x", "quick_prune, keep: x > 0"])
+    def test_chain_producing_a_name_twice(self, tmp_path, step):
+        evs = tmp_path / "ev.yaml"
+        evs.write_text(
+            "evaluators:\n"
+            "  - {name: e1, kind: expr, produces: x, expr: \"a\"}\n"
+            "  - {name: e2, kind: expr, produces: x, expr: \"a + 1\"}\n"
+        )
+        pipe = tmp_path / "pipe.yaml"
+        pipe.write_text(f"steps:\n  - {{step: {step}, evaluators: [e1, e2]}}\n")
+        with pytest.raises(ConfigError, match="produces a name twice"):
+            load_pipeline(pipe, load_evaluators(evs))
+
     def test_unknown_evaluator_reference(self, tmp_path):
         pipe = tmp_path / "pipe.yaml"
         pipe.write_text("steps:\n  - {step: map, evaluator: ghost}\n")

@@ -43,7 +43,12 @@ class TestDomains:
     @pytest.mark.parametrize(
         "bad",
         [lambda: Linear(3, 2), lambda: Pow2(-1, 4), lambda: Pow2(5, 2),
-         lambda: Enumerated([]), lambda: Enumerated([4, 4])],
+         lambda: Enumerated([]), lambda: Enumerated([4, 4]),
+         # arguments that are not integers are refused, never truncated
+         lambda: Enumerated([2.5, 3.7]), lambda: Enumerated(["4"]),
+         lambda: Enumerated([1, True]), lambda: Enumerated([None]),
+         lambda: Linear(True, 3), lambda: Linear(0.5, 2), lambda: Linear(0, "3"),
+         lambda: Pow2(1, 2.0), lambda: Pow2(False, 2), lambda: Pow2("1", 2)],
     )
     def test_invalid_domains(self, bad):
         with pytest.raises(SchemaError):
@@ -81,6 +86,45 @@ class TestBuildSpace:
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(SchemaError):
             Schema([ParamSpec("p", Linear(0, 1)), ParamSpec("p", Linear(0, 1))])
+
+
+def _m(name, value=1.0):
+    return NamedMetric(name, value)
+
+
+class TestConstructorChecks:
+    """The public constructors check what enters; steps build their
+    outputs without repeating it, so these checks have to hold here."""
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [Point((0,))],  # coords arity
+            [Point((0, 1, 0))],
+            [Point((0, 3))],  # coordinate out of range
+            [Point((2, -1))],
+            [Point((0, 0), (_m("p0"),))],  # frozen param named like a parameter
+            [Point((0, 0), (), (_m("p1"),))],  # metric named like a parameter
+            [Point((0, 0)), Point((1, 1)), Point((0, 0))],  # duplicate key
+            [Point((0, 0), (_m("z"),)), Point((0, 0), (_m("z"),), (_m("m"),))],
+        ],
+        ids=["short", "long", "above", "below", "frozen-name", "metric-name",
+             "duplicate", "duplicate-frozen"],
+    )
+    def test_design_space_refuses(self, points):
+        schema = Schema([ParamSpec("p0", Linear(0, 2)), ParamSpec("p1", Linear(0, 2))])
+        with pytest.raises(SchemaError):
+            DesignSpace(schema, points)
+
+    @pytest.mark.parametrize(
+        "frozen, metrics",
+        [((_m("x"),), (_m("x", 2.0),)), ((), (_m("x"), _m("x", 2.0))),
+         ((_m("x"), _m("x", 2.0)), ())],
+        ids=["frozen-metric", "metric-metric", "frozen-frozen"],
+    )
+    def test_point_refuses_a_name_collision(self, frozen, metrics):
+        with pytest.raises(SchemaError):
+            Point((0,), frozen, metrics)
 
 
 class TestProjectSpace:

@@ -6,11 +6,14 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsex import (
     Cache,
     DesignSpace,
     EmptySpaceError,
+    Enumerated,
     Evaluator,
     EvalError,
     FailMode,
@@ -36,6 +39,7 @@ from dsex import (
     gradient_sort,
     identity,
     parse_expr,
+    project_space,
     quick_prune,
     reduce_dimension,
     run_pipeline,
@@ -837,3 +841,133 @@ def test_every_builtin_step_is_pure(step):
     assert first.points == second.points
     assert space.points == before
     assert all(p.metrics == () for p in space.points)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda evs: gradient_sort(evs, "x"), lambda evs: quick_prune(evs, "x > 0")],
+    ids=["gradient", "quick_prune"],
+)
+def test_chain_producing_a_name_twice_is_refused_when_built(build):
+    e1, e2 = constant_evaluator("e1", "x", 1.0), constant_evaluator("e2", "x", 2.0)
+    with pytest.raises(ConfigError, match="produces a name twice"):
+        build([e1, e2])
+    with pytest.raises(ConfigError, match="produces a name twice"):
+        build(iter([e1, e1]))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A schema of 1 to 4 mixed axes with 1 to 7 values each, maybe
+    tagged with a concern, and positive weights on its parameters."""
+    n_axes = draw(st.integers(1, 4))
+    concern = draw(st.sampled_from([None, "qos"]))
+    tagged = draw(st.integers(0, n_axes - 1))  # an axis that surely carries it
+    params = []
+    for k in range(n_axes):
+        size = draw(st.integers(1, 7))
+        kind = draw(st.sampled_from(["linear", "pow2", "enum"]))
+        if kind == "linear":
+            lo = draw(st.integers(-3, 3))
+            domain = Linear(lo, lo + size - 1)
+        elif kind == "pow2":
+            lo = draw(st.integers(0, 2))
+            domain = Pow2(lo, lo + size - 1)
+        else:
+            # ascending, so that every parameter grows with its index
+            items = draw(st.lists(st.integers(-9, 20), min_size=size, max_size=size, unique=True))
+            domain = Enumerated(sorted(items))
+        tags = ()
+        if concern is not None:
+            tags = ("qos",) if k == tagged else (draw(st.sampled_from(["qos", "other"])),)
+        params.append(ParamSpec(f"p{k}", domain, tags))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n_axes, max_size=n_axes))
+    return Schema(params), concern, weights
+
+
+class TestNeighbourhoodOracle:
+    """quick_prune and gradient on random grids, against exhaustive values
+    computed here without dsex."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_quick_prune_keeps_the_exhaustive_prune(self, case, data):
+        schema, concern, weights = case
+        space = build_space(schema)
+        axes = [
+            k for k, p in enumerate(schema.params) if concern is None or concern in p.concerns
+        ]
+
+        def image_sum(coords):
+            # the predicate's sum on the point's concern image: removed
+            # parameters sit at their domain minimum
+            return sum(
+                w * (p.domain.values()[c] if k in axes else min(p.domain.values()))
+                for k, (w, p, c) in enumerate(zip(weights, schema.params, coords))
+            )
+
+        sums = [image_sum(p.coords) for p in space.points]
+        threshold = data.draw(st.integers(min(sums) - 1, max(sums) + 1))
+        side = data.draw(st.sampled_from(list(KeepSide)))
+        op = ">=" if side is KeepSide.UPWARD else "<="
+        holds = (lambda s: s >= threshold) if op == ">=" else (lambda s: s <= threshold)
+        expression = " + ".join(f"{w} * p{k}" for k, w in enumerate(weights))
+
+        runs = []
+        for parallelism in (1, 3):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            context = ctx(parallelism=parallelism)
+            step = quick_prune([ev], f"m {op} {threshold}", side, concern)
+            out = step.apply(space, context)
+            runs.append((out.points, sorted(calls), dict(context.extra)))
+        assert runs[0] == runs[1]
+        points, calls, extra = runs[0]
+
+        expected = [p.key for p, s in zip(space.points, sums) if holds(s)]
+        assert [p.key for p in points] == expected
+        work_size = math.prod(schema.cardinalities[k] for k in axes)
+        assert extra["predicate_evaluations"] == len(calls) <= work_size
+        # a probed point carries the metric of its image
+        for p in points:
+            if p.metrics:
+                assert p.metrics == (NamedMetric("m", image_sum(p.coords)),)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_gradient_head_is_a_local_optimum(self, case, data):
+        schema, concern, _ = case
+        space = build_space(schema)
+        if concern is not None:
+            space = project_space(space, concern)  # points gain frozen params
+        n = len(space.schema)
+        linear = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        square = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        maximize = data.draw(st.booleans())
+        expression = " + ".join(
+            f"{a} * {name} - {b} * {name} * {name}"
+            for a, b, name in zip(linear, square, space.schema.names)
+        )
+
+        def value(coords):
+            raws = (p.domain.values()[c] for p, c in zip(space.schema.params, coords))
+            return sum(a * v - b * v * v for a, b, v in zip(linear, square, raws))
+
+        runs = []
+        for parallelism in (1, 3):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            out = gradient_sort([ev], "m", maximize).apply(space, ctx(parallelism=parallelism))
+            runs.append((out.points, sorted(calls)))
+        assert runs[0] == runs[1]
+        points, calls = runs[0]
+
+        assert sorted(p.coords for p in points) == calls
+        values = [p.metrics[-1].value for p in points]
+        assert values == [value(p.coords) for p in points]
+        assert values == sorted(values, reverse=maximize)
+        head = points[0].coords
+        ring = [
+            p.coords for p in space.points
+            if sum(abs(a - b) for a, b in zip(p.coords, head)) == 1
+        ]
+        better = (lambda u, v: u > v) if maximize else (lambda u, v: u < v)
+        assert not any(better(value(c), value(head)) for c in ring)
