@@ -43,10 +43,10 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(message)s")
 
 
-def _render_point(space, point) -> str:
-    values = [str(v) for v in space.raw_values(point)]
-    values += [render_raw(m.value) for m in point.frozen_params]
-    return "[" + ", ".join(values) + "]"
+def _print_points(space) -> None:
+    frozen = [render_raw(m.value) for m in space.schema.frozen]
+    for p in space.points:
+        print("[" + ", ".join([*map(str, space.raw_values(p)), *frozen]) + "]")
 
 
 def cmd_space(args) -> int:
@@ -57,16 +57,14 @@ def cmd_space(args) -> int:
             projected = project_space(full, args.concern)
             print(f"{args.concern}: {len(projected)}")
             if args.list:
-                for p in projected.points:
-                    print(_render_point(projected, p))
+                _print_points(projected)
             return 0
         parts = [f"full: {len(full)}"]
         for tag in schema.concern_tags():
             parts.append(f"{tag}: {len(project_space(full, tag))}")
         print(", ".join(parts))
         if args.list:
-            for p in full.points:
-                print(_render_point(full, p))
+            _print_points(full)
         return 0
     except DsexError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -4,7 +4,8 @@ and run manifests.
 All files are YAML key-value trees. Paths inside a file resolve
 relative to that file's directory, so pipeline bundles stay
 relocatable. Schema files round-trip losslessly through
-``schema_to_dict`` / ``schema_from_dict``.
+``schema_to_dict`` / ``schema_from_dict``; a schema with frozen params,
+which only dimension reduction makes, has no file form.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def _load_yaml(path: Path) -> dict:
     return data
 
 
+def _integer(value, what: str) -> int:
+    """``value`` when it is an integer; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def schema_from_dict(data: Mapping) -> Schema:
     if "params" not in data or not isinstance(data["params"], list):
         raise ConfigError("schema must have a 'params' list")
@@ -85,6 +93,9 @@ def schema_from_dict(data: Mapping) -> Schema:
 
 
 def schema_to_dict(schema: Schema) -> dict:
+    if schema.frozen:
+        frozen = [m.name for m in schema.frozen]
+        raise ConfigError(f"a schema with frozen params {frozen} has no file form")
     params = []
     for p in schema.params:
         if isinstance(p.domain, Linear):
@@ -117,7 +128,11 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
         return expr_evaluator(name, str(entry["produces"]), str(entry["expr"]))
     if kind == "model":
         if "model" in entry:
-            model = load_model(base_dir / str(entry["model"]))
+            path = base_dir / str(entry["model"])
+            try:
+                model = load_model(path)
+            except OSError as err:
+                raise ConfigError(f"cannot read model file {path}: {err.strerror}") from None
         else:
             model = model_from_dict(entry, name=name)
         return model_evaluator(model, name=name)
@@ -279,7 +294,7 @@ def load_pipeline(
             str(data.get("fail_policy", "abort")), data.get("worst")
         )
     if parallelism is None:
-        parallelism = int(data.get("parallelism", 1))
+        parallelism = _integer(data.get("parallelism", 1), f"{path}: 'parallelism'")
     return Pipeline(tuple(steps), parallelism=parallelism, fail_policy=fail_policy)
 
 
@@ -326,13 +341,16 @@ def load_manifest(path: str | Path) -> RunManifest:
             raise ConfigError(f"manifest {path} is missing {key!r}")
         return (base / str(data[key])).resolve()
 
-    optional = {"parallelism": int, "seed": int, "fail_policy": str, "top": int}
+    def option(key: str):
+        value = data[key]
+        return str(value) if key == "fail_policy" else _integer(value, f"{path}: {key!r}")
+
     return RunManifest(
         schema=resolve("schema"),
         pipeline=resolve("pipeline"),
         evaluators=resolve("evaluators"),
         out=(base / str(data.get("out", "out"))).resolve(),
-        **{key: kind(data[key]) for key, kind in optional.items() if key in data},
+        **{k: option(k) for k in ("parallelism", "seed", "fail_policy", "top") if k in data},
     )
 
 

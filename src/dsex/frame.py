@@ -1,7 +1,7 @@
 """Result frames: the tabular outcome of an exploration run.
 
 A frame has one row per surviving point, with raw parameter values,
-frozen params, accumulated metrics and a degradation flag, plus
+the schema's frozen params, accumulated metrics and a degradation flag, plus
 per-step provenance. Machine exports (CSV, line-delimited JSON) keep
 full shortest-round-trip precision; human tables render values
 truncated to 2 decimals.
@@ -133,18 +133,14 @@ def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> Res
     order, metrics in accumulation order, then the degradation flag.
     """
     param_cols = space.schema.names
-    frozen_cols: tuple[str, ...] = ()
-    if space.points:
-        frozen_cols = tuple(m.name for m in space.points[0].frozen_params)
-        for p in space.points:
-            if tuple(m.name for m in p.frozen_params) != frozen_cols:
-                raise ConfigError("points disagree on frozen parameter columns")
+    frozen_cols = tuple(m.name for m in space.schema.frozen)
+    frozen_values = [m.value for m in space.schema.frozen]
     metric_cols = tuple(_merge_metric_order(space.points))
 
     rows = []
     for p in space.points:
         row: list[float | None] = [float(v) for v in space.raw_values(p)]
-        row.extend(m.value for m in p.frozen_params)
+        row.extend(frozen_values)
         by_name = {m.name: m.value for m in p.metrics}
         row.extend(by_name.get(c) for c in metric_cols)
         row.append(1.0 if p.degraded else 0.0)

@@ -33,7 +33,8 @@ class PointView:
     """A point bound to its schema, as seen by an evaluator.
 
     ``env`` maps every resolvable name to its value: parameters at raw
-    values, frozen params and metrics at their stored values.
+    values, the schema's frozen params and the point's metrics at their
+    stored values.
     """
 
     schema: Schema
@@ -44,7 +45,7 @@ class PointView:
         env = {}
         for spec, c in zip(self.schema.params, self.point.coords):
             env[spec.name] = float(spec.domain.values()[c])
-        for m in self.point.frozen_params:
+        for m in self.schema.frozen:
             env[m.name] = m.value
         for m in self.point.metrics:
             env[m.name] = m.value
@@ -127,8 +128,9 @@ ABORT = FailPolicy(FailMode.ABORT)
 class Cache:
     """Write-once memo of evaluator results, including stored failures.
 
-    Keys are (evaluator name, coords, frozen params). Hit/miss counters
-    are exposed; a miss is counted per actual evaluator invocation.
+    Keys are (evaluator name, coords, the schema's frozen params), so
+    schemas that differ only in frozen values share no entry. Hit/miss
+    counters are exposed; a miss is counted per evaluator invocation.
     Safe under concurrent read/write; on a race the first stored result
     wins and later computations are discarded.
     """
@@ -140,8 +142,8 @@ class Cache:
         self.misses = 0
 
     @staticmethod
-    def key(evaluator: Evaluator, point: Point) -> tuple:
-        return (evaluator.name, point.coords, point.frozen_params)
+    def key(evaluator: Evaluator, schema: Schema, point: Point) -> tuple:
+        return (evaluator.name, point.coords, schema.frozen)
 
     def run(self, evaluator: Evaluator, view: PointView) -> tuple[float, ...]:
         """Return the evaluator's metrics for the point, memoized.
@@ -150,7 +152,7 @@ class Cache:
         EvalErrors are re-raised on later lookups without re-invoking
         the evaluator.
         """
-        key = self.key(evaluator, view.point)
+        key = self.key(evaluator, view.schema, view.point)
         with self._lock:
             if key in self._store:
                 self.hits += 1
@@ -179,9 +181,9 @@ class Cache:
             raise stored
         return stored
 
-    def holds(self, evaluators: Sequence[Evaluator], point: Point) -> bool:
+    def holds(self, evaluators: Sequence[Evaluator], schema: Schema, point: Point) -> bool:
         """Whether every evaluator's result (or failure) for the point is stored."""
-        return all(self.key(ev, point) in self._store for ev in evaluators)
+        return all(self.key(ev, schema, point) in self._store for ev in evaluators)
 
     def _put(self, key, value):
         # first write wins; a racing computation is discarded
@@ -251,7 +253,7 @@ def enhance_points(
     cold = []
     if parallelism > 1:
         # a point whose every evaluation is cached is not worth a thread
-        cold = [i for i, p in enumerate(points) if not cache.holds(evaluators, p)]
+        cold = [i for i, p in enumerate(points) if not cache.holds(evaluators, schema, p)]
     if len(cold) <= 1:
         # sequential: stop at the first failure instead of finishing the batch
         return [enhance_point(p, schema, evaluators, cache, policy) for p in points]
@@ -269,12 +271,11 @@ def enhance_points(
 
 def check_no_collision(space: DesignSpace, evaluators: Sequence[Evaluator]) -> None:
     produced = {n for ev in evaluators for n in ev.produces}
-    clash = produced & set(space.schema.names)
+    clash = produced & {*space.schema.names, *(m.name for m in space.schema.frozen)}
     if clash:
         raise MetricCollision(f"produced names collide with parameters: {sorted(clash)}")
     for p in space.points:
-        names = {m.name for m in p.frozen_params} | {m.name for m in p.metrics}
-        clash = produced & names
+        clash = produced & {m.name for m in p.metrics}
         if clash:
             raise MetricCollision(
                 f"produced names already present on point {p.coords}: {sorted(clash)}"
@@ -329,8 +330,8 @@ class CommandSpec:
 
     ``argv`` and ``env`` entries may reference any name resolvable on
     the point with ``{name}`` placeholders. The process additionally
-    receives ``DSEX_<PARAMNAME>=<raw value>`` for every parameter
-    (schema and frozen), must print a flat JSON object of
+    receives ``DSEX_<PARAMNAME>=<raw value>`` for every parameter of
+    the schema, frozen ones included, must print a flat JSON object of
     name -> number on stdout and exit 0.
     """
 
@@ -372,7 +373,7 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
         env_map = view.env
         argv = [_substitute(a, env_map) for a in spec.argv]
         proc_env = dict(os.environ)
-        for param in (*view.schema.names, *(m.name for m in view.point.frozen_params)):
+        for param in (*view.schema.names, *(m.name for m in view.schema.frozen)):
             proc_env[f"DSEX_{param.upper()}"] = render_raw(env_map[param])
         for key, tmpl in spec.env.items():
             proc_env[key] = _substitute(tmpl, env_map)

@@ -156,17 +156,20 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class Schema:
-    """Ordered list of parameter specs.
+    """Ordered list of parameter specs, plus the parameters frozen out.
 
     Order is significant: it fixes coordinate order in points and the
-    axes of the index grid.
+    axes of the index grid. ``frozen`` holds the parameters dimension
+    reduction removed, at their raw value, for every point of a space.
     """
 
     params: tuple[ParamSpec, ...]
+    frozen: tuple[NamedMetric, ...] = ()
 
-    def __init__(self, params: Iterable[ParamSpec]):
+    def __init__(self, params: Iterable[ParamSpec], frozen: Iterable[NamedMetric] = ()):
         object.__setattr__(self, "params", tuple(params))
-        names = [p.name for p in self.params]
+        object.__setattr__(self, "frozen", tuple(frozen))
+        names = [p.name for p in self.params] + [m.name for m in self.frozen]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate parameter names in schema: {names}")
 
@@ -195,30 +198,22 @@ class Point:
     """One implementation candidate.
 
     ``coords`` are indices into each schema parameter's enumeration (in
-    schema order), not raw values. ``frozen_params`` hold parameters
-    demoted by dimension reduction, stored at their raw value.
-    ``metrics`` accumulate in production order. ``degraded`` marks
-    points whose metrics were substituted by a worst-value policy.
+    schema order), not raw values; they are the point's identity inside
+    a space. ``metrics`` accumulate in production order. ``degraded``
+    marks points whose metrics were substituted by a worst-value policy.
     ``with_metrics`` skips the constructor's name-collision check.
     """
 
     coords: tuple[int, ...]
-    frozen_params: tuple[NamedMetric, ...] = ()
     metrics: tuple[NamedMetric, ...] = ()
     degraded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        object.__setattr__(self, "frozen_params", tuple(self.frozen_params))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        names = [m.name for m in self.frozen_params] + [m.name for m in self.metrics]
+        names = [m.name for m in self.metrics]
         if len(set(names)) != len(names):
-            raise SchemaError(f"name collision among frozen params and metrics: {names}")
-
-    @property
-    def key(self) -> tuple:
-        """Identity of the point inside a space: coords plus frozen params."""
-        return (self.coords, self.frozen_params)
+            raise SchemaError(f"duplicate metric names: {names}")
 
     def metric_names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.metrics)
@@ -226,7 +221,7 @@ class Point:
     def with_metrics(self, extra: Iterable[NamedMetric], degraded: bool = False) -> "Point":
         """Unchecked: steps rule out clashes (``check_no_collision``, ``_chain``)."""
         metrics = self.metrics + tuple(extra)
-        return _unchecked(Point, self.coords, self.frozen_params, metrics, self.degraded or degraded)
+        return _unchecked(Point, self.coords, metrics, self.degraded or degraded)
 
 
 class Norm(Enum):
@@ -261,10 +256,10 @@ class DesignSpace:
     """An ordered finite collection of points sharing one schema.
 
     Order is significant: strategies may sort, and the head of the
-    space is the hill-climbing start. No two points may share identical
-    coords and frozen params. The constructor checks every point against
-    the schema (coords arity and range, names, duplicate keys);
-    ``derive`` does not.
+    space is the hill-climbing start. No two points may share coords.
+    The constructor checks every point against the schema (coords arity
+    and range, metric names against parameter and frozen names,
+    duplicate coords); ``derive`` does not.
     """
 
     schema: Schema
@@ -274,8 +269,7 @@ class DesignSpace:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "points", tuple(points))
         cards = schema.cardinalities
-        names = set(schema.names)
-        seen = set()
+        names = {*schema.names, *(m.name for m in schema.frozen)}
         for p in self.points:
             if len(p.coords) != len(schema):
                 raise SchemaError(
@@ -284,12 +278,11 @@ class DesignSpace:
             for k, c in enumerate(p.coords):
                 if not 0 <= c < cards[k]:
                     raise SchemaError(f"coordinate {c} out of range for axis {k}")
-            for m in p.frozen_params + p.metrics:
+            for m in p.metrics:
                 if m.name in names:
                     raise SchemaError(f"point metric {m.name!r} collides with a parameter name")
-            if p.key in seen:
-                raise SchemaError(f"duplicate point {p.key}")
-            seen.add(p.key)
+        if len({p.coords for p in self.points}) != len(self.points):
+            raise SchemaError("two points share their coords")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -300,13 +293,9 @@ class DesignSpace:
         return _unchecked(DesignSpace, self.schema, tuple(points))
 
     @cached_property
-    def _positions(self) -> dict[tuple[int, ...], list[int]]:
-        # coords -> positions of the points holding them, in enumeration
-        # order; coords repeat when points differ only in frozen params
-        at: dict[tuple[int, ...], list[int]] = {}
-        for i, p in enumerate(self.points):
-            at.setdefault(p.coords, []).append(i)
-        return at
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        # coords -> position of the point holding them
+        return {p.coords: i for i, p in enumerate(self.points)}
 
     def raw_values(self, point: Point) -> tuple[int, ...]:
         """Raw (enumerated) parameter values of a point, in schema order."""
@@ -315,36 +304,31 @@ class DesignSpace:
         )
 
     def contains(self, point: Point) -> bool:
-        return any(
-            self.points[i].frozen_params == point.frozen_params
-            for i in self._positions.get(point.coords, ())
-        )
+        return point.coords in self._positions
 
     def is_full_grid(self) -> bool:
-        expected = math.prod(self.schema.cardinalities)
-        return len(self.points) == expected and len(self._positions) == expected
+        # the points hold distinct coords in range, so counting suffices
+        return len(self.points) == math.prod(self.schema.cardinalities)
 
     def neighbours(self, point: Point, norm: Norm, dist: int) -> list[Point]:
         """Points within ``dist`` of ``point`` in index space, excluding it.
 
-        Returned in the space's enumeration order. Points that share
-        ``point``'s coords but differ in frozen params sit at distance 0
-        and are included. The coords of the ball are probed in the
-        coords index, so the cost follows the size of the ball, not of
-        the space.
+        Returned in the space's enumeration order. The coords of the
+        ball are probed in the coords index, so the cost follows the
+        size of the ball, not of the space.
         """
         if dist < 1:
             raise ValueError("distance must be a positive integer")
-        if not self.contains(point):
-            raise PointNotInSpace(f"point {point.key} is not in the space")
+        at = self._positions
+        me = at.get(point.coords)
+        if me is None:
+            raise PointNotInSpace(f"point {point.coords} is not in the space")
         spans = [
             range(max(c - dist, 0), min(c + dist, n - 1) + 1)
             for c, n in zip(point.coords, self.schema.cardinalities)
         ]
-        at = self._positions
-        ball = _ball(point.coords, spans, norm, dist)
-        hits = sorted(i for coords in ball for i in at.get(coords, ()))
-        return [q for q in map(self.points.__getitem__, hits) if q.key != point.key]
+        ball = map(at.get, _ball(point.coords, spans, norm, dist))
+        return [self.points[i] for i in sorted(i for i in ball if i is not None and i != me)]
 
     def diagonal(self) -> list[Point]:
         """The corner-to-corner diagonal of a full grid.
@@ -365,7 +349,7 @@ class DesignSpace:
             coords_list.append(
                 tuple((2 * t * (c - 1) + span) // (2 * span) for c in cards)
             )
-        return [self.points[self._positions[c][0]] for c in coords_list]
+        return [self.points[self._positions[c]] for c in coords_list]
 
     def dominance_closure(
         self, frontier: Iterable[tuple[int, ...]], side: KeepSide
@@ -387,7 +371,7 @@ def build_space(schema: Schema) -> DesignSpace:
     """Materialize the full Cartesian product of a schema.
 
     Points are enumerated in row-major order of the schema (the last
-    parameter varies fastest), with empty metrics and frozen params.
+    parameter varies fastest), with empty metrics.
     """
     ranges = [range(c) for c in schema.cardinalities]
     points = (Point(coords) for coords in itertools.product(*ranges))
@@ -396,49 +380,49 @@ def build_space(schema: Schema) -> DesignSpace:
 
 def concern_image(
     schema: Schema, concern: str, project_to_min: bool = True
-) -> tuple[tuple[int, ...], Callable[[Point], tuple]]:
-    """The rule projecting points of ``schema`` onto ``concern``.
+) -> tuple[Schema, Callable[[tuple[int, ...]], tuple[int, ...]]]:
+    """The rule projecting ``schema`` onto ``concern``.
 
-    Returns the kept axes (those carrying ``concern``, in schema order)
-    and a function mapping a point to the key (coords, frozen params)
-    of its image: its coords on the kept axes, and its frozen params
-    followed by every removed parameter frozen at its domain's minimum
-    raw value (maximum when ``project_to_min`` is false).
+    Returns the projected schema and a function mapping coords of
+    ``schema`` to the coords of their image. The projected schema keeps
+    the parameters carrying ``concern``, in schema order, and freezes
+    every removed one, after ``schema``'s own frozen params, at its
+    domain's minimum raw value (maximum when ``project_to_min`` is false).
     """
     keep = tuple(i for i, p in enumerate(schema.params) if concern in p.concerns)
     if not keep:
         # equivalently, every dimension would be removed
         raise NoSuchConcern(f"no parameter carries concern {concern!r}")
     pick = min if project_to_min else max
-    frozen_extra = tuple(
+    frozen = schema.frozen + tuple(
         NamedMetric(p.name, float(pick(p.domain.values())))
         for i, p in enumerate(schema.params)
         if i not in keep
     )
 
-    def image(point: Point) -> tuple:
-        return tuple(point.coords[i] for i in keep), point.frozen_params + frozen_extra
+    def image(coords: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(coords[i] for i in keep)
 
-    return keep, image
+    return Schema((schema.params[i] for i in keep), frozen), image
 
 
 def project_space(space: DesignSpace, concern: str, project_to_min: bool = True) -> DesignSpace:
     """Project a space onto the parameters carrying ``concern``.
 
-    Each point maps to its image under ``concern_image``: removed
-    parameters are frozen at their domain's minimum raw value (maximum
-    when ``project_to_min`` is false). Points are deduplicated on
-    (coords, frozen params), first occurrence winning, with relative
-    order preserved.
+    The space moves to the schema ``concern_image`` projects to, where
+    removed parameters are frozen at their domain's minimum raw value
+    (maximum when ``project_to_min`` is false), and each point to the
+    coords of its image. Points are deduplicated on those coords, first
+    occurrence winning, with relative order preserved.
     """
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
-    keep, image = concern_image(space.schema, concern, project_to_min)
-    if len(keep) == len(space.schema):
+    schema, image = concern_image(space.schema, concern, project_to_min)
+    if len(schema) == len(space.schema):
         return space
-    new_points: dict[tuple, Point] = {}
+    new_points: dict[tuple[int, ...], Point] = {}
     for p in space.points:
-        key = image(p)
-        if key not in new_points:
-            new_points[key] = Point(*key, p.metrics, p.degraded)
-    return DesignSpace(Schema(space.schema.params[i] for i in keep), new_points.values())
+        coords = image(p.coords)
+        if coords not in new_points:
+            new_points[coords] = Point(coords, p.metrics, p.degraded)
+    return DesignSpace(schema, new_points.values())

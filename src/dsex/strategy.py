@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter, gt, itemgetter, lt
+from operator import gt, itemgetter, lt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -155,7 +155,7 @@ def reduce_dimension(concern: str, to_min: bool = True, name: str | None = None)
     """Project the space onto the parameters carrying ``concern``.
 
     Removed parameters are frozen at their domain minimum (maximum when
-    ``to_min`` is false) and demoted to frozen params.
+    ``to_min`` is false) and become the new schema's frozen params.
     """
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
@@ -189,14 +189,14 @@ def _prober(
     ``probe(points)`` returns each point's ``expr`` value, or None when
     the fail policy pruned the point. Points not yet probed in this step
     go out as one ``enhance_points`` batch, in first-seen order, at the
-    step's parallelism. The memo returned with it maps each probed key to
+    step's parallelism. The memo returned with it maps each probed coords to
     ``(enhanced point, value)``, or None for a pruned point, in probe
     order; it is the step's only record of what was evaluated.
     """
     memo: dict[tuple, tuple[Point, object] | None] = {}
 
     def probe(points: Sequence[Point]) -> list:
-        todo = list({p.key: p for p in points if p.key not in memo}.values())
+        todo = list({p.coords: p for p in points if p.coords not in memo}.values())
         if todo:
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("%s: probing a batch of %d points", name, len(todo))
@@ -204,8 +204,8 @@ def _prober(
                 todo, schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
             )
             for p, enh in zip(todo, batch):
-                memo[p.key] = None if enh is None else (enh, expr(PointView(schema, enh).env))
-        return [entry and entry[1] for entry in (memo[p.key] for p in points)]
+                memo[p.coords] = None if enh is None else (enh, expr(PointView(schema, enh).env))
+        return [entry and entry[1] for entry in (memo[p.coords] for p in points)]
 
     return probe, memo
 
@@ -249,7 +249,7 @@ def gradient_sort(
             ctx.extra.update({"moves": 0, "evaluated": len(memo)})
             return space.derive(())
 
-        moves, cost = 0, memo[current.key][1]
+        moves, cost = 0, memo[current.coords][1]
         while True:
             ring = space.neighbours(current, Norm.L1, 1)
             best = None
@@ -281,14 +281,14 @@ def quick_prune(
     Assumes the kept region is a single connected region bounded by one
     continuous frontier. Walks the grid diagonal for a first kept
     point, grows the frontier through Chebyshev-distance-1 expansion,
-    then keeps the points dominating (or dominated by, per ``side``)
-    some frontier point in index space (``DesignSpace.dominance_closure``),
+    then keeps the points dominating (or dominated by, per ``side``) the
+    seed or a frontier point in index space (``dominance_closure``),
     except any point the walk probed and saw fail ``keep`` or pruned
-    under the fail policy. With ``concern`` the decision
-    runs on the concern-projected grid, and an input point survives
-    when its image under ``concern_image`` (the rule ``project_space``
-    projects with) is retained. A point is on the frontier iff it is
-    kept and at least one of its Chebyshev-distance-1 neighbors is not.
+    under the fail policy. With ``concern`` the decision runs on the
+    concern-projected grid, and an input point survives when its image
+    under ``concern_image`` (the rule ``project_space`` projects with)
+    is retained. The recorded frontier holds exactly the kept points
+    with a Chebyshev-distance-1 neighbor that is not kept.
 
     Probes run in batches at the pipeline's parallelism, in a fixed
     order: the diagonal point by point, the seed's ring (and for an
@@ -309,7 +309,7 @@ def quick_prune(
             work = project_space(space, concern, True)
             image = concern_image(space.schema, concern, True)[1]
         else:
-            work, image = space, attrgetter("key")
+            work, image = space, lambda coords: coords
         diag = work.diagonal()  # also enforces the full-grid precondition
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
@@ -320,13 +320,13 @@ def quick_prune(
         rings: dict[tuple, list[Point]] = {}
 
         def ring(point: Point) -> list[Point]:
-            if point.key not in rings:
-                rings[point.key] = work.neighbours(point, Norm.LINF, 1)
-            return rings[point.key]
+            if point.coords not in rings:
+                rings[point.coords] = work.neighbours(point, Norm.LINF, 1)
+            return rings[point.coords]
 
         def kept(point: Point) -> bool:
             # a probed point the fail policy pruned is not kept
-            entry = memo[point.key]
+            entry = memo[point.coords]
             return entry is not None and entry[1]
 
         def on_frontier(point: Point) -> bool:
@@ -346,32 +346,33 @@ def quick_prune(
                         break
 
         # Frontier: breadth-wise Chebyshev expansion from the seed
-        frontier: dict[tuple, Point] = {} if seed is None else {seed.key: seed}
-        wave = list(frontier.values())
+        reached: dict[tuple, Point] = {} if seed is None else {seed.coords: seed}
+        wave = list(reached.values())
         while wave:
             around = list(
-                {q.key: q for p in wave for q in ring(p) if q.key not in frontier}.values()
+                {q.coords: q for p in wave for q in ring(p) if q.coords not in reached}.values()
             )
             candidates = [q for q, k in zip(around, probe(around)) if k]
             probe([r for q in candidates for r in ring(q)])
             wave = [q for q in candidates if on_frontier(q)]
-            frontier.update((q.key, q) for q in wave)
+            reached.update((q.coords, q) for q in wave)
+        frontier = [c for c, p in reached.items() if on_frontier(p)]
 
         ctx.extra["predicate_evaluations"] = len(memo)
         ctx.extra["frontier_size"] = len(frontier)
-        ctx.extra["frontier"] = sorted(p.coords for p in frontier.values())
+        ctx.extra["frontier"] = sorted(frontier)
 
         # Update: retain the dominance closure of the frontier, carried
         # back to the input space through each point's image on the work
         # grid, less every image probed and seen to fail or pruned. Only
         # a point whose image was probed gets the metrics produced there;
         # interior points were never evaluated, which is what the step saves.
-        closed = work.dominance_closure((p.coords for p in frontier.values()), side)
+        closed = work.dominance_closure(reached, side)
         out = []
         for p in space.points:
-            key = image(p)
-            entry = memo.get(key)
-            if key[0] in closed and (entry[1] if entry else key not in memo):
+            coords = image(p.coords)
+            entry = memo.get(coords)
+            if coords in closed and (entry[1] if entry else coords not in memo):
                 out.append(p if entry is None else p.with_metrics(
                     entry[0].metrics[len(p.metrics):], entry[0].degraded))
         return space.derive(out)

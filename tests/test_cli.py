@@ -245,6 +245,37 @@ class TestRunCommand:
         assert yaml.safe_load((out / "manifest.yaml").read_text())["parallelism"] == expected
 
 
+class TestMalformedRunFiles:
+    """A run file holding a value of the wrong type is a config error:
+    exit 2 with a message naming the key or file, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "manifest, pipeline, registry, named",
+        [
+            ("parallelism: abc\n", "", "", "'parallelism'"),
+            ("seed: x\n", "", "", "'seed'"),
+            ("top: [1]\n", "", "", "'top'"),
+            # a bool is not an integer, as in schema files
+            ("seed: true\n", "", "", "'seed'"),
+            ("", "parallelism: two\n", "", "'parallelism'"),
+            ("", "", "  - {name: m, kind: model, model: missing.json}\n", "missing.json"),
+        ],
+        ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file"],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, manifest, pipeline, registry, named):
+        from dsex.cli import main
+
+        (tmp_path / "pipeline.yaml").write_text(pipeline + "steps:\n  - {step: identity}\n")
+        (tmp_path / "evaluators.yaml").write_text("evaluators:\n" + (registry or "  []\n"))
+        path = tmp_path / "manifest.yaml"
+        path.write_text(
+            f"schema: {PIPELINES / 'schemas' / 'dummy.yaml'}\n"
+            "pipeline: pipeline.yaml\nevaluators: evaluators.yaml\n" + manifest
+        )
+        assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def saved_frame(tmp_path_factory):
     out = tmp_path_factory.mktemp("report") / "out"

@@ -1,7 +1,17 @@
 import pytest
 import yaml
 
-from dsex import Cache, ConfigError, Enumerated, Linear, ParamSpec, Pow2, Schema, build_space
+from dsex import (
+    Cache,
+    ConfigError,
+    Enumerated,
+    Linear,
+    ParamSpec,
+    Pow2,
+    Schema,
+    build_space,
+    project_space,
+)
 from dsex.config import (
     echo_manifest,
     load_evaluators,
@@ -22,6 +32,12 @@ from conftest import PIPELINES
 class TestSchemaFormat:
     def test_round_trip_through_dict(self, dummy_schema):
         assert schema_from_dict(schema_to_dict(dummy_schema)) == dummy_schema
+
+    def test_frozen_params_have_no_file_form(self, dummy_schema):
+        # dropping them would write a different schema than the one given
+        projected = project_space(build_space(dummy_schema), "qos").schema
+        with pytest.raises(ConfigError, match="param2"):
+            schema_to_dict(projected)
 
     def test_round_trip_through_file(self, tmp_path, dummy_schema):
         path = tmp_path / "schema.yaml"

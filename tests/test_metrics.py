@@ -188,16 +188,15 @@ class TestCache:
         assert len(calls) == len(grid_17x9)
 
     def test_key_includes_frozen_params(self):
-        schema = Schema([ParamSpec("a", Linear(0, 1))])
-        p_plain = build_space(schema).points[0]
-        from dsex import Point
-
-        p_frozen = Point((0,), (NamedMetric("z", 4.0),))
+        # schemas that differ only in frozen values never share an entry
+        params = [ParamSpec("a", Linear(0, 1))]
+        point = build_space(Schema(params)).points[0]
         ev = constant_evaluator("c", "m", 1.0)
         cache = Cache()
-        cache.run(ev, PointView(schema, p_plain))
-        cache.run(ev, PointView(schema, p_frozen))
-        assert cache.misses == 2
+        for value in (None, 4.0, 5.0, 4.0):
+            frozen = () if value is None else (NamedMetric("z", value),)
+            cache.run(ev, PointView(Schema(params, frozen), point))
+        assert (cache.misses, cache.hits) == (3, 1)
 
 
 def nan_on_first_axis():
@@ -302,10 +301,10 @@ class TestExternalCommand:
         # pow2 and enum axes give their raw values, integral frozen
         # params lose the fractional part, others keep it
         schema = Schema(
-            [ParamSpec("width", Pow2(0, 4)), ParamSpec("depth", Enumerated([4, 11, 9]))]
+            [ParamSpec("width", Pow2(0, 4)), ParamSpec("depth", Enumerated([4, 11, 9]))],
+            (NamedMetric("lanes", 4.0), NamedMetric("ratio", 2.5)),
         )
-        point = Point((3, 1), (NamedMetric("lanes", 4.0), NamedMetric("ratio", 2.5)))
-        space = DesignSpace(schema, [point])
+        space = DesignSpace(schema, [Point((3, 1))])
         code = (
             "import os, sys\n"
             "got = [os.environ.get('DSEX_' + n) for n in ('WIDTH', 'DEPTH', 'LANES', 'RATIO')]\n"

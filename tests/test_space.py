@@ -81,11 +81,17 @@ class TestBuildSpace:
 
     def test_fresh_points(self, dummy_schema):
         space = build_space(dummy_schema)
-        assert all(p.metrics == () and p.frozen_params == () for p in space.points)
+        assert space.schema.frozen == ()
+        assert all(p.metrics == () for p in space.points)
 
     def test_duplicate_param_names_rejected(self):
         with pytest.raises(SchemaError):
             Schema([ParamSpec("p", Linear(0, 1)), ParamSpec("p", Linear(0, 1))])
+
+    @pytest.mark.parametrize("frozen", [["p", "x"], ["x", "x"]], ids=["param", "frozen"])
+    def test_frozen_name_repeating_a_name_rejected(self, frozen):
+        with pytest.raises(SchemaError):
+            Schema([ParamSpec("p", Linear(0, 1))], [NamedMetric(n, 1.0) for n in frozen])
 
 
 def _m(name, value=1.0):
@@ -97,24 +103,25 @@ class TestConstructorChecks:
     outputs without repeating it, so these checks have to hold here."""
 
     @pytest.mark.parametrize(
-        "points",
+        "frozen, points",
         [
-            [Point((0,))],  # coords arity
-            [Point((0, 1, 0))],
-            [Point((0, 3))],  # coordinate out of range
-            [Point((2, -1))],
-            [Point((0, 0), (_m("p0"),))],  # frozen param named like a parameter
-            [Point((0, 0), (), (_m("p1"),))],  # metric named like a parameter
-            [Point((0, 0)), Point((1, 1)), Point((0, 0))],  # duplicate key
-            [Point((0, 0), (_m("z"),)), Point((0, 0), (_m("z"),), (_m("m"),))],
+            ((), [Point((0,))]),  # coords arity
+            ((), [Point((0, 1, 0))]),
+            ((), [Point((0, 3))]),  # coordinate out of range
+            ((), [Point((2, -1))]),
+            ((_m("p0"),), [Point((0, 0))]),  # frozen param named like a parameter
+            ((), [Point((0, 0), (_m("p1"),))]),  # metric named like a parameter
+            ((), [Point((0, 0)), Point((1, 1)), Point((0, 0))]),  # duplicate coords
+            ((_m("z"),), [Point((0, 0)), Point((0, 0), (_m("m"),))]),
+            ((_m("z"),), [Point((0, 0), (_m("z", 2.0),))]),  # metric named like a frozen param
         ],
         ids=["short", "long", "above", "below", "frozen-name", "metric-name",
-             "duplicate", "duplicate-frozen"],
+             "duplicate", "duplicate-frozen", "metric-frozen-name"],
     )
-    def test_design_space_refuses(self, points):
-        schema = Schema([ParamSpec("p0", Linear(0, 2)), ParamSpec("p1", Linear(0, 2))])
+    def test_design_space_refuses(self, frozen, points):
+        params = [ParamSpec("p0", Linear(0, 2)), ParamSpec("p1", Linear(0, 2))]
         with pytest.raises(SchemaError):
-            DesignSpace(schema, points)
+            DesignSpace(Schema(params, frozen), points)
 
     @pytest.mark.parametrize(
         "frozen, metrics",
@@ -123,8 +130,10 @@ class TestConstructorChecks:
         ids=["frozen-metric", "metric-metric", "frozen-frozen"],
     )
     def test_point_refuses_a_name_collision(self, frozen, metrics):
+        # frozen params live on the schema: a clash with one is refused by
+        # the schema or the space, a clash among metrics by the point
         with pytest.raises(SchemaError):
-            Point((0,), frozen, metrics)
+            DesignSpace(Schema([ParamSpec("p", Linear(0, 0))], frozen), [Point((0,), metrics)])
 
 
 class TestProjectSpace:
@@ -133,15 +142,14 @@ class TestProjectSpace:
         projected = project_space(space, "resource")
         assert len(projected) == 17 * 9 == 153
         assert projected.schema.names == ("param1", "param2")
-        for p in projected.points:
-            assert p.frozen_params == (NamedMetric("param3", 4.0),)
+        assert projected.schema.frozen == (NamedMetric("param3", 4.0),)
 
     def test_qos_projection(self, dummy_schema):
         assert len(project_space(build_space(dummy_schema), "qos")) == 17 * 3 == 51
 
     def test_projection_to_max(self, dummy_schema):
         projected = project_space(build_space(dummy_schema), "resource", project_to_min=False)
-        assert projected.points[0].frozen_params == (NamedMetric("param3", 9.0),)
+        assert projected.schema.frozen == (NamedMetric("param3", 9.0),)
 
     def test_full_coverage_is_identity(self):
         schema = Schema([ParamSpec("a", Linear(0, 3), ("x",)), ParamSpec("b", Linear(0, 2), ("x",))])
@@ -157,7 +165,7 @@ class TestProjectSpace:
         tagged = DesignSpace(
             space.schema,
             [
-                Point(p.coords, p.frozen_params, (NamedMetric("mark", float(i)),))
+                Point(p.coords, (NamedMetric("mark", float(i)),))
                 for i, p in enumerate(space.points)
             ],
         )
@@ -171,7 +179,7 @@ class TestProjectSpace:
         # undoing the projection at the frozen values lands inside the original
         space = build_space(dummy_schema)
         projected = project_space(space, "qos")
-        frozen_value = projected.points[0].frozen_params[0].value
+        frozen_value = projected.schema.frozen[0].value
         k = dummy_schema.names.index("param2")
         idx = dummy_schema.params[k].domain.values().index(int(frozen_value))
         originals = {p.coords for p in space.points}
@@ -198,20 +206,21 @@ class TestNeighbours:
         assert len(space.neighbours(space.points[0], Norm.LINF, 1)) == 3
 
     def test_point_not_in_space(self):
-        space = grid(3, 3)
-        alien = Point((0, 0), (NamedMetric("z", 1.0),))
+        full = grid(3, 3)
+        space = DesignSpace(full.schema, full.points[1:])
+        alien = Point((0, 0))
         with pytest.raises(PointNotInSpace):
             space.neighbours(alien, Norm.L1, 1)
 
     def test_sparse_space_matches_brute_force(self):
-        # 9 of 16 cells, out of row-major order, with two points at (2, 1)
-        # told apart only by a frozen param; balls both smaller and larger
-        # than the space occur below
-        schema = Schema([ParamSpec("p0", Linear(0, 3)), ParamSpec("p1", Linear(0, 3))])
-        cells = [(2, 1), (0, 0), (3, 3), (1, 1), (2, 1), (1, 2), (0, 3), (2, 2), (3, 0)]
-        points = [
-            Point(c, (NamedMetric("z", 1.0 if i == 4 else 0.0),)) for i, c in enumerate(cells)
-        ]
+        # 8 of 16 cells, out of row-major order; balls both smaller and
+        # larger than the space occur below
+        schema = Schema(
+            [ParamSpec("p0", Linear(0, 3)), ParamSpec("p1", Linear(0, 3))],
+            (NamedMetric("z", 0.0),),
+        )
+        cells = [(2, 1), (0, 0), (3, 3), (1, 1), (1, 2), (0, 3), (2, 2), (3, 0)]
+        points = [Point(c) for c in cells]
         space = DesignSpace(schema, points)
         assert not space.is_full_grid()
 
@@ -220,7 +229,7 @@ class TestNeighbours:
             for q in space.points:
                 deltas = [abs(a - b) for a, b in zip(p.coords, q.coords)]
                 reach = sum(deltas) if norm is Norm.L1 else max(deltas)
-                if q.key != p.key and reach <= d:
+                if q.coords != p.coords and reach <= d:
                     out.append(q)
             return out
 
@@ -228,17 +237,11 @@ class TestNeighbours:
             for d in (1, 2):
                 for p in space.points:
                     assert space.neighbours(p, norm, d) == brute(p, norm, d), (norm, d, p)
-        twin, other = points[0], points[4]
-        assert space.neighbours(twin, Norm.LINF, 1) == [
-            points[3], other, points[5], points[7], points[8],
+        assert space.neighbours(points[0], Norm.LINF, 1) == [
+            points[3], points[4], points[6], points[7],
         ]
-        for norm in (Norm.L1, Norm.LINF):
-            assert other in space.neighbours(twin, norm, 1)
-            assert twin in space.neighbours(other, norm, 1)
-        # membership needs the coords and the frozen params
         assert all(space.contains(p) for p in space.points)
-        assert not space.contains(Point((3, 1), (NamedMetric("z", 0.0),)))
-        assert not space.contains(Point((2, 1), (NamedMetric("z", 2.0),)))
+        assert not space.contains(Point((3, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -248,13 +251,10 @@ class TestNeighbours:
         data=st.data(),
     )
     def test_random_sparse_space_matches_brute_force(self, dims, d, norm, data):
-        # a random subset of the grid in random order; some cells get a
-        # twin told apart only by a frozen param
+        # a random subset of the grid in random order
         cells = data.draw(st.permutations(list(itertools.product(*map(range, dims)))))
         cells = cells[: data.draw(st.integers(1, len(cells)))]
-        twinned = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
         points = [Point(c) for c in cells]
-        points += [Point(c, (NamedMetric("z", 1.0),)) for c, t in zip(cells, twinned) if t]
         schema = Schema([ParamSpec(f"p{k}", Linear(0, n - 1)) for k, n in enumerate(dims)])
         space = DesignSpace(schema, data.draw(st.permutations(points)))
         for p in space.points:
@@ -262,7 +262,7 @@ class TestNeighbours:
             for q in space.points:
                 deltas = [abs(a - b) for a, b in zip(p.coords, q.coords)]
                 reach = sum(deltas) if norm is Norm.L1 else max(deltas)
-                if q.key != p.key and reach <= d:
+                if q.coords != p.coords and reach <= d:
                     brute.append(q)
             assert space.neighbours(p, norm, d) == brute, (norm, d, p)
 

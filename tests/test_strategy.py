@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import logging
 import math
 import random
@@ -175,7 +176,7 @@ class TestReduceDimension:
         space = build_space(schema)
         context = ctx()
         out = reduce_dimension("resource", to_min=True).apply(space, context)
-        frozen = {m.name: m.value for m in out.points[0].frozen_params}
+        frozen = {m.name: m.value for m in out.schema.frozen}
         assert frozen == {"nbIteration": 32.0, "nbEuler": 2.0}
         assert context.extra["removed_dimensions"] == ["nbIteration", "nbEuler"]
         assert context.extra["cardinality"] == len(out)
@@ -347,6 +348,16 @@ class TestQuickPrune:
         out = quick_prune([], "1 == 1").apply(space, ctx())
         assert len(out) == 100
 
+    def test_frontier_is_empty_when_nothing_fails(self):
+        # no point has a non-kept neighbour, so none is on the frontier;
+        # the closure still grows from the seed and keeps the whole grid
+        context = ctx()
+        out = quick_prune([expr_evaluator("e", "m", "p0 + p1")], "m >= 0").apply(
+            grid(3, 3), context
+        )
+        assert len(out) == 9
+        assert (context.extra["frontier_size"], context.extra["frontier"]) == (0, [])
+
     def test_keep_nothing_returns_empty_space(self):
         space = grid(10, 10)
         out = quick_prune([], "1 == 0").apply(space, ctx())
@@ -454,9 +465,9 @@ class TestQuickPrune:
     @pytest.mark.parametrize(
         "params, frozen, threshold",
         [
-            # qos axes form a prefix of the schema, points carry no frozen params
+            # qos axes form a prefix of the schema, which has no frozen params
             ([("a", 7, "qos"), ("b", 5, "qos"), ("c", 3, "resource")], (), 6),
-            # a resource axis sits between the qos axes, every point carries f
+            # a resource axis sits between the qos axes, the schema freezes f
             (
                 [("a", 5, "qos"), ("c", 2, "resource"), ("b", 4, "qos")],
                 (NamedMetric("f", 3.0),),
@@ -466,9 +477,8 @@ class TestQuickPrune:
         ids=["prefix", "interleaved_frozen"],
     )
     def test_concern_projection_matches_exhaustive(self, params, frozen, threshold):
-        schema = Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in params])
-        space = DesignSpace(
-            schema, (Point(p.coords, frozen) for p in build_space(schema).points)
+        space = build_space(
+            Schema([ParamSpec(n, Linear(0, hi), (tag,)) for n, hi, tag in params], frozen)
         )
         qos = [i for i, (_, _, tag) in enumerate(params) if tag == "qos"]
 
@@ -491,8 +501,8 @@ class TestQuickPrune:
         for p in out.points:
             if image(p) in probed:
                 assert env_of(out, p)["quality"] == sum(image(p))
-            # the projection's frozen minima stay on the work grid
-            assert p.frozen_params == frozen
+        # the projection's frozen minima stay on the work grid
+        assert out.schema.frozen == frozen
 
     def test_numeric_keep_rejected(self):
         with pytest.raises(ConfigError):
@@ -923,10 +933,26 @@ class TestNeighbourhoodOracle:
         assert runs[0] == runs[1]
         points, calls, extra = runs[0]
 
-        expected = [p.key for p, s in zip(space.points, sums) if holds(s)]
-        assert [p.key for p in points] == expected
+        expected = [p.coords for p, s in zip(space.points, sums) if holds(s)]
+        assert [p.coords for p in points] == expected
         work_size = math.prod(schema.cardinalities[k] for k in axes)
         assert extra["predicate_evaluations"] == len(calls) <= work_size
+        # every recorded frontier point is kept and has a Chebyshev
+        # neighbour on the work grid that is not
+        work_cards = [schema.cardinalities[k] for k in axes]
+
+        def kept(work_coords):
+            coords = [0] * len(schema)  # image_sum reads no removed axis
+            for k, c in zip(axes, work_coords):
+                coords[k] = c
+            return holds(image_sum(coords))
+
+        for c in extra["frontier"]:
+            assert kept(c), c
+            ring = itertools.product(*(
+                range(max(x - 1, 0), min(x + 1, n - 1) + 1) for x, n in zip(c, work_cards)
+            ))
+            assert not all(kept(r) for r in ring), c
         # a probed point carries the metric of its image
         for p in points:
             if p.metrics:
@@ -938,7 +964,7 @@ class TestNeighbourhoodOracle:
         schema, concern, _ = case
         space = build_space(schema)
         if concern is not None:
-            space = project_space(space, concern)  # points gain frozen params
+            space = project_space(space, concern)  # the schema gains frozen params
         n = len(space.schema)
         linear = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
         square = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
