@@ -2,11 +2,15 @@
 
 Simulates the fixed-point hardware estimator in software: paths of
 multiplicative Euler steps S <- S * quantize(1 + (mu - sigma^2/2)*dt +
-sigma*sqrt(dt)*Z), with Z drawn from a 3-component combined LFSR
-(Tausworthe) uniform generator through the Box-Muller transform and
-quantized to the configured fixed-point format. The relative gap
-between the quantized path mean and the analytic expectation
-S0*exp(mu*T) is the estimator's `error` metric.
+sigma*sqrt(dt)*Z), with Z drawn from a 3-component Tausworthe-style
+uniform generator (`Taus88`, which is not L'Ecuyer's taus88) through
+the Box-Muller transform and quantized to the configured fixed-point
+format. The relative gap between the quantized path mean and the
+analytic expectation S0*exp(mu*T) is the estimator's `error` metric.
+
+The kernel is pure Python. All of a point's paths advance together:
+each path's generator state sits in a 64-bit lane of one Python int
+per component, and a GF(2) jump-ahead gives each path its start.
 
 `nbCore` only shapes latency, never the statistics: estimates are
 bit-identical across core counts at a fixed seed.
@@ -15,8 +19,10 @@ bit-identical across core counts at a fixed seed.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind
 from .metrics import Evaluator, PointView
@@ -39,26 +45,49 @@ def mix_seed(parts: Iterable[int], base: int = 0) -> int:
     return h
 
 
+# The generator's three components. Each steps its 32-bit state as
+# s <- ((s & keep) << a) ^ (((s << b) ^ s) >> c), truncated to 32 bits.
+# Python ints do not wrap, so s << b keeps its high bits through the
+# right shift. Every step is linear over GF(2).
+_KEEP = (0xFFFFFFFE, 0xFFFFFFF8, 0xFFFFFFF0)
+_SHIFTS = ((12, 13, 19), (4, 2, 25), (17, 3, 11))
+_U32 = 0xFFFFFFFF
+
+
+def _advance(states: Sequence[int], keep: Sequence[int], low: int) -> list[int]:
+    """One step of each component's state.
+
+    With `keep` and `low` replicated into 64-bit lanes, one call steps
+    every lane of a packed state: no left shift carries past bit 48 of
+    a lane, and what a right shift brings down from the next lane lands
+    above bit 31, where `low` clears it.
+    """
+    return [
+        (((s & k) << a) ^ (((s << b) ^ s) >> c)) & low
+        for s, k, (a, b, c) in zip(states, keep, _SHIFTS)
+    ]
+
+
 class Taus88:
-    """L'Ecuyer's 3-component combined Tausworthe generator (period ~2^88)."""
+    """3-component combined Tausworthe-style generator.
+
+    It uses the shifts and masks of L'Ecuyer's taus88, but does not
+    truncate `s << b` to 32 bits before the right shift (see `_advance`),
+    so it is not taus88 and its period is not established.
+    """
 
     def __init__(self, seed: int):
         s1 = _splitmix64(seed & _M64)
         s2 = _splitmix64(s1)
         s3 = _splitmix64(s2)
-        self.s1 = (s1 & 0xFFFFFFFF) | 16  # state minima avoid degenerate cycles
-        self.s2 = (s2 & 0xFFFFFFFF) | 16
-        self.s3 = (s3 & 0xFFFFFFFF) | 16
+        # state minima avoid degenerate cycles
+        self.state = [(s & _U32) | 16 for s in (s1, s2, s3)]
         self._spare = None
         for _ in range(6):
             self.next_u32()
 
     def next_u32(self) -> int:
-        s1, s2, s3 = self.s1, self.s2, self.s3
-        s1 = (((s1 & 0xFFFFFFFE) << 12) ^ (((s1 << 13) ^ s1) >> 19)) & 0xFFFFFFFF
-        s2 = (((s2 & 0xFFFFFFF8) << 4) ^ (((s2 << 2) ^ s2) >> 25)) & 0xFFFFFFFF
-        s3 = (((s3 & 0xFFFFFFF0) << 17) ^ (((s3 << 3) ^ s3) >> 11)) & 0xFFFFFFFF
-        self.s1, self.s2, self.s3 = s1, s2, s3
+        self.state = s1, s2, s3 = _advance(self.state, _KEEP, _U32)
         return s1 ^ s2 ^ s3
 
     def uniform(self) -> float:
@@ -77,6 +106,80 @@ class Taus88:
         return r * math.cos(theta)
 
 
+def _pack(values: Sequence[int]) -> int:
+    """One int holding each value in its own 64-bit lane, first value lowest."""
+    return int.from_bytes(array("Q", values), sys.byteorder)
+
+
+def _unpack(packed: int, lanes: int) -> list[int]:
+    return memoryview(packed.to_bytes(8 * lanes, sys.byteorder)).cast("Q").tolist()
+
+
+def _lane_masks(lanes: int) -> tuple[list[int], int]:
+    """`_KEEP` and the 32-bit mask, replicated into each of `lanes` lanes."""
+    ones = _pack([1] * lanes)
+    return [k * ones for k in _KEEP], _U32 * ones
+
+
+_JUMPS: dict[int, list[tuple[list[int], ...]]] = {}
+
+
+def _jump_tables(steps: int) -> list[tuple[list[int], ...]]:
+    """Per component, four byte tables of its `steps`-fold step.
+
+    The step is linear, so it maps a state to the XOR of the images of
+    its four bytes. Built on first use and kept; evaluation threads that
+    race here build equal tables.
+    """
+    tables = _JUMPS.get(steps)
+    if tables is None:
+        # the 32 unit vectors step together, one per lane
+        keep, low = _lane_masks(32)
+        states = [_pack([1 << j for j in range(32)])] * 3
+        for _ in range(steps):
+            states = _advance(states, keep, low)
+        tables = []
+        for packed in states:
+            images = _unpack(packed, 32)
+            per_byte = []
+            for q in range(0, 32, 8):
+                table = [0]
+                for image in images[q : q + 8]:
+                    table += [x ^ image for x in table]
+                per_byte.append(table)
+            tables.append(tuple(per_byte))
+        _JUMPS[steps] = tables
+    return tables
+
+
+def _draws(seed: int, nb_iteration: int, nb_euler: int) -> Iterator[list[int]]:
+    """For k = 1 to nb_euler, every path's k-th u32 draw, in path order.
+
+    Path i reads draws i*nb_euler + 1 to (i+1)*nb_euler of the single
+    `Taus88(seed)` stream. A jump of nb_euler steps gives each path its
+    start, and the paths then advance together, one per lane.
+    """
+    states = []
+    for s, (t0, t1, t2, t3) in zip(Taus88(seed).state, _jump_tables(nb_euler)):
+        starts = [s]
+        for _ in range(nb_iteration - 1):
+            s = t0[s & 255] ^ t1[s >> 8 & 255] ^ t2[s >> 16 & 255] ^ t3[s >> 24]
+            starts.append(s)
+        states.append(_pack(starts))
+    keep, low = _lane_masks(nb_iteration)
+    for _ in range(nb_euler):
+        states = s1, s2, s3 = _advance(states, keep, low)
+        yield _unpack(s1 ^ s2 ^ s3, nb_iteration)
+
+
+def _clamp(values: list, limit: float) -> tuple[list, int]:
+    """`values` saturated at +-limit, and how many saturated."""
+    if max(values) <= limit and min(values) >= -limit:
+        return values, 0
+    clamped = [limit if v > limit else -limit if v < -limit else v for v in values]
+    return clamped, sum(v != c for v, c in zip(values, clamped))
+
+
 @dataclass(frozen=True)
 class BsModelParams:
     """Constants of the underlying stochastic model (fixture values)."""
@@ -87,6 +190,8 @@ class BsModelParams:
     T: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.S0, self.mu, self.sigma, self.T))):
+            raise ConfigError(f"model parameters must be finite, got {self}")
         if self.S0 < 0:
             raise ConfigError("S0 must be nonnegative")
         if self.sigma < 0:
@@ -155,60 +260,53 @@ class EulerResult:
 def euler_estimate(cfg: BsConfig) -> EulerResult:
     """Quantized mean over nb_iteration independent Euler paths.
 
-    Saturation events are counted, not fatal. Paths run sequentially
-    off one generator stream; the mean uses compensated summation so
-    the result does not depend on how callers parallelize points.
+    Saturation events are counted, not fatal. Path i reads the i-th
+    block of nb_euler draws of one generator stream, so the paths can
+    advance together; the mean sums them in path order with compensated
+    summation, so the result does not depend on how callers
+    parallelize points.
     """
     m = cfg.model
     dt = m.T / cfg.nb_euler
     drift = (m.mu - 0.5 * m.sigma * m.sigma) * dt
     vol = m.sigma * math.sqrt(dt)
-    rng = Taus88(cfg.seed)
-    gauss = rng.gauss
     floor = math.floor
+    sqrt, log, cos, sin = math.sqrt, math.log, math.cos, math.sin
+    two_pi = 2.0 * math.pi
 
     scale = float(1 << cfg.precision)
     inv = 1.0 / scale
     limit = float((1 << (cfg.dynamic + cfg.precision)) - 1)
-    saturations = 0
     one_plus_drift = 1.0 + drift
+    (s0_scaled,), saturations = _clamp([floor(m.S0 * scale + 0.5)], limit)
 
-    s0_scaled = floor(m.S0 * scale + 0.5)
-    if s0_scaled > limit:
-        s0_scaled = limit
-        saturations += 1
-    elif s0_scaled < -limit:
-        s0_scaled = -limit
-        saturations += 1
-    s0_q = s0_scaled * inv
+    # The paths advance together: step k of every path reads column k of
+    # the draws. A path keeps its scaled integer ss, not s = ss * inv:
+    # scaling by a power of two is exact at these magnitudes, so
+    # floor(s * q * scale + 0.5) is floor(ss * q + 0.5), and a step q is
+    # clamped at limit * inv exactly when its integer is at limit. Every
+    # uniform is at least 2^-33, so |z| < 6.8 and, as dynamic >= 8, the
+    # quantized z never saturates.
+    limit_q = limit * inv
+    paths = [s0_scaled] * cfg.nb_iteration
+    draws = _draws(cfg.seed, cfg.nb_iteration, cfg.nb_euler)
+    # Box-Muller, as Taus88.gauss: the cosine, then the sine
+    for u1s, u2s in zip(draws, draws):
+        rs = [sqrt(-2.0 * log((u + 0.5) * 2.0**-32)) for u in u1s]
+        thetas = [two_pi * ((u + 0.5) * 2.0**-32) for u in u2s]
+        for trig in (cos, sin):
+            steps = [
+                floor((one_plus_drift + vol * (floor(r * t * scale + 0.5) * inv)) * scale + 0.5) * inv
+                for r, t in zip(rs, map(trig, thetas))
+            ]
+            steps, n = _clamp(steps, limit_q)
+            paths, n_paths = _clamp([floor(ss * q + 0.5) for ss, q in zip(paths, steps)], limit)
+            saturations += n + n_paths
 
     total = 0.0
     comp = 0.0
-    for _ in range(cfg.nb_iteration):
-        s = s0_q
-        for _ in range(cfg.nb_euler):
-            zs = floor(gauss() * scale + 0.5)
-            if zs > limit:
-                zs = limit
-                saturations += 1
-            elif zs < -limit:
-                zs = -limit
-                saturations += 1
-            ms = floor((one_plus_drift + vol * (zs * inv)) * scale + 0.5)
-            if ms > limit:
-                ms = limit
-                saturations += 1
-            elif ms < -limit:
-                ms = -limit
-                saturations += 1
-            ss = floor(s * (ms * inv) * scale + 0.5)
-            if ss > limit:
-                ss = limit
-                saturations += 1
-            elif ss < -limit:
-                ss = -limit
-                saturations += 1
-            s = ss * inv
+    for ss in paths:
+        s = ss * inv
         # Kahan step keeps the mean independent of summation grouping
         y = s - comp
         t = total + y

@@ -10,6 +10,7 @@ which only dimension reduction makes, has no file form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -53,10 +54,27 @@ def _load_yaml(path: Path) -> dict:
     return data
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _integer(value, what: str) -> int:
     """``value`` when it is an integer; bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float when it is a finite number; bools and strings are refused."""
+    # False for NaN, inf and ints too large for a float
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX:
+        return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
 
 
@@ -124,6 +142,7 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
         raise ConfigError("each evaluator needs 'name' and 'kind'")
     name = str(entry["name"])
     kind = str(entry["kind"])
+    where = f"evaluator {name!r}"
     if kind == "expr":
         return expr_evaluator(name, str(entry["produces"]), str(entry["expr"]))
     if kind == "model":
@@ -141,20 +160,27 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
             argv=tuple(str(a) for a in entry["argv"]),
             produces=tuple(entry["produces"]),
             env={str(k): str(v) for k, v in dict(entry.get("env", {})).items()},
-            timeout_s=float(entry["timeout_s"]) if "timeout_s" in entry else None,
+            timeout_s=_number(entry["timeout_s"], f"{where}: 'timeout_s'")
+            if "timeout_s" in entry
+            else None,
         )
         return external_command(name, spec)
     if kind == "blackscholes_qos":
-        params = dict(entry.get("model", {}))
-        model = BsModelParams(
-            S0=float(params.get("S0", 100.0)),
-            mu=float(params.get("mu", 0.05)),
-            sigma=float(params.get("sigma", 0.2)),
-            T=float(params.get("T", 1.0)),
-        )
+        params = entry.get("model", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"{where}: 'model' must be a mapping, got {params!r}")
+        values = {
+            key: _number(params.get(key, default), f"{where}: 'model.{key}'")
+            for key, default in (("S0", 100.0), ("mu", 0.05), ("sigma", 0.2), ("T", 1.0))
+        }
+        try:
+            model = BsModelParams(**values)
+        except ConfigError as err:
+            raise ConfigError(f"{where}: {err}") from None
         return qos_evaluator(model, global_seed, name=name)
     if kind == "latency":
-        return latency_evaluator(int(entry.get("overhead", 0)), name=name)
+        overhead = _integer(entry.get("overhead", 0), f"{where}: 'overhead'")
+        return latency_evaluator(overhead, name=name)
     raise ConfigError(f"unknown evaluator kind {kind!r}")
 
 
@@ -216,7 +242,7 @@ def _build_step(entry: Mapping, registry: Mapping[str, Evaluator]) -> Step:
             exhaustive_sort(
                 str(entry["key"]),
                 evaluator=ev,
-                ascending=bool(entry.get("ascending", True)),
+                ascending=_boolean(entry.get("ascending", True), "sort: 'ascending'"),
                 name=label or "sort",
             )
         )
@@ -240,7 +266,7 @@ def _build_step(entry: Mapping, registry: Mapping[str, Evaluator]) -> Step:
             gradient_sort(
                 evs,
                 str(entry["objective"]),
-                maximize=bool(entry.get("maximize", True)),
+                maximize=_boolean(entry.get("maximize", True), "gradient: 'maximize'"),
                 name=label or "gradient",
             )
         )

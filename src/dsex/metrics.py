@@ -16,6 +16,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -106,7 +107,7 @@ class FailPolicy:
     def __post_init__(self):
         if not isinstance(self.worst, Mapping) or not all(
             isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v)
+            and abs(v) <= sys.float_info.max
             for k, v in self.worst.items()
         ):
             raise ConfigError(

@@ -1,5 +1,8 @@
 import math
+import random
 import statistics
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,9 @@ from dsex.blackscholes import (
     BsConfig,
     BsModelParams,
     DEFAULT_MODEL,
+    EulerResult,
     Taus88,
+    _draws,
     closed_form,
     euler_estimate,
     euler_estimate_unquantized,
@@ -19,6 +24,8 @@ from dsex.blackscholes import (
     qos_evaluator,
     quantize,
 )
+
+from conftest import subprocess_env
 
 # recorded once from this implementation; the statistical window below
 # keeps it honest against the analytic expectation
@@ -41,6 +48,12 @@ class TestClosedForm:
             BsModelParams(100.0, 0.0, -0.1, 1.0)
         with pytest.raises(ConfigError):
             BsModelParams(100.0, 0.0, 0.1, 0.0)
+
+    @pytest.mark.parametrize("field", ["S0", "mu", "sigma", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_params(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            BsModelParams(**{field: value})
 
 
 class TestQuantize:
@@ -142,6 +155,105 @@ class TestGenerator:
     def test_mix_seed_is_order_sensitive(self):
         assert mix_seed((1, 2), 0) != mix_seed((2, 1), 0)
         assert mix_seed((1, 2), 0) != mix_seed((1, 2), 1)
+
+
+def sequential_estimate(cfg):
+    """Reference kernel: the paths one after another, each draw through
+    Taus88.gauss, with every clamp and float operation spelled out."""
+    m = cfg.model
+    dt = m.T / cfg.nb_euler
+    drift = (m.mu - 0.5 * m.sigma * m.sigma) * dt
+    vol = m.sigma * math.sqrt(dt)
+    rng = Taus88(cfg.seed)
+    scale = float(1 << cfg.precision)
+    inv = 1.0 / scale
+    limit = float((1 << (cfg.dynamic + cfg.precision)) - 1)
+    saturations = 0
+
+    def clamp(scaled):
+        nonlocal saturations
+        if scaled > limit:
+            saturations += 1
+            return limit
+        if scaled < -limit:
+            saturations += 1
+            return -limit
+        return scaled
+
+    s0_q = clamp(math.floor(m.S0 * scale + 0.5)) * inv
+    total = 0.0
+    comp = 0.0
+    for _ in range(cfg.nb_iteration):
+        s = s0_q
+        for _ in range(cfg.nb_euler):
+            zs = clamp(math.floor(rng.gauss() * scale + 0.5))
+            ms = clamp(math.floor((1.0 + drift + vol * (zs * inv)) * scale + 0.5))
+            s = clamp(math.floor(s * (ms * inv) * scale + 0.5)) * inv
+        y = s - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    estimate, sat = quantize(total / cfg.nb_iteration, cfg.dynamic, cfg.precision)
+    return EulerResult(estimate, saturations + sat)
+
+
+NB_EULER = (2, 4, 8, 16, 32, 64)
+
+
+def oracle_configs():
+    rnd = random.Random(2024)
+    for nb_euler in NB_EULER:
+        for nb_iteration in (32, 1024):
+            yield BsConfig(
+                rnd.randint(8, 32), rnd.randint(8, 32), nb_iteration, nb_euler, 4,
+                DEFAULT_MODEL, rnd.getrandbits(64),
+            )
+    # coarse precision, where rounding ties are frequent
+    for nb_euler in (2, 64):
+        yield BsConfig(16, 8, 256, nb_euler, 4, DEFAULT_MODEL, rnd.getrandbits(64))
+    # near the top of an 8-bit dynamic range, under strong drift or volatility
+    for model in (
+        BsModelParams(250.0, 0.5, 0.0, 1.0),
+        BsModelParams(250.0, 1.0, 0.5, 2.0),
+        BsModelParams(200.0, 0.0, 30.0, 1.0),
+    ):
+        for nb_euler in (2, 16, 64):
+            yield BsConfig(8, rnd.randint(8, 16), 32, nb_euler, 4, model, rnd.getrandbits(64))
+
+
+class TestKernelOracle:
+    """The lane kernel against the sequential reference, result for result."""
+
+    def test_matches_sequential_reference(self):
+        saturations = 0
+        for cfg in oracle_configs():
+            got = euler_estimate(cfg)
+            assert got == sequential_estimate(cfg), cfg
+            saturations += got.saturations
+        assert saturations > 0
+
+    @pytest.mark.parametrize("nb_euler", NB_EULER)
+    def test_lanes_jump_to_their_path_start(self, nb_euler):
+        rng = Taus88(31)
+        stream = [rng.next_u32() for _ in range(64 * nb_euler)]
+        columns = list(_draws(31, 64, nb_euler))
+        assert len(columns) == nb_euler
+        for i in range(64):
+            # lane i's first draw is the stream's (i * nb_euler + 1)-th
+            assert columns[0][i] == stream[i * nb_euler]
+            assert [c[i] for c in columns] == stream[i * nb_euler : (i + 1) * nb_euler]
+
+    def test_jump_tables_are_built_on_first_use(self):
+        code = (
+            "from dsex import blackscholes as b\n"
+            "assert not b._JUMPS\n"
+            "b.euler_estimate(b.BsConfig(8, 8, 32, 4))\n"
+            "assert list(b._JUMPS) == [4]\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def bs_space():

@@ -259,8 +259,23 @@ class TestMalformedRunFiles:
             ("seed: true\n", "", "", "'seed'"),
             ("", "parallelism: two\n", "", "'parallelism'"),
             ("", "", "  - {name: m, kind: model, model: missing.json}\n", "missing.json"),
+            # numeric registry values: strings, bools and non-finite numbers
+            ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: abc}\n",
+             "'c': 'timeout_s'"),
+            ("", "", "  - {name: lat, kind: latency, overhead: x}\n", "'lat': 'overhead'"),
+            ("", "", "  - {name: q, kind: blackscholes_qos, model: {S0: .nan}}\n",
+             "'q': 'model.S0'"),
+            ("", "", "  - {name: q, kind: blackscholes_qos, model: {mu: '0.1'}}\n",
+             "'q': 'model.mu'"),
+            ("", "", "  - {name: q, kind: blackscholes_qos, model: {sigma: true}}\n",
+             "'q': 'model.sigma'"),
+            ("", "", "  - {name: q, kind: blackscholes_qos, model: {T: .inf}}\n",
+             "'q': 'model.T'"),
+            ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: 1%s}\n"
+             % ("0" * 400), "'c': 'timeout_s'"),
         ],
-        ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file"],
+        ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file",
+             "timeout_s", "overhead", "S0", "mu", "sigma", "T", "huge-timeout_s"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, manifest, pipeline, registry, named):
         from dsex.cli import main
@@ -274,6 +289,7 @@ class TestMalformedRunFiles:
         )
         assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

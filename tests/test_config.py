@@ -175,6 +175,15 @@ class TestPipelineFormat:
         ]
         assert pipeline.parallelism == 3
 
+    @pytest.mark.parametrize(
+        "step", ["sort, key: a, ascending: 'false'", "gradient, objective: a, maximize: 0"]
+    )
+    def test_directions_must_be_booleans(self, tmp_path, step):
+        pipe = tmp_path / "pipe.yaml"
+        pipe.write_text(f"steps:\n  - {{step: {step}}}\n")
+        with pytest.raises(ConfigError, match="must be true or false"):
+            load_pipeline(pipe, {})
+
     def test_unknown_step_kind(self, tmp_path):
         pipe = tmp_path / "pipe.yaml"
         pipe.write_text("steps:\n  - {step: teleport}\n")
@@ -221,7 +230,9 @@ class TestPipelineFormat:
         frame = run_pipeline(pipeline, space, Cache())
         assert len(frame) == 2
 
-    @pytest.mark.parametrize("value", ['"abc"', ".inf", ".nan"])
+    @pytest.mark.parametrize(
+        "value", ['"abc"', ".inf", ".nan", pytest.param("1" + "0" * 400, id="huge")]
+    )
     @pytest.mark.parametrize(
         "template",
         [
