@@ -128,16 +128,13 @@ def cmd_run(args) -> int:
         frame = run_pipeline(
             pipeline, space, Cache(), info={"seed": manifest.seed}
         )
-    except PipelineAborted as err:
+    except DsexError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.provenance is not None:
             (out_dir / "provenance.json").write_text(
                 json.dumps(err.provenance.to_dict(), indent=2) + "\n"
             )
-        return 1
-    except DsexError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, PipelineAborted) else 2
 
     frame.to_csv(out_dir / "frame.csv")
     frame.to_jsonl(out_dir / "frame.jsonl")

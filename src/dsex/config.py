@@ -4,8 +4,8 @@ and run manifests.
 All files are YAML key-value trees. Paths inside a file resolve
 relative to that file's directory, so pipeline bundles stay
 relocatable. Schema files round-trip losslessly through
-``schema_to_dict`` / ``schema_from_dict``; a schema with frozen params,
-which only dimension reduction makes, has no file form.
+``schema_to_dict`` / ``schema_from_dict``; a schema with frozen params
+or metric names, which only steps make, has no file form.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ def _number(value, what: str) -> float:
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
+def _positive(value, what: str) -> float:
+    number = _number(value, what)
+    if number <= 0:
+        raise ConfigError(f"{what} must be positive, got {value!r}")
+    return number
+
+
 def _boolean(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
@@ -111,9 +118,9 @@ def schema_from_dict(data: Mapping) -> Schema:
 
 
 def schema_to_dict(schema: Schema) -> dict:
-    if schema.frozen:
-        frozen = [m.name for m in schema.frozen]
-        raise ConfigError(f"a schema with frozen params {frozen} has no file form")
+    if schema.frozen or schema.metrics:
+        names = [m.name for m in schema.frozen] + list(schema.metrics)
+        raise ConfigError(f"a schema with frozen params or metrics {names} has no file form")
     params = []
     for p in schema.params:
         if isinstance(p.domain, Linear):
@@ -160,7 +167,7 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
             argv=tuple(str(a) for a in entry["argv"]),
             produces=tuple(entry["produces"]),
             env={str(k): str(v) for k, v in dict(entry.get("env", {})).items()},
-            timeout_s=_number(entry["timeout_s"], f"{where}: 'timeout_s'")
+            timeout_s=_positive(entry["timeout_s"], f"{where}: 'timeout_s'")
             if "timeout_s" in entry
             else None,
         )
@@ -169,9 +176,13 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
         params = entry.get("model", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{where}: 'model' must be a mapping, got {params!r}")
+        defaults = {"S0": 100.0, "mu": 0.05, "sigma": 0.2, "T": 1.0}
+        unknown = [key for key in params if key not in defaults]
+        if unknown:
+            raise ConfigError(f"{where}: unknown 'model' keys {unknown} (known: {list(defaults)})")
         values = {
             key: _number(params.get(key, default), f"{where}: 'model.{key}'")
-            for key, default in (("S0", 100.0), ("mu", 0.05), ("sigma", 0.2), ("T", 1.0))
+            for key, default in defaults.items()
         }
         try:
             model = BsModelParams(**values)

@@ -6,7 +6,13 @@ from enum import Enum
 
 
 class DsexError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``provenance`` holds the per-step reports of a pipeline run when the
+    error ended it, the failing step's included; otherwise None.
+    """
+
+    provenance = None
 
 
 class SchemaError(DsexError):
@@ -38,7 +44,7 @@ class ExprSyntaxError(DsexError):
 
 
 class MetricCollision(DsexError):
-    """A produced metric name is already present on a point."""
+    """A produced metric name is already a name of the schema."""
 
 
 class ConfigError(DsexError):
@@ -93,7 +99,7 @@ class EvalError(DsexError):
 class PipelineAborted(DsexError):
     """A pipeline step failed under the abort policy.
 
-    ``provenance`` holds the per-step reports collected before the failure.
+    ``provenance`` holds the per-step reports up to the failing step.
     """
 
     def __init__(self, step: str, cause: EvalError, provenance=None):

@@ -1,7 +1,7 @@
 """Result frames: the tabular outcome of an exploration run.
 
 A frame has one row per surviving point, with raw parameter values,
-the schema's frozen params, accumulated metrics and a degradation flag, plus
+the schema's frozen params, its metrics and a degradation flag, plus
 per-step provenance. Machine exports (CSV, line-delimited JSON) keep
 full shortest-round-trip precision; human tables render values
 truncated to 2 decimals.
@@ -66,24 +66,6 @@ class Provenance:
         }
 
 
-def _merge_metric_order(points) -> list[str]:
-    """Merge per-point metric sequences into one column order.
-
-    Per-point sequences follow production order; a name absent from
-    earlier points is inserted right after its in-point predecessor.
-    """
-    order: list[str] = []
-    for p in points:
-        prev = -1
-        for name in p.metric_names():
-            if name in order:
-                prev = order.index(name)
-            else:
-                order.insert(prev + 1, name)
-                prev += 1
-    return order
-
-
 @dataclass(frozen=True)
 class ResultFrame:
     """Ordered rows of raw values; None marks a metric absent on a row."""
@@ -130,22 +112,21 @@ def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> Res
     """Tabulate a design space into a result frame.
 
     Column order: parameters in schema order, frozen params in demotion
-    order, metrics in accumulation order, then the degradation flag.
+    order, the schema's metric names in production order, then the
+    degradation flag. A metric column exists even when no row holds a
+    value for it; a point's None leaves its cell empty.
     """
-    param_cols = space.schema.names
-    frozen_cols = tuple(m.name for m in space.schema.frozen)
-    frozen_values = [m.value for m in space.schema.frozen]
-    metric_cols = tuple(_merge_metric_order(space.points))
-
+    schema = space.schema
+    frozen_cols = tuple(m.name for m in schema.frozen)
+    frozen_values = [m.value for m in schema.frozen]
     rows = []
     for p in space.points:
         row: list[float | None] = [float(v) for v in space.raw_values(p)]
         row.extend(frozen_values)
-        by_name = {m.name: m.value for m in p.metrics}
-        row.extend(by_name.get(c) for c in metric_cols)
+        row.extend(p.metrics)
         row.append(1.0 if p.degraded else 0.0)
         rows.append(tuple(row))
-    return ResultFrame(param_cols, frozen_cols, metric_cols, tuple(rows), provenance)
+    return ResultFrame(schema.names, frozen_cols, schema.metrics, tuple(rows), provenance)
 
 
 def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:

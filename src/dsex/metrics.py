@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision
 from .expr import MetricExpr, parse_expr
-from .space import DesignSpace, NamedMetric, Point, Schema, _unchecked, check_name
+from .space import DesignSpace, Point, Schema, _unchecked, check_name
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,11 @@ class PointView:
     """A point bound to its schema, as seen by an evaluator.
 
     ``env`` maps every resolvable name to its value: parameters at raw
-    values, the schema's frozen params and the point's metrics at their
-    stored values.
+    values, the schema's frozen params and the point's metrics under the
+    schema's metric names. A metric the point holds None for is absent,
+    and so is every name past the values the point holds so far (an
+    evaluator chain sees the output schema with the values produced
+    before it).
     """
 
     schema: Schema
@@ -48,8 +51,9 @@ class PointView:
             env[spec.name] = float(spec.domain.values()[c])
         for m in self.schema.frozen:
             env[m.name] = m.value
-        for m in self.point.metrics:
-            env[m.name] = m.value
+        for name, value in zip(self.schema.metrics, self.point.metrics):
+            if value is not None:
+                env[name] = value
         return env
 
     @property
@@ -207,10 +211,11 @@ def enhance_point(
 ) -> Point | None:
     """Run a chain of evaluators over one point, applying the policy.
 
-    Returns the enhanced point, or None when the policy pruned it.
-    Under ABORT the EvalError propagates. Nothing is re-checked here:
-    ``Evaluator`` checked the produced names, ``Cache.run`` or ``FailPolicy``
-    the values, and the caller rules out clashes (``check_no_collision``).
+    ``schema`` is the output schema ``check_no_collision`` returns: the
+    point's schema with the chain's produced names appended. Returns the
+    point with the produced values appended, or None when the policy
+    pruned it. Under ABORT the EvalError propagates. Nothing is
+    re-checked here: ``Cache.run`` or ``FailPolicy`` checked the values.
     """
     current = point
     for ev in evaluators:
@@ -223,8 +228,8 @@ def enhance_point(
             if policy.mode is FailMode.ABORT:
                 raise
             values, degraded = tuple(map(policy.worst_value, ev.produces)), True
-        current = current.with_metrics(
-            [_unchecked(NamedMetric, n, v) for n, v in zip(ev.produces, values)], degraded
+        current = _unchecked(
+            Point, current.coords, current.metrics + values, current.degraded or degraded
         )
     return current
 
@@ -270,17 +275,14 @@ def enhance_points(
     return results
 
 
-def check_no_collision(space: DesignSpace, evaluators: Sequence[Evaluator]) -> None:
-    produced = {n for ev in evaluators for n in ev.produces}
-    clash = produced & {*space.schema.names, *(m.name for m in space.schema.frozen)}
+def check_no_collision(schema: Schema, evaluators: Sequence[Evaluator]) -> Schema:
+    """The output schema of running ``evaluators`` on a space of ``schema``:
+    its metric names extended by the produced ones, which must be new."""
+    produced = tuple(n for ev in evaluators for n in ev.produces)
+    clash = set(produced) & {*schema.names, *(m.name for m in schema.frozen), *schema.metrics}
     if clash:
-        raise MetricCollision(f"produced names collide with parameters: {sorted(clash)}")
-    for p in space.points:
-        clash = produced & {m.name for m in p.metrics}
-        if clash:
-            raise MetricCollision(
-                f"produced names already present on point {p.coords}: {sorted(clash)}"
-            )
+        raise MetricCollision(f"produced names already in the schema: {sorted(clash)}")
+    return Schema(schema.params, schema.frozen, schema.metrics + produced)
 
 
 def apply_transform(
@@ -295,11 +297,9 @@ def apply_transform(
     Point order is unchanged; failures are handled per the policy
     (pruned points are dropped, never reordered).
     """
-    check_no_collision(space, [evaluator])
-    results = enhance_points(
-        space.points, space.schema, [evaluator], cache, policy, parallelism
-    )
-    return space.derive(p for p in results if p is not None)
+    schema = check_no_collision(space.schema, [evaluator])
+    results = enhance_points(space.points, schema, [evaluator], cache, policy, parallelism)
+    return space.derive((p for p in results if p is not None), schema)
 
 
 def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Evaluator:

@@ -45,6 +45,10 @@ def _unchecked(cls, *values):
     return obj
 
 
+def _is_metric_value(value) -> bool:
+    return value is None or (isinstance(value, float) and math.isfinite(value))
+
+
 def _check_ints(kind: str, *values) -> None:
     if not all(type(v) is int for v in values):
         raise SchemaError(f"{kind} domain takes integers, got {values!r}")
@@ -156,22 +160,31 @@ class ParamSpec:
 
 @dataclass(frozen=True)
 class Schema:
-    """Ordered list of parameter specs, plus the parameters frozen out.
+    """Ordered parameter specs, the parameters frozen out, and the metric names.
 
     Order is significant: it fixes coordinate order in points and the
     axes of the index grid. ``frozen`` holds the parameters dimension
     reduction removed, at their raw value, for every point of a space.
+    ``metrics`` names the metric columns every point of a space holds
+    values for, in production order.
     """
 
     params: tuple[ParamSpec, ...]
     frozen: tuple[NamedMetric, ...] = ()
+    metrics: tuple[str, ...] = ()
 
-    def __init__(self, params: Iterable[ParamSpec], frozen: Iterable[NamedMetric] = ()):
+    def __init__(
+        self,
+        params: Iterable[ParamSpec],
+        frozen: Iterable[NamedMetric] = (),
+        metrics: Iterable[str] = (),
+    ):
         object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "frozen", tuple(frozen))
-        names = [p.name for p in self.params] + [m.name for m in self.frozen]
+        object.__setattr__(self, "metrics", tuple(map(check_name, metrics)))
+        names = [p.name for p in self.params] + [m.name for m in self.frozen] + list(self.metrics)
         if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate parameter names in schema: {names}")
+            raise SchemaError(f"duplicate names in schema: {names}")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -199,29 +212,19 @@ class Point:
 
     ``coords`` are indices into each schema parameter's enumeration (in
     schema order), not raw values; they are the point's identity inside
-    a space. ``metrics`` accumulate in production order. ``degraded``
-    marks points whose metrics were substituted by a worst-value policy.
-    ``with_metrics`` skips the constructor's name-collision check.
+    a space. ``metrics`` holds one value per name in the schema's
+    ``metrics``, aligned with them, or None where the point was never
+    evaluated. ``degraded`` marks points whose metrics were substituted
+    by a worst-value policy.
     """
 
     coords: tuple[int, ...]
-    metrics: tuple[NamedMetric, ...] = ()
+    metrics: tuple[float | None, ...] = ()
     degraded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        names = [m.name for m in self.metrics]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate metric names: {names}")
-
-    def metric_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.metrics)
-
-    def with_metrics(self, extra: Iterable[NamedMetric], degraded: bool = False) -> "Point":
-        """Unchecked: steps rule out clashes (``check_no_collision``, ``_chain``)."""
-        metrics = self.metrics + tuple(extra)
-        return _unchecked(Point, self.coords, metrics, self.degraded or degraded)
 
 
 class Norm(Enum):
@@ -258,8 +261,8 @@ class DesignSpace:
     Order is significant: strategies may sort, and the head of the
     space is the hill-climbing start. No two points may share coords.
     The constructor checks every point against the schema (coords arity
-    and range, metric names against parameter and frozen names,
-    duplicate coords); ``derive`` does not.
+    and range, one finite float or None per metric name, duplicate
+    coords); ``derive`` does not.
     """
 
     schema: Schema
@@ -269,7 +272,7 @@ class DesignSpace:
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "points", tuple(points))
         cards = schema.cardinalities
-        names = {*schema.names, *(m.name for m in schema.frozen)}
+        arity = len(schema.metrics)
         for p in self.points:
             if len(p.coords) != len(schema):
                 raise SchemaError(
@@ -278,19 +281,22 @@ class DesignSpace:
             for k, c in enumerate(p.coords):
                 if not 0 <= c < cards[k]:
                     raise SchemaError(f"coordinate {c} out of range for axis {k}")
-            for m in p.metrics:
-                if m.name in names:
-                    raise SchemaError(f"point metric {m.name!r} collides with a parameter name")
+            if len(p.metrics) != arity or not all(map(_is_metric_value, p.metrics)):
+                raise SchemaError(
+                    f"point {p.coords} metrics {p.metrics!r} do not fit {schema.metrics}"
+                )
         if len({p.coords for p in self.points}) != len(self.points):
             raise SchemaError("two points share their coords")
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def derive(self, points: Iterable[Point]) -> "DesignSpace":
-        """This schema with ``points``, unchecked: each a distinct point of
-        this space, its added metric names cleared by ``check_no_collision``."""
-        return _unchecked(DesignSpace, self.schema, tuple(points))
+    def derive(self, points: Iterable[Point], schema: Schema | None = None) -> "DesignSpace":
+        """``points`` on this space's schema, or on ``schema`` when a step
+        adds metric names (``check_no_collision`` returns it), unchecked:
+        each a distinct point of this space holding one value or None
+        per metric name."""
+        return _unchecked(DesignSpace, self.schema if schema is None else schema, tuple(points))
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
@@ -371,7 +377,7 @@ def build_space(schema: Schema) -> DesignSpace:
     """Materialize the full Cartesian product of a schema.
 
     Points are enumerated in row-major order of the schema (the last
-    parameter varies fastest), with empty metrics.
+    parameter varies fastest). The schema names no metric yet.
     """
     ranges = [range(c) for c in schema.cardinalities]
     points = (Point(coords) for coords in itertools.product(*ranges))
@@ -385,9 +391,10 @@ def concern_image(
 
     Returns the projected schema and a function mapping coords of
     ``schema`` to the coords of their image. The projected schema keeps
-    the parameters carrying ``concern``, in schema order, and freezes
-    every removed one, after ``schema``'s own frozen params, at its
-    domain's minimum raw value (maximum when ``project_to_min`` is false).
+    the parameters carrying ``concern``, in schema order, freezes every
+    removed one, after ``schema``'s own frozen params, at its domain's
+    minimum raw value (maximum when ``project_to_min`` is false), and
+    keeps ``schema``'s metric names.
     """
     keep = tuple(i for i, p in enumerate(schema.params) if concern in p.concerns)
     if not keep:
@@ -403,7 +410,7 @@ def concern_image(
     def image(coords: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(coords[i] for i in keep)
 
-    return Schema((schema.params[i] for i in keep), frozen), image
+    return Schema((schema.params[i] for i in keep), frozen, schema.metrics), image
 
 
 def project_space(space: DesignSpace, concern: str, project_to_min: bool = True) -> DesignSpace:

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     ConfigError,
+    DsexError,
     EmptySpaceError,
     EvalError,
     PipelineAborted,
@@ -39,6 +40,7 @@ from .metrics import (
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
+from .space import _unchecked
 
 log = logging.getLogger(__name__)
 
@@ -241,13 +243,13 @@ def gradient_sort(
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if not space.points:
             raise EmptySpaceError("gradient sort requires a nonempty space")
-        check_no_collision(space, evaluators)
-        probe, memo = _prober(space.schema, evaluators, objective_expr, ctx, name)
+        schema = check_no_collision(space.schema, evaluators)
+        probe, memo = _prober(schema, evaluators, objective_expr, ctx, name)
 
         current = next((p for p in space.points if probe([p])[0] is not None), None)
         if current is None:
             ctx.extra.update({"moves": 0, "evaluated": len(memo)})
-            return space.derive(())
+            return space.derive((), schema)
 
         moves, cost = 0, memo[current.coords][1]
         while True:
@@ -264,7 +266,7 @@ def gradient_sort(
         survivors = [entry for entry in memo.values() if entry is not None]
         survivors.sort(key=itemgetter(1), reverse=maximize)
         ctx.extra.update({"moves": moves, "evaluated": len(survivors)})
-        return space.derive(p for p, _ in survivors)
+        return space.derive((p for p, _ in survivors), schema)
 
     return Step(name, "gradient", apply_fn)
 
@@ -303,20 +305,20 @@ def quick_prune(
     evaluators = _chain(evaluators)
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
-        check_no_collision(space, evaluators)
+        schema = check_no_collision(space.schema, evaluators)
 
         if concern is not None:
             work = project_space(space, concern, True)
-            image = concern_image(space.schema, concern, True)[1]
+            work_schema, image = concern_image(schema, concern, True)
         else:
-            work, image = space, lambda coords: coords
+            work, work_schema, image = space, schema, lambda coords: coords
         diag = work.diagonal()  # also enforces the full-grid precondition
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
             # region, so the first kept diagonal point sits near it
             diag = list(reversed(diag))
 
-        probe, memo = _prober(work.schema, evaluators, keep_expr, ctx, name)
+        probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
         rings: dict[tuple, list[Point]] = {}
 
         def ring(point: Point) -> list[Point]:
@@ -366,16 +368,20 @@ def quick_prune(
         # back to the input space through each point's image on the work
         # grid, less every image probed and seen to fail or pruned. Only
         # a point whose image was probed gets the metrics produced there;
-        # interior points were never evaluated, which is what the step saves.
+        # interior points were never evaluated, which is what the step
+        # saves, and hold None for them.
         closed = work.dominance_closure(reached, side)
+        known = len(space.schema.metrics)
+        unprobed = (None,) * (len(schema.metrics) - known)
         out = []
         for p in space.points:
             coords = image(p.coords)
             entry = memo.get(coords)
             if coords in closed and (entry[1] if entry else coords not in memo):
-                out.append(p if entry is None else p.with_metrics(
-                    entry[0].metrics[len(p.metrics):], entry[0].degraded))
-        return space.derive(out)
+                enh = entry and entry[0]
+                tail, degraded = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)
+                out.append(_unchecked(Point, p.coords, p.metrics + tail, p.degraded or degraded))
+        return space.derive(out, schema)
 
     return Step(name, "quick_prune", apply_fn)
 
@@ -389,8 +395,10 @@ def run_pipeline(
     """Thread a space through the pipeline's steps and tabulate the result.
 
     Steps execute strictly in listed order. Per-step provenance records
-    evaluator invocations (cache misses), cache hits and wall time; on
-    an abort the partial provenance travels with the raised error.
+    evaluator invocations (cache misses), cache hits and wall time. When
+    a step fails, the partial provenance, with that step's report and
+    error, travels with the raised error: an EvalError is wrapped in
+    PipelineAborted, any other DsexError is raised as it is.
     """
     cache = cache if cache is not None else Cache()
     reports: list[StepReport] = []
@@ -413,7 +421,7 @@ def run_pipeline(
         nxt, error = None, None
         try:
             nxt = step.apply(current, ctx)
-        except EvalError as err:
+        except DsexError as err:
             error = err
             ctx.extra = {**ctx.extra, "error": str(err)}
         hits1, misses1 = cache.counters()
@@ -438,7 +446,10 @@ def run_pipeline(
                 report.cache_hits,
                 report.wall_time_s,
             )
-        if error is not None:
+        if isinstance(error, EvalError):
             raise PipelineAborted(step.name, error, provenance()) from error
+        if error is not None:
+            error.provenance = provenance()
+            raise error
         current = nxt
     return build_frame(current, provenance())

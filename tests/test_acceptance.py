@@ -383,6 +383,7 @@ def test_criterion_10_external_tool_protocol(dummy_schema, tmp_path):
     via_tool = apply_transform(
         space, external_command(model.name, spec), Cache(), parallelism=16
     )
+    assert via_tool.schema == direct.schema
     assert [p.metrics for p in via_tool.points] == [p.metrics for p in direct.points]
 
     # induced timeout handled per policy

@@ -149,6 +149,42 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert (tmp_path / "out" / "provenance.json").is_file()
 
+    @pytest.mark.parametrize(
+        "pipeline, named",
+        [
+            # the second map re-produces the first map's name
+            ("steps:\n  - {step: map, evaluator: e}\n  - {step: map, evaluator: again}\n",
+             "'m'"),
+            # a failure under assign_worst with no worst value configured
+            ("fail_policy: assign_worst\n"
+             "steps:\n  - {step: identity}\n  - {step: map, evaluator: inverse}\n",
+             "no worst value"),
+        ],
+        ids=["metric-collision", "missing-worst"],
+    )
+    def test_step_config_error_exits_2_with_provenance(self, tmp_path, capsys, pipeline, named):
+        from dsex.cli import main
+
+        (tmp_path / "pipeline.yaml").write_text(pipeline)
+        (tmp_path / "evaluators.yaml").write_text(
+            "evaluators:\n"
+            "  - {name: e, kind: expr, produces: m, expr: \"param1 + 1\"}\n"
+            "  - {name: again, kind: expr, produces: m, expr: \"param1 + 2\"}\n"
+            "  - {name: inverse, kind: expr, produces: m, expr: \"1 / param1\"}\n"
+        )
+        out = tmp_path / "out"
+        argv = ["run", "--schema", str(PIPELINES / "schemas" / "dummy.yaml"),
+                "--pipeline", str(tmp_path / "pipeline.yaml"),
+                "--evaluators", str(tmp_path / "evaluators.yaml"), "--out", str(out)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        steps = json.loads((out / "provenance.json").read_text())["steps"]
+        assert len(steps) == 2
+        assert steps[0]["points_out"] == 459
+        assert steps[1]["points_out"] is None
+        assert named in steps[1]["error"]
+        assert not (out / "frame.csv").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         proc = dsex(
             "run",
@@ -273,9 +309,18 @@ class TestMalformedRunFiles:
              "'q': 'model.T'"),
             ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: 1%s}\n"
              % ("0" * 400), "'c': 'timeout_s'"),
+            # a misspelt model key would otherwise run with the default value
+            ("", "", "  - {name: q, kind: blackscholes_qos, model: {S0: 100.0, sgima: 0.5}}\n",
+             "'sgima'"),
+            # a timeout no tool can meet
+            ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: 0}\n",
+             "'c': 'timeout_s'"),
+            ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: -1}\n",
+             "'c': 'timeout_s'"),
         ],
         ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file",
-             "timeout_s", "overhead", "S0", "mu", "sigma", "T", "huge-timeout_s"],
+             "timeout_s", "overhead", "S0", "mu", "sigma", "T", "huge-timeout_s",
+             "model-key", "zero-timeout_s", "negative-timeout_s"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, manifest, pipeline, registry, named):
         from dsex.cli import main

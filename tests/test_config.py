@@ -39,6 +39,11 @@ class TestSchemaFormat:
         with pytest.raises(ConfigError, match="param2"):
             schema_to_dict(projected)
 
+    def test_metric_names_have_no_file_form(self, dummy_schema):
+        named = Schema(dummy_schema.params, metrics=("dsp",))
+        with pytest.raises(ConfigError, match="dsp"):
+            schema_to_dict(named)
+
     def test_round_trip_through_file(self, tmp_path, dummy_schema):
         path = tmp_path / "schema.yaml"
         save_schema(dummy_schema, path)
@@ -132,6 +137,30 @@ class TestEvaluatorRegistry:
         path.write_text(body)
         with pytest.raises(ConfigError):
             load_evaluators(path)
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ("{name: q, kind: blackscholes_qos, model: {S0: 100.0, sgima: 0.5}}", "sgima"),
+            ("{name: c, kind: command, argv: [x], produces: [m], timeout_s: 0}", "timeout_s"),
+            ("{name: c, kind: command, argv: [x], produces: [m], timeout_s: -1.5}", "timeout_s"),
+        ],
+        ids=["model-key", "zero-timeout", "negative-timeout"],
+    )
+    def test_values_a_run_cannot_use_are_refused(self, tmp_path, entry, named):
+        path = tmp_path / "ev.yaml"
+        path.write_text(f"evaluators:\n  - {entry}\n")
+        with pytest.raises(ConfigError, match=named):
+            load_evaluators(path)
+
+    def test_known_model_keys_load(self, tmp_path):
+        path = tmp_path / "ev.yaml"
+        path.write_text(
+            "evaluators:\n"
+            "  - {name: q, kind: blackscholes_qos, model: {S0: 90, mu: 0.1, sigma: 0.3, T: 2}}\n"
+            "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: 0.25}\n"
+        )
+        assert set(load_evaluators(path)) == {"q", "c"}
 
     def test_duplicate_names_rejected(self, tmp_path):
         path = tmp_path / "ev.yaml"

@@ -57,16 +57,17 @@ class TestApplyTransform:
         space = apply_transform(space, constant_evaluator("l", "lut_pct", 0.77), Cache())
         eff = expr_evaluator("eff", "eff", "freq / lut_pct")
         out = apply_transform(space, eff, Cache())
-        metric = out.points[0].metrics[-1]
-        assert metric.name == "eff"
-        assert metric.value == pytest.approx(321.5064935064935)
+        assert out.schema.metrics[-1] == "eff"
+        assert out.points[0].metrics[-1] == pytest.approx(321.5064935064935)
 
     def test_constant_transform_preserves_cardinality(self, dummy_schema):
         space = build_space(dummy_schema)
         out = apply_transform(space, constant_evaluator("one", "one", 1.0), Cache())
         assert len(out) == 459
-        assert all(p.metrics == (NamedMetric("one", 1.0),) for p in out.points)
+        assert out.schema.metrics == ("one",)
+        assert all(p.metrics == (1.0,) for p in out.points)
         # input untouched
+        assert space.schema.metrics == ()
         assert all(p.metrics == () for p in space.points)
 
     def test_prune_failed_drops_failing_points(self, grid_17x9):
@@ -96,7 +97,8 @@ class TestApplyTransform:
         assert len(out) == len(grid_17x9)
         degraded = [p for p in out.points if p.degraded]
         assert len(degraded) == 9
-        assert all(p.metrics == (NamedMetric("m", -1.0),) for p in degraded)
+        assert out.schema.metrics == ("m",)
+        assert all(p.metrics == (-1.0,) for p in degraded)
 
     def test_assign_worst_requires_configured_value(self, grid_17x9):
         policy = FailPolicy(FailMode.ASSIGN_WORST)
@@ -163,6 +165,7 @@ class TestApplyTransform:
         fused = Evaluator("fused", ("f_m", "g_m"), fused_func)
         chained = apply_transform(apply_transform(grid_17x9, f, Cache()), g, Cache())
         direct = apply_transform(grid_17x9, fused, Cache())
+        assert chained.schema == direct.schema
         assert [p.metrics for p in chained.points] == [p.metrics for p in direct.points]
 
 
@@ -219,7 +222,8 @@ class TestNonFinite:
         out = apply_transform(grid_17x9, nan_on_first_axis(), Cache(), policy)
         degraded = [p for p in out.points if p.degraded]
         assert [p.coords for p in degraded] == [(0, b) for b in range(9)]
-        assert all(p.metrics == (NamedMetric("m", -1.0),) for p in degraded)
+        assert out.schema.metrics == ("m",)
+        assert all(p.metrics == (-1.0,) for p in degraded)
 
     def test_abort_aborts_the_pipeline(self, grid_17x9):
         with pytest.raises(PipelineAborted) as err:
@@ -263,7 +267,8 @@ class TestExternalCommand:
             produces=("lut",),
         )
         out = apply_transform(space, external_command("tool", spec), Cache(), parallelism=8)
-        assert all(p.metrics == (NamedMetric("lut", 10.0),) for p in out.points)
+        assert out.schema.metrics == ("lut",)
+        assert all(p.metrics == (10.0,) for p in out.points)
 
     def test_argv_substitution(self):
         schema = Schema([ParamSpec("nbCore", Linear(64, 64))])
@@ -279,7 +284,8 @@ class TestExternalCommand:
             produces=("echo",),
         )
         out = apply_transform(space, external_command("tool", spec), Cache())
-        assert out.points[0].metrics[0].value == 64.0
+        assert out.schema.metrics == ("echo",)
+        assert out.points[0].metrics == (64.0,)
 
     def test_env_substitution_and_dsex_vars(self):
         schema = Schema([ParamSpec("nbCore", Linear(7, 7))])
@@ -295,7 +301,8 @@ class TestExternalCommand:
             env={"CUSTOM": "{nbCore}"},
         )
         out = apply_transform(space, external_command("tool", spec), Cache())
-        assert out.points[0].metrics == (NamedMetric("a", 7.0), NamedMetric("b", 7.0))
+        assert out.schema.metrics == ("a", "b")
+        assert out.points[0].metrics == (7.0, 7.0)
 
     def test_dsex_vars_render_raw_values(self):
         # pow2 and enum axes give their raw values, integral frozen
@@ -314,7 +321,8 @@ class TestExternalCommand:
         )
         spec = CommandSpec(argv=(sys.executable, "-c", code), produces=("ok",))
         out = apply_transform(space, external_command("tool", spec), Cache())
-        assert out.points[0].metrics == (NamedMetric("ok", 1.0),)
+        assert out.schema.metrics == ("ok",)
+        assert out.points[0].metrics == (1.0,)
 
     def test_timeout(self):
         schema = Schema([ParamSpec("x", Linear(0, 0))])

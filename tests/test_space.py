@@ -93,6 +93,12 @@ class TestBuildSpace:
         with pytest.raises(SchemaError):
             Schema([ParamSpec("p", Linear(0, 1))], [NamedMetric(n, 1.0) for n in frozen])
 
+    def test_metric_names_are_identifiers(self):
+        with pytest.raises(SchemaError):
+            Schema([ParamSpec("p", Linear(0, 1))], metrics=("2fast",))
+        schema = Schema([ParamSpec("p", Linear(0, 1))], metrics=["m", "n"])
+        assert schema.metrics == ("m", "n")
+
 
 def _m(name, value=1.0):
     return NamedMetric(name, value)
@@ -103,37 +109,53 @@ class TestConstructorChecks:
     outputs without repeating it, so these checks have to hold here."""
 
     @pytest.mark.parametrize(
-        "frozen, points",
+        "frozen, metrics, points",
         [
-            ((), [Point((0,))]),  # coords arity
-            ((), [Point((0, 1, 0))]),
-            ((), [Point((0, 3))]),  # coordinate out of range
-            ((), [Point((2, -1))]),
-            ((_m("p0"),), [Point((0, 0))]),  # frozen param named like a parameter
-            ((), [Point((0, 0), (_m("p1"),))]),  # metric named like a parameter
-            ((), [Point((0, 0)), Point((1, 1)), Point((0, 0))]),  # duplicate coords
-            ((_m("z"),), [Point((0, 0)), Point((0, 0), (_m("m"),))]),
-            ((_m("z"),), [Point((0, 0), (_m("z", 2.0),))]),  # metric named like a frozen param
+            ((), (), [Point((0,))]),  # coords arity
+            ((), (), [Point((0, 1, 0))]),
+            ((), (), [Point((0, 3))]),  # coordinate out of range
+            ((), (), [Point((2, -1))]),
+            ((_m("p0"),), (), [Point((0, 0))]),  # frozen param named like a parameter
+            ((), ("p1",), [Point((0, 0), (1.0,))]),  # metric named like a parameter
+            ((), (), [Point((0, 0)), Point((1, 1)), Point((0, 0))]),  # duplicate coords
+            ((_m("z"),), ("m",), [Point((0, 0), (None,)), Point((0, 0), (1.0,))]),
+            ((_m("z"),), ("z",), [Point((0, 0), (2.0,))]),  # metric named like a frozen param
         ],
         ids=["short", "long", "above", "below", "frozen-name", "metric-name",
              "duplicate", "duplicate-frozen", "metric-frozen-name"],
     )
-    def test_design_space_refuses(self, frozen, points):
+    def test_design_space_refuses(self, frozen, metrics, points):
         params = [ParamSpec("p0", Linear(0, 2)), ParamSpec("p1", Linear(0, 2))]
         with pytest.raises(SchemaError):
-            DesignSpace(Schema(params, frozen), points)
+            DesignSpace(Schema(params, frozen, metrics), points)
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [(), (1.0,), (1.0, 2.0, 3.0),  # arity
+         (float("nan"), 1.0), (1.0, float("inf")), (None, float("-inf")),
+         ("1.5", 1.0), (1, 2.0), (True, 1.0), (1.0, [2.0])],  # not a float
+        ids=["none", "short", "long", "nan", "inf", "-inf", "str", "int", "bool", "list"],
+    )
+    def test_design_space_refuses_metric_values(self, metrics):
+        schema = Schema([ParamSpec("p", Linear(0, 1))], metrics=("a", "b"))
+        with pytest.raises(SchemaError):
+            DesignSpace(schema, [Point((0,), (1.0, 2.0)), Point((1,), metrics)])
+
+    def test_design_space_takes_absent_metrics(self):
+        schema = Schema([ParamSpec("p", Linear(0, 1))], metrics=("a", "b"))
+        space = DesignSpace(schema, [Point((0,), (None, None)), Point((1,), (1.0, None))])
+        assert [p.metrics for p in space.points] == [(None, None), (1.0, None)]
 
     @pytest.mark.parametrize(
         "frozen, metrics",
-        [((_m("x"),), (_m("x", 2.0),)), ((), (_m("x"), _m("x", 2.0))),
-         ((_m("x"), _m("x", 2.0)), ())],
-        ids=["frozen-metric", "metric-metric", "frozen-frozen"],
+        [((_m("x"),), ("x",)), ((), ("x", "x")), ((_m("x"), _m("x", 2.0)), ()),
+         ((), ("m", "p"))],
+        ids=["frozen-metric", "metric-metric", "frozen-frozen", "param-metric"],
     )
     def test_point_refuses_a_name_collision(self, frozen, metrics):
-        # frozen params live on the schema: a clash with one is refused by
-        # the schema or the space, a clash among metrics by the point
+        # a point holds no names: the schema refuses every clash
         with pytest.raises(SchemaError):
-            DesignSpace(Schema([ParamSpec("p", Linear(0, 0))], frozen), [Point((0,), metrics)])
+            Schema([ParamSpec("p", Linear(0, 0))], frozen, metrics)
 
 
 class TestProjectSpace:
@@ -163,17 +185,15 @@ class TestProjectSpace:
     def test_first_occurrence_wins(self, dummy_schema):
         space = build_space(dummy_schema)
         tagged = DesignSpace(
-            space.schema,
-            [
-                Point(p.coords, (NamedMetric("mark", float(i)),))
-                for i, p in enumerate(space.points)
-            ],
+            Schema(space.schema.params, metrics=("mark",)),
+            [Point(p.coords, (float(i),)) for i, p in enumerate(space.points)],
         )
         projected = project_space(tagged, "resource")
+        assert projected.schema.metrics == ("mark",)
         # row-major order: the first point of each surviving group carries
         # the lowest mark of the group
         first = projected.points[0]
-        assert first.metrics[0] == NamedMetric("mark", 0.0)
+        assert first.metrics == (0.0,)
 
     def test_reexpansion_is_subset(self, dummy_schema):
         # undoing the projection at the frozen values lands inside the original

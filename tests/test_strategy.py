@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import logging
 import math
 import random
@@ -31,6 +32,7 @@ from dsex import (
     Pow2,
     Schema,
     StepContext,
+    build_frame,
     build_space,
     constant_evaluator,
     exhaustive_map,
@@ -416,10 +418,30 @@ class TestQuickPrune:
         space = grid(8, 8)
         ev = expr_evaluator("estim", "height", "p0 + p1")
         out = quick_prune([ev], "height >= 7").apply(space, ctx())
-        probed = [p for p in out.points if p.metrics]
+        assert out.schema.metrics == ("height",)
+        probed = [p for p in out.points if p.metrics[0] is not None]
         assert probed, "frontier points must carry the produced metric"
         for p in probed:
             assert env_of(out, p)["height"] == sum(p.coords)
+
+    def test_interior_points_read_as_absent(self, tmp_path):
+        ev = expr_evaluator("estim", "height", "p0 + p1")
+        out = quick_prune([ev], "height >= 7").apply(grid(8, 8), ctx())
+        interior = {i for i, p in enumerate(out.points) if p.metrics == (None,)}
+        assert interior and len(interior) < len(out)
+        assert all("height" not in env_of(out, out.points[i]) for i in interior)
+        frame = build_frame(out)
+        frame.to_csv(tmp_path / "frame.csv")
+        frame.to_jsonl(tmp_path / "frame.jsonl")
+        header, *lines = (tmp_path / "frame.csv").read_text().splitlines()
+        assert header == "p0,p1,height,degraded"
+        rows = [json.loads(line) for line in (tmp_path / "frame.jsonl").read_text().splitlines()]
+        for i, (p, line, row) in enumerate(zip(out.points, lines, rows, strict=True)):
+            cell = line.split(",")[2]
+            if i in interior:
+                assert cell == "" and "height" not in row
+            else:
+                assert float(cell) == row["height"] == sum(p.coords)
 
     @pytest.mark.parametrize(
         "space, concern",
@@ -437,7 +459,7 @@ class TestQuickPrune:
         )
         keep = parse_expr("m >= 8")
         out = quick_prune([ev], keep, concern=concern).apply(space, ctx())
-        measured = [env_of(out, p) for p in out.points if p.metrics]
+        measured = [env_of(out, p) for p in out.points if p.metrics[-1] is not None]
         assert measured
         assert all(keep(env) for env in measured)
         hollow = [c for c in calls if not keep({"m": (c[0] - 3) ** 2 + (c[1] - 3) ** 2})]
@@ -496,7 +518,7 @@ class TestQuickPrune:
         # decisions ran on the projected grid, not the whole space
         assert len(set(calls)) <= math.prod(params[i][1] + 1 for i in qos)
         # metrics propagate to every re-expanded copy of a probed projection
-        probed = {image(p) for p in out.points if p.metrics}
+        probed = {image(p) for p in out.points if p.metrics[-1] is not None}
         assert probed
         for p in out.points:
             if image(p) in probed:
@@ -817,6 +839,19 @@ class TestPipeline:
         assert frame2.provenance.steps[0].evaluator_invocations == 0
         assert frame2.provenance.steps[0].cache_hits == 36
 
+    def test_metric_column_outlives_its_rows(self, tmp_path):
+        # the schema names the column even when no surviving row holds it
+        space = build_space(Schema([ParamSpec("a", Linear(0, 3))]))
+        pipeline = Pipeline((
+            exhaustive_map(expr_evaluator("e", "m", "a * 2")),
+            exhaustive_prune("m > 100"),
+        ))
+        frame = run_pipeline(pipeline, space)
+        assert len(frame) == 0
+        assert frame.columns == ("a", "m", "degraded")
+        frame.to_csv(tmp_path / "frame.csv")
+        assert (tmp_path / "frame.csv").read_text() == "a,m,degraded\n"
+
     def test_empty_pipeline_rejected(self):
         with pytest.raises(ConfigError):
             Pipeline(())
@@ -955,8 +990,8 @@ class TestNeighbourhoodOracle:
             assert not all(kept(r) for r in ring), c
         # a probed point carries the metric of its image
         for p in points:
-            if p.metrics:
-                assert p.metrics == (NamedMetric("m", image_sum(p.coords)),)
+            if p.metrics[0] is not None:
+                assert p.metrics == (image_sum(p.coords),)
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(case=oracle_cases(), data=st.data())
@@ -987,7 +1022,7 @@ class TestNeighbourhoodOracle:
         points, calls = runs[0]
 
         assert sorted(p.coords for p in points) == calls
-        values = [p.metrics[-1].value for p in points]
+        values = [p.metrics[-1] for p in points]
         assert values == [value(p.coords) for p in points]
         assert values == sorted(values, reverse=maximize)
         head = points[0].coords

@@ -48,7 +48,8 @@ def core_space(lo=64, hi=64):
 class TestModelEvaluator:
     def test_direct_substitution(self):
         out = apply_transform(core_space(), model_evaluator(core_model()), Cache())
-        assert out.points[0].metrics[0].value == 128.0
+        assert out.schema.metrics == ("dsp",)
+        assert out.points[0].metrics[0] == 128.0
 
     def test_failure_rule_raises_timeout(self):
         schema = Schema([ParamSpec("nbCore", Pow2(0, 10)), ParamSpec("matSize", Pow2(0, 6))])
@@ -186,6 +187,7 @@ class TestSubprocessProtocol:
         via_tool = apply_transform(
             small, external_command(model.name, spec), Cache(), parallelism=8
         )
+        assert via_tool.schema == direct.schema
         assert [p.metrics for p in via_tool.points] == [p.metrics for p in direct.points]
 
     def test_failure_rule_stalls_until_client_timeout(self, tmp_path):
