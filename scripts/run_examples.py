@@ -5,6 +5,7 @@ Usage: python scripts/run_examples.py [--parallelism N]
 """
 
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,9 @@ def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--parallelism", type=int, default=1)
     args = parser.parse_args()
+    # the child imports dsex from this checkout, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
 
     for bundle in ("dsp-pipeline", "gradient-synth", "blackscholes"):
         manifest = ROOT / "pipelines" / bundle / "manifest.yaml"
@@ -29,6 +33,7 @@ def main() -> int:
                 "--parallelism", str(args.parallelism),
             ],
             cwd=ROOT,
+            env=env,
         )
         if proc.returncode != 0:
             return proc.returncode
@@ -37,5 +42,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(ROOT / "src"))
     raise SystemExit(main())

@@ -26,7 +26,6 @@ from .config import (
     load_manifest,
     load_pipeline,
     load_schema,
-    parse_fail_policy,
 )
 from .errors import ConfigError, DsexError, PipelineAborted
 from .expr import parse_expr
@@ -72,47 +71,27 @@ def cmd_space(args) -> int:
 
 
 def _manifest_from_args(args) -> RunManifest:
-    base = load_manifest(args.manifest) if args.manifest else None
-
-    def path_of(flag: str) -> Path:
-        value = getattr(args, flag)
-        if value is not None:
-            return Path(value).resolve()
-        if base is not None:
-            return getattr(base, flag)
-        raise ConfigError(f"--{flag} is required (or pass --manifest)")
-
-    def pick(flag: str):
-        value = getattr(args, flag)
-        return value if value is not None or base is None else getattr(base, flag)
-
-    # an option neither the command line nor the manifest sets keeps
-    # RunManifest's default
-    picked = {flag: pick(flag) for flag in ("parallelism", "seed", "fail_policy", "top")}
-    return RunManifest(
-        schema=path_of("schema"),
-        pipeline=path_of("pipeline"),
-        evaluators=path_of("evaluators"),
-        out=Path(args.out or "out").resolve() if args.out or base is None else base.out,
-        **{flag: value for flag, value in picked.items() if value is not None},
-    )
+    """The manifest file, if given, with each flag given applied over it."""
+    paths = ("schema", "pipeline", "evaluators", "out")
+    flags = {
+        key: Path(value).resolve() if key in paths else value
+        for key in (*paths, "parallelism", "seed", "top")
+        if (value := getattr(args, key)) is not None
+    }
+    if args.manifest:
+        return replace(load_manifest(args.manifest), **flags)
+    missing = [f"--{key}" for key in ("schema", "pipeline", "evaluators") if key not in flags]
+    if missing:
+        raise ConfigError(f"{', '.join(missing)} required (or pass --manifest)")
+    return RunManifest(**{"out": Path("out").resolve(), **flags})
 
 
 def cmd_run(args) -> int:
     try:
         manifest = _manifest_from_args(args)
-        manifest.validate()
         schema = load_schema(manifest.schema)
         registry = load_evaluators(manifest.evaluators, global_seed=manifest.seed)
-        override = (
-            parse_fail_policy(manifest.fail_policy) if manifest.fail_policy else None
-        )
-        pipeline = load_pipeline(
-            manifest.pipeline,
-            registry,
-            parallelism=manifest.parallelism,
-            fail_policy=override,
-        )
+        pipeline = load_pipeline(manifest.pipeline, registry, parallelism=manifest.parallelism)
         space = build_space(schema)
     except DsexError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -120,8 +99,7 @@ def cmd_run(args) -> int:
 
     out_dir = manifest.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    effective = replace(manifest, parallelism=pipeline.parallelism)
-    echo_manifest(effective, out_dir / "manifest.yaml")
+    echo_manifest(manifest, out_dir / "manifest.yaml")
     log.info("exploring %d points through %d steps", len(space), len(pipeline.steps))
 
     try:
@@ -148,6 +126,8 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     try:
+        if args.top is not None and args.top < 0:
+            raise ConfigError(f"--top must be at least 0, got {args.top}")
         columns, rows = load_rows(args.frame)
         if args.keep:
             keep = parse_expr(args.keep)
@@ -196,7 +176,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--parallelism", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--fail-policy", dest="fail_policy", default=None)
     p_run.add_argument("--top", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 

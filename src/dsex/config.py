@@ -11,7 +11,7 @@ or metric names, which only steps make, has no file form.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -85,6 +85,13 @@ def _boolean(value, what: str) -> bool:
     return value
 
 
+def _refuse_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
+    """Refuse keys nothing reads, so a misspelt or retired one fails loudly."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown} (known: {list(known)})")
+
+
 def schema_from_dict(data: Mapping) -> Schema:
     if "params" not in data or not isinstance(data["params"], list):
         raise ConfigError("schema must have a 'params' list")
@@ -144,16 +151,32 @@ def save_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(schema_to_dict(schema), sort_keys=False))
 
 
+# the keys each evaluator kind reads, besides 'name' and 'kind'
+_EVALUATOR_KEYS = {
+    "expr": ("produces", "expr"),
+    "model": ("model",),
+    "command": ("argv", "produces", "env", "timeout_s"),
+    "blackscholes_qos": ("model",),
+    "latency": ("overhead",),
+}
+_INLINE_MODEL_KEYS = ("produces", "formulas", "latency_s", "fail_if")
+
+
 def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evaluator:
     if "name" not in entry or "kind" not in entry:
         raise ConfigError("each evaluator needs 'name' and 'kind'")
     name = str(entry["name"])
     kind = str(entry["kind"])
     where = f"evaluator {name!r}"
+    if kind not in _EVALUATOR_KEYS:
+        raise ConfigError(f"unknown evaluator kind {kind!r}")
+    inline = kind == "model" and "model" not in entry
+    keys = _INLINE_MODEL_KEYS if inline else _EVALUATOR_KEYS[kind]
+    _refuse_unknown(entry, ("name", "kind", *keys), where)
     if kind == "expr":
         return expr_evaluator(name, str(entry["produces"]), str(entry["expr"]))
     if kind == "model":
-        if "model" in entry:
+        if not inline:
             path = base_dir / str(entry["model"])
             try:
                 model = load_model(path)
@@ -177,9 +200,7 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
         if not isinstance(params, dict):
             raise ConfigError(f"{where}: 'model' must be a mapping, got {params!r}")
         defaults = {"S0": 100.0, "mu": 0.05, "sigma": 0.2, "T": 1.0}
-        unknown = [key for key in params if key not in defaults]
-        if unknown:
-            raise ConfigError(f"{where}: unknown 'model' keys {unknown} (known: {list(defaults)})")
+        _refuse_unknown(params, tuple(defaults), f"{where}: 'model'")
         values = {
             key: _number(params.get(key, default), f"{where}: 'model.{key}'")
             for key, default in defaults.items()
@@ -189,10 +210,9 @@ def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evalua
         except ConfigError as err:
             raise ConfigError(f"{where}: {err}") from None
         return qos_evaluator(model, global_seed, name=name)
-    if kind == "latency":
-        overhead = _integer(entry.get("overhead", 0), f"{where}: 'overhead'")
-        return latency_evaluator(overhead, name=name)
-    raise ConfigError(f"unknown evaluator kind {kind!r}")
+    # latency, the last kind left
+    overhead = _integer(entry.get("overhead", 0), f"{where}: 'overhead'")
+    return latency_evaluator(overhead, name=name)
 
 
 def load_evaluators(path: str | Path, global_seed: int = 0) -> dict[str, Evaluator]:
@@ -230,8 +250,23 @@ def _registry_get(registry: Mapping[str, Evaluator], name: str) -> Evaluator:
     return registry[name]
 
 
-def _build_step(entry: Mapping, registry: Mapping[str, Evaluator]) -> Step:
+# the keys each step kind reads, besides 'step', 'name', 'fail_policy' and 'worst'
+_STEP_KEYS = {
+    "identity": (),
+    "map": ("evaluator",),
+    "sort": ("key", "ascending", "evaluator"),
+    "prune": ("keep", "evaluator"),
+    "reduce_dimension": ("concern", "to"),
+    "gradient": ("evaluators", "objective", "maximize"),
+    "quick_prune": ("evaluators", "keep", "side", "concern"),
+}
+
+
+def _build_step(entry: Mapping, registry: Mapping[str, Evaluator], where: str) -> Step:
     kind = str(entry.get("step", ""))
+    if kind not in _STEP_KEYS:
+        raise ConfigError(f"{where}: unknown step kind {kind!r}")
+    _refuse_unknown(entry, ("step", "name", "fail_policy", "worst", *_STEP_KEYS[kind]), where)
     label = entry.get("name")
     policy = None
     if "fail_policy" in entry:
@@ -281,40 +316,36 @@ def _build_step(entry: Mapping, registry: Mapping[str, Evaluator]) -> Step:
                 name=label or "gradient",
             )
         )
-    if kind == "quick_prune":
-        evs = [_registry_get(registry, str(n)) for n in entry.get("evaluators", [])]
-        side = str(entry.get("side", "upward"))
-        try:
-            keep_side = KeepSide(side)
-        except ValueError:
-            raise ConfigError(f"quick_prune side must be upward or downward, got {side!r}") from None
-        concern = entry.get("concern")
-        return with_policy(
-            quick_prune(
-                evs,
-                str(entry["keep"]),
-                side=keep_side,
-                concern=str(concern) if concern is not None else None,
-                name=label or "quick_prune",
-            )
+    # quick_prune, the last kind left
+    evs = [_registry_get(registry, str(n)) for n in entry.get("evaluators", [])]
+    side = str(entry.get("side", "upward"))
+    try:
+        keep_side = KeepSide(side)
+    except ValueError:
+        raise ConfigError(f"quick_prune side must be upward or downward, got {side!r}") from None
+    concern = entry.get("concern")
+    return with_policy(
+        quick_prune(
+            evs,
+            str(entry["keep"]),
+            side=keep_side,
+            concern=str(concern) if concern is not None else None,
+            name=label or "quick_prune",
         )
-    raise ConfigError(f"unknown step kind {kind!r}")
+    )
 
 
 def load_pipeline(
-    path: str | Path,
-    registry: Mapping[str, Evaluator],
-    parallelism: int | None = None,
-    fail_policy: FailPolicy | None = None,
+    path: str | Path, registry: Mapping[str, Evaluator], parallelism: int = 1
 ) -> Pipeline:
     """Build a pipeline from a config file and an evaluator registry.
 
-    ``parallelism`` and ``fail_policy`` override the file's values
-    (manifest and command line take precedence over the pipeline file;
-    step-level policies stay untouched).
+    The file holds the strategy: its steps and fail policies. How many
+    evaluations run at once is a run setting, passed as ``parallelism``.
     """
     path = Path(path)
     data = _load_yaml(path)
+    _refuse_unknown(data, ("steps", "fail_policy", "worst"), str(path))
     entries = data.get("steps")
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"{path} must have a non-empty 'steps' list")
@@ -323,15 +354,10 @@ def load_pipeline(
         if not isinstance(entry, dict):
             raise ConfigError(f"steps[{i}] must be a mapping")
         try:
-            steps.append(_build_step(entry, registry))
+            steps.append(_build_step(entry, registry, f"steps[{i}]"))
         except KeyError as err:
             raise ConfigError(f"steps[{i}] is missing key {err.args[0]!r}") from None
-    if fail_policy is None:
-        fail_policy = parse_fail_policy(
-            str(data.get("fail_policy", "abort")), data.get("worst")
-        )
-    if parallelism is None:
-        parallelism = _integer(data.get("parallelism", 1), f"{path}: 'parallelism'")
+    fail_policy = parse_fail_policy(str(data.get("fail_policy", "abort")), data.get("worst"))
     return Pipeline(tuple(steps), parallelism=parallelism, fail_policy=fail_policy)
 
 
@@ -343,34 +369,22 @@ class RunManifest:
     pipeline: Path
     evaluators: Path
     out: Path
-    parallelism: int | None = None  # None: the pipeline file's value
+    parallelism: int = 1
     seed: int = 0
-    fail_policy: str | None = None
     top: int = 5
 
-    def validate(self) -> None:
-        for label in ("schema", "pipeline", "evaluators"):
-            p: Path = getattr(self, label)
-            if not p.is_file():
-                raise ConfigError(f"{label} file does not exist: {p}")
+    def __post_init__(self):
+        if self.top < 0:
+            raise ConfigError(f"'top' must be at least 0, got {self.top}")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "schema": str(self.schema),
-            "pipeline": str(self.pipeline),
-            "evaluators": str(self.evaluators),
-            "out": str(self.out),
-            "parallelism": self.parallelism,
-            "seed": self.seed,
-            "top": self.top,
-            "fail_policy": self.fail_policy,
-        }
-        return {k: v for k, v in out.items() if v is not None}
+        return {k: str(v) if isinstance(v, Path) else v for k, v in asdict(self).items()}
 
 
 def load_manifest(path: str | Path) -> RunManifest:
     path = Path(path)
     data = _load_yaml(path)
+    _refuse_unknown(data, tuple(f.name for f in fields(RunManifest)), str(path))
     base = path.parent
 
     def resolve(key: str) -> Path:
@@ -378,16 +392,12 @@ def load_manifest(path: str | Path) -> RunManifest:
             raise ConfigError(f"manifest {path} is missing {key!r}")
         return (base / str(data[key])).resolve()
 
-    def option(key: str):
-        value = data[key]
-        return str(value) if key == "fail_policy" else _integer(value, f"{path}: {key!r}")
-
     return RunManifest(
         schema=resolve("schema"),
         pipeline=resolve("pipeline"),
         evaluators=resolve("evaluators"),
         out=(base / str(data.get("out", "out"))).resolve(),
-        **{k: option(k) for k in ("parallelism", "seed", "fail_policy", "top") if k in data},
+        **{k: _integer(data[k], f"{path}: {k!r}") for k in ("parallelism", "seed", "top") if k in data},
     )
 
 

@@ -232,7 +232,8 @@ def gradient_sort(
     this step, at the pipeline's parallelism; a step-local memo keeps
     every probed point's enhanced copy and objective value, so no point
     is evaluated twice and the evaluated set does not depend on the
-    parallelism.
+    parallelism. The step's ``evaluated`` counts every probed point,
+    those the fail policy pruned included.
     """
     objective_expr = _as_expr(objective)
     if objective_expr.is_predicate:
@@ -265,7 +266,7 @@ def gradient_sort(
 
         survivors = [entry for entry in memo.values() if entry is not None]
         survivors.sort(key=itemgetter(1), reverse=maximize)
-        ctx.extra.update({"moves": moves, "evaluated": len(survivors)})
+        ctx.extra.update({"moves": moves, "evaluated": len(memo)})
         return space.derive((p for p, _ in survivors), schema)
 
     return Step(name, "gradient", apply_fn)

@@ -258,16 +258,16 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "in_manifest, flags, expected",
         [
-            ("", [], 4),  # only the pipeline file sets it
+            ("", [], 1),  # neither the manifest nor the command line sets it
             ("parallelism: 3\n", [], 3),
             ("parallelism: 3\n", ["--parallelism", "2"], 2),
         ],
-        ids=["pipeline", "manifest", "flag"],
+        ids=["default", "manifest", "flag"],
     )
     def test_parallelism_precedence(self, tmp_path, in_manifest, flags, expected):
         from dsex.cli import main
 
-        (tmp_path / "pipeline.yaml").write_text("parallelism: 4\nsteps:\n  - {step: identity}\n")
+        (tmp_path / "pipeline.yaml").write_text("steps:\n  - {step: identity}\n")
         (tmp_path / "evaluators.yaml").write_text("evaluators: []\n")
         manifest = tmp_path / "manifest.yaml"
         manifest.write_text(
@@ -279,6 +279,34 @@ class TestRunCommand:
         provenance = json.loads((out / "provenance.json").read_text())
         assert provenance["parallelism"] == expected
         assert yaml.safe_load((out / "manifest.yaml").read_text())["parallelism"] == expected
+
+    @pytest.mark.parametrize("top, code, lines", [(-457, 2, 0), (0, 0, 1)], ids=["negative", "zero"])
+    def test_top_must_not_be_negative(self, tmp_path, capsys, top, code, lines):
+        from dsex.cli import main
+
+        (tmp_path / "pipeline.yaml").write_text("steps:\n  - {step: identity}\n")
+        (tmp_path / "evaluators.yaml").write_text("evaluators: []\n")
+        out = tmp_path / "out"
+        argv = ["run", "--schema", str(PIPELINES / "schemas" / "dummy.yaml"),
+                "--pipeline", str(tmp_path / "pipeline.yaml"),
+                "--evaluators", str(tmp_path / "evaluators.yaml"),
+                "--out", str(out), "--top", str(top)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == lines  # 0 prints the header only
+        assert out.exists() == (code == 0)
+        if code:
+            assert "'top'" in captured.err
+
+    def test_fail_policy_flag_is_gone(self, tmp_path):
+        # the pipeline file owns the fail policy
+        proc = dsex(
+            "run", "--manifest", PIPELINES / "dsp-pipeline" / "manifest.yaml",
+            "--out", tmp_path / "out", "--fail-policy", "prune",
+        )
+        assert proc.returncode == 2
+        assert "--fail-policy" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedRunFiles:
@@ -317,24 +345,87 @@ class TestMalformedRunFiles:
              "'c': 'timeout_s'"),
             ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: -1}\n",
              "'c': 'timeout_s'"),
+            ("top: -1\n", "", "", "'top'"),
         ],
         ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file",
              "timeout_s", "overhead", "S0", "mu", "sigma", "T", "huge-timeout_s",
-             "model-key", "zero-timeout_s", "negative-timeout_s"],
+             "model-key", "zero-timeout_s", "negative-timeout_s", "negative-top"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, manifest, pipeline, registry, named):
-        from dsex.cli import main
+        err = run_refused(tmp_path, capsys, manifest, pipeline + "steps:\n  - {step: identity}\n",
+                          registry)
+        assert named in err
 
-        (tmp_path / "pipeline.yaml").write_text(pipeline + "steps:\n  - {step: identity}\n")
-        (tmp_path / "evaluators.yaml").write_text("evaluators:\n" + (registry or "  []\n"))
-        path = tmp_path / "manifest.yaml"
-        path.write_text(
-            f"schema: {PIPELINES / 'schemas' / 'dummy.yaml'}\n"
-            "pipeline: pipeline.yaml\nevaluators: evaluators.yaml\n" + manifest
+    @pytest.mark.parametrize(
+        "manifest, pipeline, file, key",
+        [
+            # a key a run file no longer reads fails loudly
+            ("", "parallelism: 2\n", "pipeline.yaml", "parallelism"),
+            ("fail_policy: prune\n", "", "manifest.yaml", "fail_policy"),
+            ("paralellism: 2\n", "", "manifest.yaml", "paralellism"),
+            ("", "fail_polcy: prune\n", "pipeline.yaml", "fail_polcy"),
+        ],
+        ids=["pipeline-parallelism", "manifest-fail_policy", "manifest-typo", "pipeline-typo"],
+    )
+    def test_unknown_top_level_key(self, tmp_path, capsys, manifest, pipeline, file, key):
+        err = run_refused(tmp_path, capsys, manifest, pipeline + "steps:\n  - {step: identity}\n")
+        assert str(tmp_path / file) in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "step, key",
+        [
+            ("{step: identity, evaluator: e}", "evaluator"),
+            ("{step: map, evaluator: e, keep: 'm > 0'}", "keep"),
+            ("{step: sort, key: param1, acending: false}", "acending"),
+            ("{step: prune, keep: 'param1 > 0', ascending: true}", "ascending"),
+            ("{step: reduce_dimension, concern: qos, to_min: true}", "to_min"),
+            ("{step: gradient, evaluators: [e], objective: m, ascending: false}", "ascending"),
+            ("{step: quick_prune, evaluators: [e], keep: 'm > 0', concerns: qos}", "concerns"),
+        ],
+        ids=["identity", "map", "sort", "prune", "reduce_dimension", "gradient", "quick_prune"],
+    )
+    def test_step_refuses_unknown_keys(self, tmp_path, capsys, step, key):
+        err = run_refused(
+            tmp_path, capsys, "", f"steps:\n  - {{step: identity}}\n  - {step}\n",
+            "  - {name: e, kind: expr, produces: m, expr: \"param1\"}\n",
         )
-        assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert f"steps[1]: unknown keys [{key!r}]" in err
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("{name: x, kind: expr, produces: m, expr: '1', formulas: {m: '1'}}", "formulas"),
+            # with a model file, the inline keys are not read
+            ("{name: x, kind: model, model: m.json, produces: [m]}", "produces"),
+            ("{name: x, kind: model, produces: [m], formulas: {m: '1'}, fial_if: 'm > 0'}",
+             "fial_if"),
+            ("{name: x, kind: command, argv: [x], produces: [m], timeout: 5}", "timeout"),
+            ("{name: x, kind: blackscholes_qos, seed: 3}", "seed"),
+            ("{name: x, kind: latency, overhead: 0, cores: 4}", "cores"),
+        ],
+        ids=["expr", "model-file", "model-inline", "command", "blackscholes_qos", "latency"],
+    )
+    def test_evaluator_refuses_unknown_keys(self, tmp_path, capsys, entry, key):
+        err = run_refused(
+            tmp_path, capsys, "", "steps:\n  - {step: identity}\n", f"  - {entry}\n"
+        )
+        assert f"evaluator 'x': unknown keys [{key!r}]" in err
+
+
+def run_refused(tmp_path, capsys, manifest, pipeline, registry=""):
+    """Run the given files; assert exit 2 with no output directory, return stderr."""
+    from dsex.cli import main
+
+    (tmp_path / "pipeline.yaml").write_text(pipeline)
+    (tmp_path / "evaluators.yaml").write_text("evaluators:\n" + (registry or "  []\n"))
+    path = tmp_path / "manifest.yaml"
+    path.write_text(
+        f"schema: {PIPELINES / 'schemas' / 'dummy.yaml'}\n"
+        "pipeline: pipeline.yaml\nevaluators: evaluators.yaml\n" + manifest
+    )
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -407,6 +498,15 @@ class TestReportCommand:
     def test_unknown_column_exits_2(self, saved_frame):
         proc = dsex("report", "--frame", saved_frame, "--sort", "nonexistent")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("top, code, lines", [(-1, 2, 0), (0, 0, 1)], ids=["negative", "zero"])
+    def test_top_must_not_be_negative(self, saved_frame, capsys, top, code, lines):
+        from dsex.cli import main
+
+        assert main(["report", "--frame", str(saved_frame), "--top", str(top)]) == code
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == lines  # 0 prints the header only
+        assert ("--top" in captured.err) == bool(code)
 
     def test_jsonl_frames_load_too(self, saved_frame):
         jsonl = Path(str(saved_frame).replace("frame.csv", "frame.jsonl"))

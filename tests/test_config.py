@@ -196,13 +196,13 @@ class TestPipelineFormat:
             "  - {step: prune, keep: \"m > 0\"}\n"
             "  - {step: quick_prune, keep: \"m > 0\", side: downward}\n"
             "  - {step: gradient, evaluators: [], objective: \"m\"}\n"
-            "parallelism: 3\n"
         )
-        pipeline = load_pipeline(pipe, registry)
+        pipeline = load_pipeline(pipe, registry, parallelism=3)
         assert [s.kind for s in pipeline.steps] == [
             "identity", "map", "sort", "prune", "quick_prune", "gradient",
         ]
         assert pipeline.parallelism == 3
+        assert load_pipeline(pipe, registry).parallelism == 1
 
     @pytest.mark.parametrize(
         "step", ["sort, key: a, ascending: 'false'", "gradient, objective: a, maximize: 0"]
@@ -288,14 +288,17 @@ class TestManifest:
         assert manifest.schema.is_file()
         assert manifest.pipeline.is_file()
         assert manifest.evaluators.is_file()
-        manifest.validate()
+        assert manifest.schema == (PIPELINES / "schemas" / "dummy.yaml").resolve()
 
     def test_missing_file_fails_validation(self, tmp_path):
         path = tmp_path / "manifest.yaml"
         path.write_text("schema: nope.yaml\npipeline: nope.yaml\nevaluators: nope.yaml\n")
         manifest = load_manifest(path)
-        with pytest.raises(ConfigError):
-            manifest.validate()
+        # the loaders name the file they cannot find
+        with pytest.raises(ConfigError, match="file not found: .*nope.yaml"):
+            load_schema(manifest.schema)
+        with pytest.raises(ConfigError, match="file not found: .*ghost.yaml"):
+            load_manifest(tmp_path / "ghost.yaml")
 
     def test_echo_round_trip(self, tmp_path):
         manifest = load_manifest(PIPELINES / "blackscholes" / "manifest.yaml")
@@ -303,3 +306,5 @@ class TestManifest:
         data = yaml.safe_load((tmp_path / "echo.yaml").read_text())
         assert data["seed"] == 42
         assert data["parallelism"] == 1
+        # the echo is itself a manifest, and loads back to the one that ran
+        assert load_manifest(tmp_path / "echo.yaml") == manifest

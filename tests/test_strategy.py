@@ -740,7 +740,8 @@ class TestGradientBatches:
             runs[parallelism] = (context.extra, [p.coords for p in out.points])
         assert runs[1] == runs[4]
         extra, coords = runs[1]
-        assert extra == {"moves": 6, "evaluated": 17}
+        # evaluated counts every probed point, the pruned head included
+        assert extra == {"moves": 6, "evaluated": 18}
         assert (0, 0) not in coords and (0, 1) in coords and coords[0] == (4, 3)
 
     def test_debug_log_covers_the_batches(self, caplog):
