@@ -10,15 +10,26 @@ or metric names, which only steps make, has no file form.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
 import yaml
 
-from .blackscholes import BsModelParams, latency_evaluator, qos_evaluator
-from .errors import ConfigError
+from .blackscholes import DEFAULT_MODEL, BsModelParams, latency_evaluator, qos_evaluator
+from .errors import (
+    REQUIRED,
+    ConfigError,
+    Reader,
+    boolean,
+    entries,
+    integer,
+    mapping,
+    number,
+    positive,
+    text,
+    texts,
+)
 from .metrics import (
     CommandSpec,
     Evaluator,
@@ -42,86 +53,50 @@ from .strategy import (
 from .surrogate import load_model, model_evaluator, model_from_dict
 
 
-def _load_yaml(path: Path) -> dict:
+def _load_yaml(path: Path):
     try:
         data = yaml.safe_load(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror}") from None
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must hold a mapping at the top level")
     return data
 
 
-_FLOAT_MAX = sys.float_info.max
+def schema_from_dict(data: Mapping, where: str = "schema") -> Schema:
+    doc = Reader(data, where)
+    params = doc.read("params", entries)
+    doc.close()
+    return Schema([_param_spec(Reader(entry, f"params[{i}]")) for i, entry in enumerate(params)])
 
 
-def _integer(value, what: str) -> int:
-    """``value`` when it is an integer; bools and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float when it is a finite number; bools and strings are refused."""
-    # False for NaN, inf and ints too large for a float
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX:
-        return float(value)
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
-
-
-def _positive(value, what: str) -> float:
-    number = _number(value, what)
-    if number <= 0:
-        raise ConfigError(f"{what} must be positive, got {value!r}")
-    return number
-
-
-def _boolean(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _refuse_unknown(data: Mapping, known: tuple[str, ...], where: str) -> None:
-    """Refuse keys nothing reads, so a misspelt or retired one fails loudly."""
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown} (known: {list(known)})")
-
-
-def schema_from_dict(data: Mapping) -> Schema:
-    if "params" not in data or not isinstance(data["params"], list):
-        raise ConfigError("schema must have a 'params' list")
-    specs = []
-    for i, entry in enumerate(data["params"]):
-        where = f"params[{i}]"
-        if not isinstance(entry, dict) or "name" not in entry or "domain" not in entry:
-            raise ConfigError(f"{where}: each param needs 'name' and 'domain'")
-        domain_spec = entry["domain"]
-        if not isinstance(domain_spec, dict) or len(domain_spec) != 1:
-            raise ConfigError(f"{where}: domain must be one of linear/pow2/enum")
-        (kind, args), = domain_spec.items()
-        if kind not in ("linear", "pow2", "enum"):
-            raise ConfigError(f"{where}: unknown domain kind {kind!r}")
-        bounds = kind != "enum"
-        if not isinstance(args, list) or (len(args) != 2 if bounds else not args):
-            count = "two integers" if bounds else "a non-empty list of integers"
-            raise ConfigError(f"{where}: {kind} domain takes {count}, got {args!r}")
-        if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
-            raise ConfigError(f"{where}: {kind} domain values must be integers, got {args!r}")
-        if kind == "linear":
-            domain = Linear(*args)
-        elif kind == "pow2":
-            domain = Pow2(*args)
-        else:
-            domain = Enumerated(args)
-        specs.append(
-            ParamSpec(str(entry["name"]), domain, tuple(entry.get("concerns", ())))
-        )
-    return Schema(specs)
+def _param_spec(entry: Reader) -> ParamSpec:
+    where = entry.where
+    name = entry.read("name", text)
+    spec = Reader(entry.read("domain", mapping), where, "domain")
+    concerns = entry.read("concerns", texts, ())
+    entry.close()
+    kinds = ("linear", "pow2", "enum")
+    given = [(kind, a) for kind in kinds if (a := spec.read(kind, entries, None)) is not None]
+    spec.close()
+    if len(given) != 1:
+        raise ConfigError(f"{where}: domain must be one of linear/pow2/enum")
+    (kind, args), = given
+    bounds = kind != "enum"
+    if len(args) != 2 if bounds else not args:
+        count = "two integers" if bounds else "a non-empty list of integers"
+        raise ConfigError(f"{where}: {kind} domain takes {count}, got {args!r}")
+    if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
+        raise ConfigError(f"{where}: {kind} domain values must be integers, got {args!r}")
+    if kind == "linear":
+        domain = Linear(*args)
+    elif kind == "pow2":
+        domain = Pow2(*args)
+    else:
+        domain = Enumerated(args)
+    return ParamSpec(name, domain, concerns)
 
 
 def schema_to_dict(schema: Schema) -> dict:
@@ -144,91 +119,66 @@ def schema_to_dict(schema: Schema) -> dict:
 
 
 def load_schema(path: str | Path) -> Schema:
-    return schema_from_dict(_load_yaml(Path(path)))
+    return schema_from_dict(_load_yaml(Path(path)), str(path))
 
 
 def save_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(schema_to_dict(schema), sort_keys=False))
 
 
-# the keys each evaluator kind reads, besides 'name' and 'kind'
-_EVALUATOR_KEYS = {
-    "expr": ("produces", "expr"),
-    "model": ("model",),
-    "command": ("argv", "produces", "env", "timeout_s"),
-    "blackscholes_qos": ("model",),
-    "latency": ("overhead",),
-}
-_INLINE_MODEL_KEYS = ("produces", "formulas", "latency_s", "fail_if")
-
-
-def _build_evaluator(entry: Mapping, base_dir: Path, global_seed: int) -> Evaluator:
-    if "name" not in entry or "kind" not in entry:
-        raise ConfigError("each evaluator needs 'name' and 'kind'")
-    name = str(entry["name"])
-    kind = str(entry["kind"])
-    where = f"evaluator {name!r}"
-    if kind not in _EVALUATOR_KEYS:
-        raise ConfigError(f"unknown evaluator kind {kind!r}")
-    inline = kind == "model" and "model" not in entry
-    keys = _INLINE_MODEL_KEYS if inline else _EVALUATOR_KEYS[kind]
-    _refuse_unknown(entry, ("name", "kind", *keys), where)
+def _build_evaluator(entry: Reader, base_dir: Path, global_seed: int) -> Evaluator:
+    name = entry.read("name", text)
+    entry.where = f"evaluator {name!r}"
+    kind = entry.read("kind", text)
     if kind == "expr":
-        return expr_evaluator(name, str(entry["produces"]), str(entry["expr"]))
+        return expr_evaluator(name, entry.read("produces", text), entry.read("expr", text))
     if kind == "model":
-        if not inline:
-            path = base_dir / str(entry["model"])
-            try:
-                model = load_model(path)
-            except OSError as err:
-                raise ConfigError(f"cannot read model file {path}: {err.strerror}") from None
-        else:
-            model = model_from_dict(entry, name=name)
+        file = entry.read("model", text, None)
+        if file is None:
+            return model_evaluator(model_from_dict(entry, name=name), name=name)
+        entry.close()  # before opening the file it names
+        path = base_dir / file
+        try:
+            model = load_model(path)
+        except OSError as err:
+            raise ConfigError(f"cannot read model file {path}: {err.strerror}") from None
         return model_evaluator(model, name=name)
     if kind == "command":
+        env = Reader(entry.read("env", mapping, {}), entry.where, "env")
         spec = CommandSpec(
-            argv=tuple(str(a) for a in entry["argv"]),
-            produces=tuple(entry["produces"]),
-            env={str(k): str(v) for k, v in dict(entry.get("env", {})).items()},
-            timeout_s=_positive(entry["timeout_s"], f"{where}: 'timeout_s'")
-            if "timeout_s" in entry
-            else None,
+            argv=entry.read("argv", texts),
+            produces=entry.read("produces", texts),
+            env={str(key): env.read(key, text) for key in env.data},
+            timeout_s=entry.read("timeout_s", positive, None),
         )
         return external_command(name, spec)
     if kind == "blackscholes_qos":
-        params = entry.get("model", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{where}: 'model' must be a mapping, got {params!r}")
-        defaults = {"S0": 100.0, "mu": 0.05, "sigma": 0.2, "T": 1.0}
-        _refuse_unknown(params, tuple(defaults), f"{where}: 'model'")
+        params = Reader(entry.read("model", mapping, {}), entry.where, "model")
         values = {
-            key: _number(params.get(key, default), f"{where}: 'model.{key}'")
-            for key, default in defaults.items()
+            key: params.read(key, number, default)
+            for key, default in asdict(DEFAULT_MODEL).items()
         }
+        params.close()
         try:
             model = BsModelParams(**values)
         except ConfigError as err:
-            raise ConfigError(f"{where}: {err}") from None
+            raise ConfigError(f"{entry.where}: {err}") from None
         return qos_evaluator(model, global_seed, name=name)
-    # latency, the last kind left
-    overhead = _integer(entry.get("overhead", 0), f"{where}: 'overhead'")
-    return latency_evaluator(overhead, name=name)
+    if kind == "latency":
+        return latency_evaluator(entry.read("overhead", integer, 0), name=name)
+    raise ConfigError(f"{entry.where}: unknown evaluator kind {kind!r}")
 
 
 def load_evaluators(path: str | Path, global_seed: int = 0) -> dict[str, Evaluator]:
     path = Path(path)
-    data = _load_yaml(path)
-    entries = data.get("evaluators")
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path} must have an 'evaluators' list")
+    doc = Reader(_load_yaml(path), str(path))
+    listed = doc.read("evaluators", entries)
+    doc.close()
     registry: dict[str, Evaluator] = {}
-    for entry in entries:
-        try:
-            ev = _build_evaluator(entry, path.parent, global_seed)
-        except KeyError as err:
-            raise ConfigError(
-                f"evaluator entry {entry.get('name', '?')!r} is missing key {err.args[0]!r}"
-            ) from None
+    for i, data in enumerate(listed):
+        entry = Reader(data, f"evaluators[{i}]")
+        ev = _build_evaluator(entry, path.parent, global_seed)
+        entry.close()
         if ev.name in registry:
             raise ConfigError(f"duplicate evaluator name {ev.name!r}")
         registry[ev.name] = ev
@@ -250,89 +200,65 @@ def _registry_get(registry: Mapping[str, Evaluator], name: str) -> Evaluator:
     return registry[name]
 
 
-# the keys each step kind reads, besides 'step', 'name', 'fail_policy' and 'worst'
-_STEP_KEYS = {
-    "identity": (),
-    "map": ("evaluator",),
-    "sort": ("key", "ascending", "evaluator"),
-    "prune": ("keep", "evaluator"),
-    "reduce_dimension": ("concern", "to"),
-    "gradient": ("evaluators", "objective", "maximize"),
-    "quick_prune": ("evaluators", "keep", "side", "concern"),
-}
+def _build_step(entry: Reader, registry: Mapping[str, Evaluator]) -> Step:
+    kind = entry.read("step", text)
+    label = entry.read("name", text, None)
+    mode = entry.read("fail_policy", text, None)
+    worst = entry.read("worst", mapping, None)
 
+    def optional_evaluator() -> Evaluator | None:
+        name = entry.read("evaluator", text, None)
+        return None if name is None else _registry_get(registry, name)
 
-def _build_step(entry: Mapping, registry: Mapping[str, Evaluator], where: str) -> Step:
-    kind = str(entry.get("step", ""))
-    if kind not in _STEP_KEYS:
-        raise ConfigError(f"{where}: unknown step kind {kind!r}")
-    _refuse_unknown(entry, ("step", "name", "fail_policy", "worst", *_STEP_KEYS[kind]), where)
-    label = entry.get("name")
-    policy = None
-    if "fail_policy" in entry:
-        policy = parse_fail_policy(str(entry["fail_policy"]), entry.get("worst"))
-
-    def with_policy(step: Step) -> Step:
-        return step if policy is None else replace(step, fail_policy=policy)
+    def evaluators() -> list[Evaluator]:
+        return [_registry_get(registry, name) for name in entry.read("evaluators", texts, ())]
 
     if kind == "identity":
-        return with_policy(identity(label or "identity"))
-    if kind == "map":
-        ev = _registry_get(registry, str(entry["evaluator"]))
-        return with_policy(exhaustive_map(ev, label))
-    if kind == "sort":
-        ev = None
-        if entry.get("evaluator"):
-            ev = _registry_get(registry, str(entry["evaluator"]))
-        return with_policy(
-            exhaustive_sort(
-                str(entry["key"]),
-                evaluator=ev,
-                ascending=_boolean(entry.get("ascending", True), "sort: 'ascending'"),
-                name=label or "sort",
-            )
+        step = identity(label or "identity")
+    elif kind == "map":
+        step = exhaustive_map(_registry_get(registry, entry.read("evaluator", text)), label)
+    elif kind == "sort":
+        step = exhaustive_sort(
+            entry.read("key", text),
+            evaluator=optional_evaluator(),
+            ascending=entry.read("ascending", boolean, True),
+            name=label or "sort",
         )
-    if kind == "prune":
-        ev = None
-        if entry.get("evaluator"):
-            ev = _registry_get(registry, str(entry["evaluator"]))
-        return with_policy(
-            exhaustive_prune(str(entry["keep"]), evaluator=ev, name=label or "prune")
+    elif kind == "prune":
+        step = exhaustive_prune(
+            entry.read("keep", text), evaluator=optional_evaluator(), name=label or "prune"
         )
-    if kind == "reduce_dimension":
-        to = str(entry.get("to", "min"))
+    elif kind == "reduce_dimension":
+        concern = entry.read("concern", text)
+        to = entry.read("to", text, "min")
         if to not in ("min", "max"):
             raise ConfigError(f"reduce_dimension 'to' must be min or max, got {to!r}")
-        return with_policy(
-            reduce_dimension(str(entry["concern"]), to_min=(to == "min"), name=label)
+        step = reduce_dimension(concern, to_min=(to == "min"), name=label)
+    elif kind == "gradient":
+        step = gradient_sort(
+            evaluators(),
+            entry.read("objective", text),
+            maximize=entry.read("maximize", boolean, True),
+            name=label or "gradient",
         )
-    if kind == "gradient":
-        evs = [_registry_get(registry, str(n)) for n in entry.get("evaluators", [])]
-        return with_policy(
-            gradient_sort(
-                evs,
-                str(entry["objective"]),
-                maximize=_boolean(entry.get("maximize", True), "gradient: 'maximize'"),
-                name=label or "gradient",
-            )
-        )
-    # quick_prune, the last kind left
-    evs = [_registry_get(registry, str(n)) for n in entry.get("evaluators", [])]
-    side = str(entry.get("side", "upward"))
-    try:
-        keep_side = KeepSide(side)
-    except ValueError:
-        raise ConfigError(f"quick_prune side must be upward or downward, got {side!r}") from None
-    concern = entry.get("concern")
-    return with_policy(
-        quick_prune(
-            evs,
-            str(entry["keep"]),
+    elif kind == "quick_prune":
+        chain, keep = evaluators(), entry.read("keep", text)
+        side = entry.read("side", text, "upward")
+        try:
+            keep_side = KeepSide(side)
+        except ValueError:
+            raise ConfigError(f"quick_prune side must be upward or downward, got {side!r}") from None
+        step = quick_prune(
+            chain,
+            keep,
             side=keep_side,
-            concern=str(concern) if concern is not None else None,
+            concern=entry.read("concern", text, None),
             name=label or "quick_prune",
         )
-    )
+    else:
+        raise ConfigError(f"{entry.where}: unknown step kind {kind!r}")
+    entry.close()
+    return step if mode is None else replace(step, fail_policy=parse_fail_policy(mode, worst))
 
 
 def load_pipeline(
@@ -344,21 +270,18 @@ def load_pipeline(
     evaluations run at once is a run setting, passed as ``parallelism``.
     """
     path = Path(path)
-    data = _load_yaml(path)
-    _refuse_unknown(data, ("steps", "fail_policy", "worst"), str(path))
-    entries = data.get("steps")
-    if not isinstance(entries, list) or not entries:
+    doc = Reader(_load_yaml(path), str(path))
+    listed = doc.read("steps", entries)
+    fail_policy = parse_fail_policy(
+        doc.read("fail_policy", text, "abort"), doc.read("worst", mapping, None)
+    )
+    doc.close()
+    if not listed:
         raise ConfigError(f"{path} must have a non-empty 'steps' list")
-    steps = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"steps[{i}] must be a mapping")
-        try:
-            steps.append(_build_step(entry, registry, f"steps[{i}]"))
-        except KeyError as err:
-            raise ConfigError(f"steps[{i}] is missing key {err.args[0]!r}") from None
-    fail_policy = parse_fail_policy(str(data.get("fail_policy", "abort")), data.get("worst"))
-    return Pipeline(tuple(steps), parallelism=parallelism, fail_policy=fail_policy)
+    steps = tuple(
+        _build_step(Reader(data, f"steps[{i}]"), registry) for i, data in enumerate(listed)
+    )
+    return Pipeline(steps, parallelism=parallelism, fail_policy=fail_policy)
 
 
 @dataclass(frozen=True)
@@ -383,22 +306,17 @@ class RunManifest:
 
 def load_manifest(path: str | Path) -> RunManifest:
     path = Path(path)
-    data = _load_yaml(path)
-    _refuse_unknown(data, tuple(f.name for f in fields(RunManifest)), str(path))
-    base = path.parent
+    doc = Reader(_load_yaml(path), str(path))
 
-    def resolve(key: str) -> Path:
-        if key not in data:
-            raise ConfigError(f"manifest {path} is missing {key!r}")
-        return (base / str(data[key])).resolve()
+    def resolve(key: str, default=REQUIRED) -> Path:
+        return (path.parent / doc.read(key, text, default)).resolve()
 
-    return RunManifest(
-        schema=resolve("schema"),
-        pipeline=resolve("pipeline"),
-        evaluators=resolve("evaluators"),
-        out=(base / str(data.get("out", "out"))).resolve(),
-        **{k: _integer(data[k], f"{path}: {k!r}") for k in ("parallelism", "seed", "top") if k in data},
-    )
+    values = {key: resolve(key) for key in ("schema", "pipeline", "evaluators")}
+    values["out"] = resolve("out", "out")
+    for key in ("parallelism", "seed", "top"):  # defaulting as the dataclass does
+        values[key] = doc.read(key, integer, getattr(RunManifest, key))
+    doc.close()
+    return RunManifest(**values)
 
 
 def echo_manifest(manifest: RunManifest, path: str | Path) -> None:

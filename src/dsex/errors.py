@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 
 
@@ -49,6 +50,84 @@ class MetricCollision(DsexError):
 
 class ConfigError(DsexError):
     """A schema/pipeline/evaluator/manifest file is invalid."""
+
+
+REQUIRED = object()
+
+
+class Reader:
+    """One mapping of a run file, read key by key.
+
+    ``where`` names the file or entry in messages, and ``path`` the key
+    under which this mapping sits in it. Each ``read`` names a key the
+    program uses and a converter that checks its type; ``close`` then
+    refuses every key that no read asked for, so a misspelt or retired
+    key fails loudly instead of being ignored.
+    """
+
+    def __init__(self, data, where: str, path: str = ""):
+        self.data, self.where, self.path, self.asked = data, where, path, {}
+        if not isinstance(data, dict):
+            raise ConfigError(f"{self._at()} must be a mapping, got {data!r}")
+
+    def _at(self, key=""):
+        path = ".".join(str(part) for part in (self.path, key) if part != "")
+        return f"{self.where}: {path!r}" if path else self.where
+
+    def read(self, key, convert, default=REQUIRED):
+        self.asked[key] = None
+        if key not in self.data:
+            if default is REQUIRED:
+                raise ConfigError(f"{self._at(key)} is missing")
+            return default
+        value = self.data[key]
+        try:
+            return convert(value)
+        except ValueError as err:
+            raise ConfigError(f"{self._at(key)} must be {err}, got {value!r}") from None
+
+    def close(self) -> None:
+        unknown = [key for key in self.data if key not in self.asked]
+        if unknown:
+            raise ConfigError(f"{self._at()}: unknown keys {unknown} (known: {list(self.asked)})")
+
+
+def _converter(what: str, accepts, convert=None):
+    """A converter for ``Reader.read``: the value, through ``convert`` if
+    given, when ``accepts`` holds, and otherwise a ValueError naming
+    ``what`` was expected."""
+
+    def read(value):
+        if not accepts(value):
+            raise ValueError(what)
+        return value if convert is None else convert(value)
+
+    return read
+
+
+def _scalar(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    # False for NaN, inf and ints too large for a float
+    return _scalar(value) and not isinstance(value, str) and abs(value) <= sys.float_info.max
+
+
+# a number is text too, so ``expr: 2`` reads as "2"; a lone string is not
+# a list of text, so ``concerns: qos`` is refused rather than split
+text = _converter("text", _scalar, str)
+texts = _converter(
+    "a list of text",
+    lambda v: isinstance(v, list) and all(map(_scalar, v)),
+    lambda v: tuple(map(str, v)),
+)
+entries = _converter("a list", lambda v: isinstance(v, list))
+mapping = _converter("a mapping", lambda v: isinstance(v, dict))
+integer = _converter("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+number = _converter("a finite number", _finite, float)
+positive = _converter("a positive finite number", lambda v: _finite(v) and v > 0, float)
+boolean = _converter("true or false", lambda v: isinstance(v, bool))
 
 
 class EvalErrorKind(str, Enum):

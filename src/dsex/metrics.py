@@ -391,6 +391,10 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
                 EvalErrorKind.TIMEOUT,
                 f"command {argv[0]!r} exceeded {spec.timeout_s}s",
             ) from None
+        except OSError as err:
+            raise EvalError(
+                EvalErrorKind.TOOL_FAILURE, f"command {argv[0]!r} cannot start: {err.strerror}"
+            ) from None
         if proc.returncode != 0:
             raise EvalError(
                 EvalErrorKind.TOOL_FAILURE,

@@ -18,7 +18,17 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, EvalError, EvalErrorKind
+from .errors import (
+    ConfigError,
+    DsexError,
+    EvalError,
+    EvalErrorKind,
+    Reader,
+    mapping,
+    number,
+    text,
+    texts,
+)
 from .expr import parse_expr
 
 # the served model starts once per point, so this module imports neither
@@ -105,20 +115,21 @@ def model_to_dict(model: ResourceModel) -> dict:
     return out
 
 
-def model_from_dict(data: Mapping, name: str = "model") -> ResourceModel:
-    try:
-        produces = tuple(data["produces"])
-        formulas = {m: parse_expr(str(t)) for m, t in dict(data["formulas"]).items()}
-    except KeyError as err:
-        raise ConfigError(f"model is missing key {err.args[0]!r}") from None
-    fail_if = data.get("fail_if")
-    return ResourceModel(
-        name=str(data.get("name", name)),
-        produces=produces,
-        formulas=formulas,
-        latency_s=float(data.get("latency_s", 0.0)),
-        fail_if=parse_expr(str(fail_if)) if fail_if is not None else None,
+def model_from_dict(data: "Mapping | Reader", name: str = "model") -> ResourceModel:
+    """A model from its mapping, or from a reader over it, such as an
+    evaluator entry that has already read its own keys."""
+    model = data if isinstance(data, Reader) else Reader(data, f"model {name!r}")
+    formulas = Reader(model.read("formulas", mapping), model.where, "formulas")
+    fail_if = model.read("fail_if", text, None)
+    built = ResourceModel(
+        name=model.read("name", text, name),
+        produces=model.read("produces", texts),
+        formulas={str(m): parse_expr(formulas.read(m, text)) for m in formulas.data},
+        latency_s=model.read("latency_s", number, 0.0),
+        fail_if=None if fail_if is None else parse_expr(fail_if),
     )
+    model.close()
+    return built
 
 
 def load_model(path: "str | Path") -> ResourceModel:
@@ -128,9 +139,9 @@ def load_model(path: "str | Path") -> ResourceModel:
     served subprocess cheap to start, since it runs once per point.
     """
     with open(path) as fh:
-        text = fh.read()
+        source = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(source)
     except json.JSONDecodeError:
         try:
             import yaml
@@ -139,13 +150,13 @@ def load_model(path: "str | Path") -> ResourceModel:
                 f"model file {path} is not JSON and no YAML parser is available"
             ) from None
         try:
-            data = yaml.safe_load(text)
+            data = yaml.safe_load(source)
         except yaml.YAMLError as err:
             raise ConfigError(f"cannot parse model file {path}: {err}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"model file {path} must hold a mapping")
+    model = Reader(data, f"model file {path}")
+    model.read("note", text, None)  # JSON has no comments; a note stands in for one
     stem = os.path.splitext(os.path.basename(str(path)))[0]
-    return model_from_dict(data, name=stem)
+    return model_from_dict(model, name=stem)
 
 
 def serve_once(model: ResourceModel, environ: Mapping[str, str] = os.environ) -> int:
@@ -195,7 +206,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         model = load_model(model_path)
-    except (ConfigError, OSError) as err:
+    except (DsexError, OSError) as err:
         print(str(err), file=sys.stderr)
         return 1
     return serve_once(model)

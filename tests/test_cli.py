@@ -68,6 +68,36 @@ class TestSpaceCommand:
         assert proc.stderr.startswith("error: params[0]") and proc.stderr.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "param, named",
+        [
+            # a lone string is not split into one-letter tags
+            ("    concerns: qos\n", "'concerns'"),
+            ("    concerns: 5\n", "'concerns'"),
+            ("    concern: [qos]\n", "'concern'"),
+        ],
+        ids=["string-concerns", "int-concerns", "misspelt-concerns"],
+    )
+    def test_malformed_param_exits_2_naming_the_key(self, tmp_path, capsys, param, named):
+        from dsex.cli import main
+
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("params:\n  - name: p\n    domain: {linear: [0, 3]}\n" + param)
+        assert main(["space", "--schema", str(schema)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_unknown_schema_key_and_unreadable_schema_exit_2(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        schema = tmp_path / "schema.yaml"
+        schema.write_text("params:\n  - {name: p, domain: {enum: [1]}}\nparam: []\n")
+        assert main(["space", "--schema", str(schema)]) == 2
+        assert f"{schema}: unknown keys ['param']" in capsys.readouterr().err
+        # a directory is no schema file
+        assert main(["space", "--schema", str(tmp_path)]) == 2
+        assert f"cannot read {tmp_path}" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def test_dsp_pipeline_top_row_is_exhaustive_minimum(self, tmp_path):
         out = tmp_path / "out"
@@ -148,6 +178,31 @@ class TestRunCommand:
         )
         assert proc.returncode == 1
         assert (tmp_path / "out" / "provenance.json").is_file()
+
+    @pytest.mark.parametrize("policy, code", [("prune", 3), ("abort", 1)])
+    def test_command_that_cannot_start_goes_through_the_fail_policy(
+        self, tmp_path, capsys, policy, code
+    ):
+        from dsex.cli import main
+
+        (tmp_path / "evaluators.yaml").write_text(
+            "evaluators:\n"
+            "  - {name: tool, kind: command, argv: [/nonexistent/tool], produces: [m]}\n"
+        )
+        (tmp_path / "pipeline.yaml").write_text(
+            f"fail_policy: {policy}\nsteps:\n  - {{step: map, evaluator: tool}}\n"
+        )
+        out = tmp_path / "out"
+        argv = ["run", "--schema", str(PIPELINES / "schemas" / "dummy.yaml"),
+                "--pipeline", str(tmp_path / "pipeline.yaml"),
+                "--evaluators", str(tmp_path / "evaluators.yaml"), "--out", str(out)]
+        assert main(argv) == code
+        step = json.loads((out / "provenance.json").read_text())["steps"][0]
+        if policy == "prune":
+            assert step["points_out"] == 0
+        else:
+            assert "'/nonexistent/tool' cannot start" in capsys.readouterr().err
+            assert "'/nonexistent/tool' cannot start" in step["error"]
 
     @pytest.mark.parametrize(
         "pipeline, named",
@@ -410,6 +465,54 @@ class TestMalformedRunFiles:
             tmp_path, capsys, "", "steps:\n  - {step: identity}\n", f"  - {entry}\n"
         )
         assert f"evaluator 'x': unknown keys [{key!r}]" in err
+
+
+    @pytest.mark.parametrize(
+        "step, registry, named",
+        [
+            ("", "  - 5\n", "evaluators[0] must be a mapping"),
+            ("", "  - {name: x, kind: model, produces: [m], formulas: [1, 2]}\n",
+             "'x': 'formulas' must be a mapping"),
+            ("", "  - {name: x, kind: model, produces: 5, formulas: {m: '1'}}\n",
+             "'x': 'produces' must be a list"),
+            ("", "  - {name: x, kind: model, produces: [m], formulas: {m: [1]}}\n",
+             "'x': 'formulas.m' must be text"),
+            ("", "  - {name: x, kind: model, produces: [m], formulas: {m: '1'}, latency_s: abc}\n",
+             "'x': 'latency_s' must be a finite number"),
+            ("", "  - {name: x, kind: command, argv: 5, produces: [m]}\n",
+             "'x': 'argv' must be a list"),
+            ("", "  - {name: x, kind: command, argv: [x], produces: [m], env: [1]}\n",
+             "'x': 'env' must be a mapping"),
+            # a lone name is not read as the list of its letters
+            ("  - {step: gradient, evaluators: e, objective: m}\n",
+             "  - {name: e, kind: expr, produces: m, expr: param1}\n",
+             "steps[1]: 'evaluators' must be a list"),
+            ("  - {step: map}\n", "", "steps[1]: 'evaluator' is missing"),
+        ],
+        ids=["entry", "formulas", "produces", "formula", "latency_s", "argv", "env",
+             "gradient-evaluators", "missing-evaluator"],
+    )
+    def test_mistyped_value_exits_2_naming_the_key(self, tmp_path, capsys, step, registry, named):
+        err = run_refused(
+            tmp_path, capsys, "", "steps:\n  - {step: identity}\n" + step, registry
+        )
+        assert named in err
+
+    def test_registry_refuses_unknown_top_level_keys(self, tmp_path, capsys):
+        err = run_refused(
+            tmp_path, capsys, "", "steps:\n  - {step: identity}\n", "  []\nevaluator: [{name: x}]\n"
+        )
+        assert f"{tmp_path / 'evaluators.yaml'}: unknown keys ['evaluator']" in err
+
+    def test_model_file_refuses_unknown_keys(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text(
+            '{"produces": ["m"], "formulas": {"m": "1"}, "fail_fi": "param1 > 1"}'
+        )
+        err = run_refused(
+            tmp_path, capsys, "", "steps:\n  - {step: identity}\n",
+            "  - {name: x, kind: model, model: m.json}\n",
+        )
+        assert f"model file {tmp_path / 'm.json'}: unknown keys ['fail_fi']" in err
 
 
 def run_refused(tmp_path, capsys, manifest, pipeline, registry=""):

@@ -1,9 +1,15 @@
+import json
+import shutil
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsex import (
     Cache,
     ConfigError,
+    DsexError,
     Enumerated,
     Linear,
     ParamSpec,
@@ -24,6 +30,7 @@ from dsex.config import (
     schema_to_dict,
 )
 from dsex.metrics import FailMode
+from dsex.surrogate import load_model
 from dsex.strategy import run_pipeline
 
 from conftest import PIPELINES
@@ -308,3 +315,77 @@ class TestManifest:
         assert data["parallelism"] == 1
         # the echo is itself a manifest, and loads back to the one that ran
         assert load_manifest(tmp_path / "echo.yaml") == manifest
+
+
+
+def _paths(tree, path=()):
+    """The path to every value in a parsed run file, the root's included."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from _paths(child, (*path, key))
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _load(path):
+    """Load one run file with the loader a run uses for it."""
+    if path.parent.name == "models":
+        return load_model(path)
+    if path.parent.name == "schemas":
+        return load_schema(path)
+    if path.name == "pipeline.yaml":
+        return load_pipeline(path, load_evaluators(path.parent / "evaluators.yaml"))
+    return {"manifest.yaml": load_manifest, "evaluators.yaml": load_evaluators}[path.name](path)
+
+
+SHIPPED_RUN_FILES = sorted(
+    str(path.relative_to(PIPELINES))
+    for path in (*PIPELINES.glob("*/*.yaml"), *PIPELINES.glob("models/*.json"))
+)
+# a value of each type a run file can hold, or an unknown key
+_MUTATIONS = [7, -3, 0, float("nan"), "x", True, None, [1, "a"], {"k": 1}, "add-key"]
+
+
+class TestLoaderFuzz:
+    """Every loader, given a shipped run file with one value swapped for
+    another type or one unknown key added, loads it or raises a
+    DsexError, never any other exception."""
+
+    @pytest.fixture(scope="class")
+    def tree(self, tmp_path_factory):
+        # a copy, so the references between files still resolve
+        root = tmp_path_factory.mktemp("fuzz") / "pipelines"
+        shutil.copytree(PIPELINES, root)
+        return root
+
+    def test_every_shipped_file_is_fuzzed(self):
+        # three bundles of three files, four schemas and six models
+        assert len(SHIPPED_RUN_FILES) == 19
+
+    @pytest.mark.parametrize("name", SHIPPED_RUN_FILES)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_loads_or_raises_a_dsex_error(self, tree, name, data):
+        path = tree / name
+        original = path.read_text()
+        as_json = path.suffix == ".json"
+        parsed = json.loads(original) if as_json else yaml.safe_load(original)
+        mutation = data.draw(st.sampled_from(_MUTATIONS))
+        if mutation == "add-key":
+            mappings = [p for p in _paths(parsed) if isinstance(_at(parsed, p), dict)]
+            _at(parsed, data.draw(st.sampled_from(mappings)))["not_a_key"] = 1
+        else:
+            target = data.draw(st.sampled_from(list(_paths(parsed))[1:]))
+            _at(parsed, target[:-1])[target[-1]] = mutation
+        path.write_text(json.dumps(parsed) if as_json else yaml.safe_dump(parsed))
+        try:
+            _load(path)
+        except DsexError:
+            pass
+        finally:
+            path.write_text(original)

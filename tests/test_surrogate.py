@@ -87,6 +87,22 @@ class TestModelEvaluator:
         apply_transform(core_space(), model_evaluator(model), Cache())
         assert time.perf_counter() - start >= 0.08
 
+    def test_model_file_refuses_unknown_keys_but_a_note(self, tmp_path):
+        # the shipped gemm_synth.json carries a note, which nothing reads
+        assert load_model(PIPELINES / "models" / "gemm_synth.json").fail_if is not None
+        path = tmp_path / "m.json"
+        path.write_text('{"produces": ["a"], "formulas": {"a": "1"}, "fail_fi": "a > 1"}')
+        with pytest.raises(ConfigError, match="unknown keys \\['fail_fi'\\]"):
+            load_model(path)
+
+    def test_served_model_file_error_is_one_line(self, tmp_path, capsys):
+        from dsex.surrogate import main
+
+        path = tmp_path / "m.json"
+        path.write_text('{"produces": ["a"], "formulas": {"a": "p +"}}')
+        assert main(["--model", str(path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_dict_round_trip(self):
         model = core_model(latency_s=0.5, fail_if=parse_expr("nbCore > 100"))
         again = model_from_dict(model_to_dict(model))
@@ -130,6 +146,22 @@ class TestSubprocessProtocol:
         probe = (
             "import dsex.surrogate, sys; "
             "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_import_loads_no_yaml_typing_or_dataclasses(self):
+        # the run-file reader in dsex.errors must keep this import light too
+        probe = (
+            "import dsex.surrogate, sys; "
+            "print(sorted({'yaml', 'typing', 'dataclasses'} & set(sys.modules)))"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", probe],
