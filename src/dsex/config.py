@@ -30,6 +30,7 @@ from .errors import (
     text,
     texts,
 )
+from .expr import expression
 from .metrics import (
     CommandSpec,
     Evaluator,
@@ -126,22 +127,22 @@ def save_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(schema_to_dict(schema), sort_keys=False))
 
 
-def _build_evaluator(entry: Reader, base_dir: Path, global_seed: int) -> Evaluator:
+def _build_evaluator(entry: Reader, path: Path, global_seed: int) -> Evaluator:
     name = entry.read("name", text)
-    entry.where = f"evaluator {name!r}"
+    entry.where = f"{path}: evaluator {name!r}"
     kind = entry.read("kind", text)
     if kind == "expr":
-        return expr_evaluator(name, entry.read("produces", text), entry.read("expr", text))
+        return expr_evaluator(name, entry.read("produces", text), entry.read("expr", expression))
     if kind == "model":
         file = entry.read("model", text, None)
         if file is None:
             return model_evaluator(model_from_dict(entry, name=name), name=name)
         entry.close()  # before opening the file it names
-        path = base_dir / file
+        model_path = path.parent / file
         try:
-            model = load_model(path)
+            model = load_model(model_path)
         except OSError as err:
-            raise ConfigError(f"cannot read model file {path}: {err.strerror}") from None
+            raise ConfigError(f"cannot read model file {model_path}: {err.strerror}") from None
         return model_evaluator(model, name=name)
     if kind == "command":
         env = Reader(entry.read("env", mapping, {}), entry.where, "env")
@@ -176,8 +177,8 @@ def load_evaluators(path: str | Path, global_seed: int = 0) -> dict[str, Evaluat
     doc.close()
     registry: dict[str, Evaluator] = {}
     for i, data in enumerate(listed):
-        entry = Reader(data, f"evaluators[{i}]")
-        ev = _build_evaluator(entry, path.parent, global_seed)
+        entry = Reader(data, f"{path}: evaluators[{i}]")
+        ev = _build_evaluator(entry, path, global_seed)
         entry.close()
         if ev.name in registry:
             raise ConfigError(f"duplicate evaluator name {ev.name!r}")
@@ -219,14 +220,14 @@ def _build_step(entry: Reader, registry: Mapping[str, Evaluator]) -> Step:
         step = exhaustive_map(_registry_get(registry, entry.read("evaluator", text)), label)
     elif kind == "sort":
         step = exhaustive_sort(
-            entry.read("key", text),
+            entry.read("key", expression),
             evaluator=optional_evaluator(),
             ascending=entry.read("ascending", boolean, True),
             name=label or "sort",
         )
     elif kind == "prune":
         step = exhaustive_prune(
-            entry.read("keep", text), evaluator=optional_evaluator(), name=label or "prune"
+            entry.read("keep", expression), evaluator=optional_evaluator(), name=label or "prune"
         )
     elif kind == "reduce_dimension":
         concern = entry.read("concern", text)
@@ -237,12 +238,12 @@ def _build_step(entry: Reader, registry: Mapping[str, Evaluator]) -> Step:
     elif kind == "gradient":
         step = gradient_sort(
             evaluators(),
-            entry.read("objective", text),
+            entry.read("objective", expression),
             maximize=entry.read("maximize", boolean, True),
             name=label or "gradient",
         )
     elif kind == "quick_prune":
-        chain, keep = evaluators(), entry.read("keep", text)
+        chain, keep = evaluators(), entry.read("keep", expression)
         side = entry.read("side", text, "upward")
         try:
             keep_side = KeepSide(side)
@@ -279,7 +280,7 @@ def load_pipeline(
     if not listed:
         raise ConfigError(f"{path} must have a non-empty 'steps' list")
     steps = tuple(
-        _build_step(Reader(data, f"steps[{i}]"), registry) for i, data in enumerate(listed)
+        _build_step(Reader(data, f"{path}: steps[{i}]"), registry) for i, data in enumerate(listed)
     )
     return Pipeline(steps, parallelism=parallelism, fail_policy=fail_policy)
 

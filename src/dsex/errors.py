@@ -85,6 +85,8 @@ class Reader:
             return convert(value)
         except ValueError as err:
             raise ConfigError(f"{self._at(key)} must be {err}, got {value!r}") from None
+        except ExprSyntaxError as err:
+            raise ConfigError(f"{self._at(key)}: {err}") from None
 
     def close(self) -> None:
         unknown = [key for key in self.data if key not in self.asked]

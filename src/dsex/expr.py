@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import EvalError, EvalErrorKind, ExprSyntaxError
+from .errors import EvalError, EvalErrorKind, ExprSyntaxError, text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -255,6 +255,11 @@ def parse_expr(text: str) -> MetricExpr:
     parser = _Parser(text)
     fn, is_bool = parser.parse()
     return MetricExpr(text, fn, frozenset(parser.names), is_bool)
+
+
+def expression(value) -> MetricExpr:
+    """A ``Reader.read`` converter: run-file text parsed as an expression."""
+    return parse_expr(text(value))
 
 
 def evaluate(expr: MetricExpr, env: Mapping[str, float]):

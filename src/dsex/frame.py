@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Decimal
+from operator import getitem
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -83,12 +84,6 @@ class ResultFrame:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row_dicts(self) -> list[dict[str, float]]:
-        cols = self.columns
-        return [
-            {c: v for c, v in zip(cols, row) if v is not None} for row in self.rows
-        ]
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
@@ -96,9 +91,11 @@ class ResultFrame:
                 fh.write(",".join("" if v is None else repr(float(v)) for v in row) + "\n")
 
     def to_jsonl(self, path: str | Path) -> None:
+        """One JSON object per row, of its non-None cells, written as it is built."""
+        cols = self.columns
         with open(path, "w", newline="\n") as fh:
-            for d in self.row_dicts():
-                fh.write(json.dumps(d) + "\n")
+            for row in self.rows:
+                fh.write(json.dumps({c: v for c, v in zip(cols, row) if v is not None}) + "\n")
 
     def provenance_json(self, path: str | Path) -> None:
         if self.provenance is None:
@@ -117,16 +114,12 @@ def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> Res
     value for it; a point's None leaves its cell empty.
     """
     schema = space.schema
-    frozen_cols = tuple(m.name for m in schema.frozen)
-    frozen_values = [m.value for m in schema.frozen]
-    rows = []
-    for p in space.points:
-        row: list[float | None] = [float(v) for v in space.raw_values(p)]
-        row.extend(frozen_values)
-        row.extend(p.metrics)
-        row.append(1.0 if p.degraded else 0.0)
-        rows.append(tuple(row))
-    return ResultFrame(schema.names, frozen_cols, schema.metrics, tuple(rows), provenance)
+    floats, fixed = schema.floats, tuple(schema.frozen_env.values())
+    rows = tuple(
+        (*map(getitem, floats, p.coords), *fixed, *p.metrics, 1.0 if p.degraded else 0.0)
+        for p in space.points
+    )
+    return ResultFrame(schema.names, tuple(schema.frozen_env), schema.metrics, rows, provenance)
 
 
 def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:

@@ -2,7 +2,7 @@
 
 An evaluator turns a point into a fixed list of new named metrics (or
 fails with an EvalError). All evaluator invocations are routed through
-a write-once cache keyed by (evaluator name, coords, frozen params);
+a write-once cache keyed by (evaluator name, frozen params, coords);
 stored failures are replayed on later lookups so expensive timeouts
 are never retried. Spaces are enhanced point-by-point, optionally in
 parallel, with results always reassembled in point-index order so
@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision
 from .expr import MetricExpr, parse_expr
-from .space import DesignSpace, Point, Schema, _unchecked, check_name
+from .space import DesignSpace, Point, Schema, _point, check_name
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,10 @@ class PointView:
 
     @cached_property
     def env(self) -> dict[str, float]:
-        env = {}
-        for spec, c in zip(self.schema.params, self.point.coords):
-            env[spec.name] = float(spec.domain.values()[c])
-        for m in self.schema.frozen:
-            env[m.name] = m.value
-        for name, value in zip(self.schema.metrics, self.point.metrics):
+        schema = self.schema
+        env = {n: v[c] for n, v, c in zip(schema.names, schema.floats, self.point.coords)}
+        env.update(schema.frozen_env)
+        for name, value in zip(schema.metrics, self.point.metrics):
             if value is not None:
                 env[name] = value
         return env
@@ -133,22 +131,20 @@ ABORT = FailPolicy(FailMode.ABORT)
 class Cache:
     """Write-once memo of evaluator results, including stored failures.
 
-    Keys are (evaluator name, coords, the schema's frozen params), so
-    schemas that differ only in frozen values share no entry. Hit/miss
-    counters are exposed; a miss is counted per evaluator invocation.
-    Safe under concurrent read/write; on a race the first stored result
-    wins and later computations are discarded.
+    One table per (evaluator name, the schema's frozen params) holds
+    the results by the coords tuple the point already carries, so
+    schemas that differ only in frozen values share no entry and an
+    entry needs no key of its own. Hit/miss counters are exposed; a miss
+    is counted per evaluator invocation. Safe under concurrent
+    read/write; on a race the first stored result wins and later
+    computations are discarded.
     """
 
     def __init__(self):
-        self._store: dict[tuple, object] = {}
+        self._tables: dict[tuple, dict[tuple[int, ...], object]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def key(evaluator: Evaluator, schema: Schema, point: Point) -> tuple:
-        return (evaluator.name, point.coords, schema.frozen)
 
     def run(self, evaluator: Evaluator, view: PointView) -> tuple[float, ...]:
         """Return the evaluator's metrics for the point, memoized.
@@ -157,11 +153,14 @@ class Cache:
         EvalErrors are re-raised on later lookups without re-invoking
         the evaluator.
         """
-        key = self.key(evaluator, view.schema, view.point)
+        coords, key = view.point.coords, (evaluator.name, view.schema.frozen)
         with self._lock:
-            if key in self._store:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._tables[key] = {}
+            if coords in table:
                 self.hits += 1
-                cached = self._store[key]
+                cached = table[coords]
                 if isinstance(cached, EvalError):
                     raise cached
                 return cached
@@ -180,22 +179,18 @@ class Cache:
                     f"{dict(zip(evaluator.produces, values))}",
                 )
         except EvalError as err:
-            values = err.at(view.point.coords) if err.coords is None else err
-        stored = self._put(key, values)
+            values = err.at(coords) if err.coords is None else err
+        with self._lock:  # first write wins; a racing computation is discarded
+            stored = table.setdefault(coords, values)
         if isinstance(stored, EvalError):
             raise stored
         return stored
 
     def holds(self, evaluators: Sequence[Evaluator], schema: Schema, point: Point) -> bool:
         """Whether every evaluator's result (or failure) for the point is stored."""
-        return all(self.key(ev, schema, point) in self._store for ev in evaluators)
-
-    def _put(self, key, value):
-        # first write wins; a racing computation is discarded
-        with self._lock:
-            if key not in self._store:
-                self._store[key] = value
-            return self._store[key]
+        return all(
+            point.coords in self._tables.get((ev.name, schema.frozen), ()) for ev in evaluators
+        )
 
     def counters(self) -> tuple[int, int]:
         with self._lock:
@@ -228,9 +223,7 @@ def enhance_point(
             if policy.mode is FailMode.ABORT:
                 raise
             values, degraded = tuple(map(policy.worst_value, ev.produces)), True
-        current = _unchecked(
-            Point, current.coords, current.metrics + values, current.degraded or degraded
-        )
+        current = _point(current.coords, current.metrics + values, current.degraded or degraded)
     return current
 
 

@@ -37,14 +37,6 @@ def check_name(name: str) -> str:
     return name
 
 
-def _unchecked(cls, *values):
-    """``cls(*values)`` for a frozen dataclass, skipping its checks."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _is_metric_value(value) -> bool:
     return value is None or (isinstance(value, float) and math.isfinite(value))
 
@@ -186,9 +178,20 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate names in schema: {names}")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
+
+    @cached_property
+    def floats(self) -> tuple[tuple[float, ...], ...]:
+        """Each parameter's raw values as floats, built once per schema, so
+        every env and frame row of a space shares one float per value."""
+        return tuple(tuple(map(float, p.domain.values())) for p in self.params)
+
+    @cached_property
+    def frozen_env(self) -> dict[str, float]:
+        """The frozen params by name; read it, never change it."""
+        return {m.name: m.value for m in self.frozen}
 
     @property
     def cardinalities(self) -> tuple[int, ...]:
@@ -225,6 +228,24 @@ class Point:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         object.__setattr__(self, "metrics", tuple(self.metrics))
+
+
+def _point(coords: tuple[int, ...], metrics: tuple, degraded: bool) -> Point:
+    """``Point(coords, metrics, degraded)`` from values already in their
+    final types, without ``__post_init__``: the hot paths build with it."""
+    p = object.__new__(Point)
+    object.__setattr__(p, "coords", coords)
+    object.__setattr__(p, "metrics", metrics)
+    object.__setattr__(p, "degraded", degraded)
+    return p
+
+
+def _space(schema: Schema, points: tuple[Point, ...]) -> "DesignSpace":
+    """``DesignSpace(schema, points)`` without the constructor's checks."""
+    space = object.__new__(DesignSpace)
+    object.__setattr__(space, "schema", schema)
+    object.__setattr__(space, "points", points)
+    return space
 
 
 class Norm(Enum):
@@ -296,7 +317,7 @@ class DesignSpace:
         adds metric names (``check_no_collision`` returns it), unchecked:
         each a distinct point of this space holding one value or None
         per metric name."""
-        return _unchecked(DesignSpace, self.schema if schema is None else schema, tuple(points))
+        return _space(self.schema if schema is None else schema, tuple(points))
 
     @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
@@ -377,11 +398,13 @@ def build_space(schema: Schema) -> DesignSpace:
     """Materialize the full Cartesian product of a schema.
 
     Points are enumerated in row-major order of the schema (the last
-    parameter varies fastest). The schema names no metric yet.
+    parameter varies fastest). A schema that names a metric is refused,
+    as its points would hold no value for it. Every coords is made here from the cardinalities, so nothing is re-checked.
     """
-    ranges = [range(c) for c in schema.cardinalities]
-    points = (Point(coords) for coords in itertools.product(*ranges))
-    return DesignSpace(schema, points)
+    if schema.metrics:
+        raise SchemaError(f"build_space takes a schema with no metric, got {schema.metrics}")
+    grid = itertools.product(*map(range, schema.cardinalities))
+    return _space(schema, tuple(_point(c, (), False) for c in grid))
 
 
 def concern_image(

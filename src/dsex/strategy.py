@@ -40,7 +40,7 @@ from .metrics import (
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
-from .space import _unchecked
+from .space import _point
 
 log = logging.getLogger(__name__)
 
@@ -381,7 +381,7 @@ def quick_prune(
             if coords in closed and (entry[1] if entry else coords not in memo):
                 enh = entry and entry[0]
                 tail, degraded = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)
-                out.append(_unchecked(Point, p.coords, p.metrics + tail, p.degraded or degraded))
+                out.append(_point(p.coords, p.metrics + tail, p.degraded or degraded))
         return space.derive(out, schema)
 
     return Step(name, "quick_prune", apply_fn)

@@ -29,7 +29,7 @@ from .errors import (
     text,
     texts,
 )
-from .expr import parse_expr
+from .expr import expression
 
 # the served model starts once per point, so this module imports neither
 # dataclasses nor typing at run time; annotation-only names load here
@@ -120,13 +120,12 @@ def model_from_dict(data: "Mapping | Reader", name: str = "model") -> ResourceMo
     evaluator entry that has already read its own keys."""
     model = data if isinstance(data, Reader) else Reader(data, f"model {name!r}")
     formulas = Reader(model.read("formulas", mapping), model.where, "formulas")
-    fail_if = model.read("fail_if", text, None)
     built = ResourceModel(
         name=model.read("name", text, name),
         produces=model.read("produces", texts),
-        formulas={str(m): parse_expr(formulas.read(m, text)) for m in formulas.data},
+        formulas={str(m): formulas.read(m, expression) for m in formulas.data},
         latency_s=model.read("latency_s", number, 0.0),
-        fail_if=None if fail_if is None else parse_expr(fail_if),
+        fail_if=model.read("fail_if", expression, None),
     )
     model.close()
     return built

@@ -515,6 +515,38 @@ class TestMalformedRunFiles:
         assert f"model file {tmp_path / 'm.json'}: unknown keys ['fail_fi']" in err
 
 
+    @pytest.mark.parametrize(
+        "step, registry, named",
+        [
+            ("{step: prune, keep: 'param1 >'}", "", "pipeline.yaml: steps[1]: 'keep'"),
+            ("{step: sort, key: 'param1 *'}", "", "pipeline.yaml: steps[1]: 'key'"),
+            ("{step: gradient, evaluators: [e], objective: 'm -'}", "e",
+             "pipeline.yaml: steps[1]: 'objective'"),
+            ("{step: quick_prune, evaluators: [e], keep: 'm <'}", "e",
+             "pipeline.yaml: steps[1]: 'keep'"),
+            ("", "{name: x, kind: expr, produces: m, expr: 'param1 *'}",
+             "evaluators.yaml: evaluator 'x': 'expr'"),
+            ("", "{name: x, kind: model, produces: [m], formulas: {m: '2 *'}}",
+             "evaluators.yaml: evaluator 'x': 'formulas.m'"),
+            ("", "{name: x, kind: model, produces: [m], formulas: {m: '1'}, fail_if: 'm >'}",
+             "evaluators.yaml: evaluator 'x': 'fail_if'"),
+            ("", "{name: x, kind: model, model: m.json}", "m.json: 'formulas.m'"),
+        ],
+        ids=["prune-keep", "sort-key", "gradient-objective", "quick_prune-keep", "expr",
+             "formulas", "fail_if", "model-file"],
+    )
+    def test_unparsable_expression_names_file_entry_and_key(
+        self, tmp_path, capsys, step, registry, named
+    ):
+        (tmp_path / "m.json").write_text('{"produces": ["m"], "formulas": {"m": "2 *"}}')
+        if registry == "e":
+            registry = "{name: e, kind: expr, produces: m, expr: param1}"
+        err = run_refused(
+            tmp_path, capsys, "", "steps:\n  - {step: identity}\n" + (step and f"  - {step}\n"),
+            registry and f"  - {registry}\n",
+        )
+        assert f"{tmp_path / named}: unexpected end (at position " in err
+
 def run_refused(tmp_path, capsys, manifest, pipeline, registry=""):
     """Run the given files; assert exit 2 with no output directory, return stderr."""
     from dsex.cli import main

@@ -1,6 +1,9 @@
 import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsex import (
     Cache,
@@ -200,6 +203,102 @@ class TestCache:
             frozen = () if value is None else (NamedMetric("z", value),)
             cache.run(ev, PointView(Schema(params, frozen), point))
         assert (cache.misses, cache.hits) == (3, 1)
+
+    def test_a_racing_computation_keeps_the_first_write(self):
+        # both lookups miss and compute; the one that stores first wins,
+        # and the other caller gets the stored value, not its own
+        entered, finished = [], []
+        lock, both_in = threading.Lock(), threading.Barrier(2, timeout=5)
+        returned = threading.Event()  # set once a cache.run call has returned
+
+        def func(view):
+            with lock:
+                mine = len(entered)
+                entered.append(mine)
+            both_in.wait()
+            if mine == 0:
+                # only the second computation's run can have returned, so it stored first
+                assert returned.wait(timeout=5)
+            finished.append(mine)
+            return (float(mine),)
+
+        ev = Evaluator("race", ("m",), func)
+        space = build_space(Schema([ParamSpec("a", Linear(0, 0))]))
+        view = PointView(space.schema, space.points[0])
+        cache = Cache()
+        got = []
+
+        def lookup():
+            got.append(cache.run(ev, view))
+            returned.set()
+
+        threads = [threading.Thread(target=lookup) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert finished == [1, 0]
+        assert got == [(1.0,), (1.0,)]
+        assert cache.run(ev, view) == (1.0,)
+        assert cache.counters() == (1, 2)
+
+
+def _oracle_evaluators():
+    # "sum" never fails; "flaky" fails wherever a == 0
+    def flaky(view):
+        if view.env["a"] == 0:
+            raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
+        return (view.env["a"] * view.env["z"],)
+
+    return [
+        Evaluator("sum", ("s",), lambda view: (view.env["a"] + view.env["b"] + view.env["z"],)),
+        Evaluator("flaky", ("f",), flaky),
+    ]
+
+
+class TestCacheOracle:
+    """The per-(evaluator, frozen params) tables against one flat dict keyed
+    by (evaluator name, coords, frozen params)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_interleavings_match_a_flat_reference(self, data):
+        params = [ParamSpec("a", Linear(0, 2)), ParamSpec("b", Linear(0, 1))]
+        # two schemas that differ only in frozen values
+        schemas = [Schema(params, (NamedMetric("z", z),)) for z in (1.0, 2.0)]
+        points = build_space(Schema(params)).points
+        counted = [counting(ev) for ev in _oracle_evaluators()]
+        evaluators = [ev for ev, _ in counted]
+        cache, reference, hits, misses = Cache(), {}, 0, 0
+        for _ in range(data.draw(st.integers(1, 60))):
+            schema = data.draw(st.sampled_from(schemas))
+            point = data.draw(st.sampled_from(points))
+            if data.draw(st.booleans()):
+                chain = data.draw(st.lists(st.sampled_from(evaluators), max_size=2))
+                expected = all((ev.name, point.coords, schema.frozen) in reference for ev in chain)
+                assert cache.holds(chain, schema, point) == expected
+                continue
+            ev = data.draw(st.sampled_from(evaluators))
+            key = (ev.name, point.coords, schema.frozen)
+            view = PointView(schema, point)
+            if key in reference:
+                hits += 1
+            else:
+                misses += 1
+                try:
+                    reference[key] = ev.func(view)
+                except EvalError as err:
+                    reference[key] = (err.kind, point.coords)
+            try:
+                got = cache.run(ev, PointView(schema, point))
+            except EvalError as err:
+                got = (err.kind, err.coords)
+            assert got == reference[key], key
+            assert cache.counters() == (hits, misses)
+        # every result or failure was computed once: the reference's own call
+        # plus the cache's, and replays never reach the evaluator
+        assert sum(len(calls) for _, calls in counted) == 2 * len(reference)
 
 
 def nan_on_first_axis():

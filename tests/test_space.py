@@ -344,19 +344,7 @@ class TestDiagonal:
             assert max(abs(x - y) for x, y in zip(a.coords, b.coords)) <= 1
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("linear"), st.integers(-3, 3), st.integers(0, 4)),
-            st.tuples(st.just("pow2"), st.integers(0, 3), st.integers(0, 3)),
-            st.lists(st.integers(-50, 50), min_size=1, max_size=5, unique=True),
-        ),
-        min_size=1,
-        max_size=6,
-    )
-)
-def test_cardinality_is_domain_product(domains):
+def _schema(domains) -> Schema:
     specs = []
     for k, d in enumerate(domains):
         if isinstance(d, list):
@@ -366,7 +354,23 @@ def test_cardinality_is_domain_product(domains):
         else:
             dom = Pow2(min(d[1], d[2]), max(d[1], d[2]))
         specs.append(ParamSpec(f"p{k}", dom))
-    schema = Schema(specs)
+    return Schema(specs)
+
+
+_random_schemas = st.lists(
+    st.one_of(
+        st.tuples(st.just("linear"), st.integers(-3, 3), st.integers(0, 4)),
+        st.tuples(st.just("pow2"), st.integers(0, 3), st.integers(0, 3)),
+        st.lists(st.integers(-50, 50), min_size=1, max_size=5, unique=True),
+    ),
+    min_size=1,
+    max_size=6,
+).map(_schema)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_schemas)
+def test_cardinality_is_domain_product(schema):
     space = build_space(schema)
     expected = 1
     for c in schema.cardinalities:
@@ -374,6 +378,25 @@ def test_cardinality_is_domain_product(domains):
     assert len(space) == expected
     again = build_space(schema)
     assert [p.coords for p in again.points] == [p.coords for p in space.points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_schemas)
+def test_built_grid_passes_the_checked_constructors(schema):
+    # build_space skips the checks; the checked constructors accept what
+    # it builds and give the same space
+    space = build_space(schema)
+    assert DesignSpace(schema, space.points) == space
+    grid = itertools.product(*map(range, schema.cardinalities))
+    assert space.points == tuple(Point(coords) for coords in grid)
+    assert all(type(c) is int for p in space.points for c in p.coords)
+
+
+def test_built_grid_refuses_a_schema_naming_a_metric():
+    # its points would hold no value for the metric and not fit the schema
+    schema = Schema([ParamSpec("a", Linear(0, 2))], metrics=["m"])
+    with pytest.raises(SchemaError, match="no metric"):
+        build_space(schema)
 
 
 def test_enumeration_matches_itertools_product(dummy_schema):
