@@ -43,6 +43,7 @@ _EXPORTS = {
     ],
     "space": [
         "DesignSpace",
+        "Domain",
         "Enumerated",
         "KeepSide",
         "Linear",

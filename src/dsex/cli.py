@@ -28,7 +28,7 @@ from .config import (
     load_schema,
 )
 from .errors import ConfigError, DsexError, PipelineAborted
-from .expr import parse_expr
+from .expr import numeric, predicate
 from .frame import load_rows, render_rows_table, render_top_table
 from .metrics import Cache, render_raw
 from .space import build_space, project_space
@@ -130,15 +130,11 @@ def cmd_report(args) -> int:
             raise ConfigError(f"--top must be at least 0, got {args.top}")
         columns, rows = load_rows(args.frame)
         if args.keep:
-            keep = parse_expr(args.keep)
-            if not keep.is_predicate:
-                raise ConfigError("--keep expression must be boolean")
+            keep = predicate(args.keep, "--keep expression")
             _check_columns(keep.names, columns)
             rows = [r for r in rows if set(keep.names) <= set(r) and keep(r)]
         if args.sort:
-            key = parse_expr(args.sort)
-            if key.is_predicate:
-                raise ConfigError("--sort expression must be numeric")
+            key = numeric(args.sort, "--sort expression")
             _check_columns(key.names, columns)
             with_key = [r for r in rows if set(key.names) <= set(r)]
             without = [r for r in rows if not set(key.names) <= set(r)]

@@ -11,8 +11,9 @@ or metric names, which only steps make, has no file form.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import yaml
 
@@ -22,15 +23,18 @@ from .errors import (
     ConfigError,
     Reader,
     boolean,
+    choice,
     entries,
     integer,
+    listed,
     mapping,
     number,
+    placed,
     positive,
     text,
     texts,
 )
-from .expr import expression
+from .expr import numeric, predicate
 from .metrics import (
     CommandSpec,
     Evaluator,
@@ -39,7 +43,7 @@ from .metrics import (
     expr_evaluator,
     external_command,
 )
-from .space import Enumerated, KeepSide, Linear, ParamSpec, Pow2, Schema
+from .space import Domain, KeepSide, ParamSpec, Schema
 from .strategy import (
     Pipeline,
     Step,
@@ -70,34 +74,23 @@ def schema_from_dict(data: Mapping, where: str = "schema") -> Schema:
     doc = Reader(data, where)
     params = doc.read("params", entries)
     doc.close()
-    return Schema([_param_spec(Reader(entry, f"params[{i}]")) for i, entry in enumerate(params)])
+    specs = [_param_spec(Reader(entry, f"{where}: params[{i}]")) for i, entry in enumerate(params)]
+    return placed(where, Schema, specs)
+
+
+def _domain(value) -> Domain:
+    """A ``domain`` value: a mapping of its one kind to that kind's arguments."""
+    if not isinstance(value, dict) or len(value) != 1:
+        raise ValueError("a mapping of one domain kind to its arguments")
+    (kind, args), = value.items()
+    return Domain(kind, args)
 
 
 def _param_spec(entry: Reader) -> ParamSpec:
-    where = entry.where
-    name = entry.read("name", text)
-    spec = Reader(entry.read("domain", mapping), where, "domain")
+    name, domain = entry.read("name", text), entry.read("domain", _domain)
     concerns = entry.read("concerns", texts, ())
     entry.close()
-    kinds = ("linear", "pow2", "enum")
-    given = [(kind, a) for kind in kinds if (a := spec.read(kind, entries, None)) is not None]
-    spec.close()
-    if len(given) != 1:
-        raise ConfigError(f"{where}: domain must be one of linear/pow2/enum")
-    (kind, args), = given
-    bounds = kind != "enum"
-    if len(args) != 2 if bounds else not args:
-        count = "two integers" if bounds else "a non-empty list of integers"
-        raise ConfigError(f"{where}: {kind} domain takes {count}, got {args!r}")
-    if not all(isinstance(a, int) and not isinstance(a, bool) for a in args):
-        raise ConfigError(f"{where}: {kind} domain values must be integers, got {args!r}")
-    if kind == "linear":
-        domain = Linear(*args)
-    elif kind == "pow2":
-        domain = Pow2(*args)
-    else:
-        domain = Enumerated(args)
-    return ParamSpec(name, domain, concerns)
+    return placed(entry.where, ParamSpec, name, domain, concerns)
 
 
 def schema_to_dict(schema: Schema) -> dict:
@@ -106,13 +99,7 @@ def schema_to_dict(schema: Schema) -> dict:
         raise ConfigError(f"a schema with frozen params or metrics {names} has no file form")
     params = []
     for p in schema.params:
-        if isinstance(p.domain, Linear):
-            domain = {"linear": [p.domain.lo, p.domain.hi]}
-        elif isinstance(p.domain, Pow2):
-            domain = {"pow2": [p.domain.lo_exp, p.domain.hi_exp]}
-        else:
-            domain = {"enum": list(p.domain.items)}
-        entry: dict = {"name": p.name, "domain": domain}
+        entry: dict = {"name": p.name, "domain": {p.domain.kind: list(p.domain.args)}}
         if p.concerns:
             entry["concerns"] = list(p.concerns)
         params.append(entry)
@@ -127,32 +114,34 @@ def save_schema(schema: Schema, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(schema_to_dict(schema), sort_keys=False))
 
 
-def _build_evaluator(entry: Reader, path: Path, global_seed: int) -> Evaluator:
+def _evaluator_builder(entry: Reader, path: Path, global_seed: int) -> Callable[[], Evaluator]:
+    """Read an evaluator entry; the evaluator is built by calling the result."""
     name = entry.read("name", text)
     entry.where = f"{path}: evaluator {name!r}"
     kind = entry.read("kind", text)
     if kind == "expr":
-        return expr_evaluator(name, entry.read("produces", text), entry.read("expr", expression))
+        produces, expr = entry.read("produces", text), entry.read("expr", numeric)
+        return partial(expr_evaluator, name, produces, expr)
     if kind == "model":
         file = entry.read("model", text, None)
         if file is None:
-            return model_evaluator(model_from_dict(entry, name=name), name=name)
+            return partial(model_evaluator, model_from_dict(entry, name=name), name)
         entry.close()  # before opening the file it names
         model_path = path.parent / file
         try:
-            model = load_model(model_path)
+            return partial(model_evaluator, load_model(model_path), name)
         except OSError as err:
             raise ConfigError(f"cannot read model file {model_path}: {err.strerror}") from None
-        return model_evaluator(model, name=name)
     if kind == "command":
         env = Reader(entry.read("env", mapping, {}), entry.where, "env")
-        spec = CommandSpec(
+        spec = partial(
+            CommandSpec,
             argv=entry.read("argv", texts),
             produces=entry.read("produces", texts),
             env={str(key): env.read(key, text) for key in env.data},
             timeout_s=entry.read("timeout_s", positive, None),
         )
-        return external_command(name, spec)
+        return lambda: external_command(name, spec())
     if kind == "blackscholes_qos":
         params = Reader(entry.read("model", mapping, {}), entry.where, "model")
         values = {
@@ -160,106 +149,89 @@ def _build_evaluator(entry: Reader, path: Path, global_seed: int) -> Evaluator:
             for key, default in asdict(DEFAULT_MODEL).items()
         }
         params.close()
-        try:
-            model = BsModelParams(**values)
-        except ConfigError as err:
-            raise ConfigError(f"{entry.where}: {err}") from None
-        return qos_evaluator(model, global_seed, name=name)
+        return lambda: qos_evaluator(BsModelParams(**values), global_seed, name=name)
     if kind == "latency":
-        return latency_evaluator(entry.read("overhead", integer, 0), name=name)
+        return partial(latency_evaluator, entry.read("overhead", integer, 0), name=name)
     raise ConfigError(f"{entry.where}: unknown evaluator kind {kind!r}")
 
 
 def load_evaluators(path: str | Path, global_seed: int = 0) -> dict[str, Evaluator]:
     path = Path(path)
     doc = Reader(_load_yaml(path), str(path))
-    listed = doc.read("evaluators", entries)
+    evaluator_entries = doc.read("evaluators", entries)
     doc.close()
     registry: dict[str, Evaluator] = {}
-    for i, data in enumerate(listed):
+    for i, data in enumerate(evaluator_entries):
         entry = Reader(data, f"{path}: evaluators[{i}]")
-        ev = _build_evaluator(entry, path, global_seed)
+        build = _evaluator_builder(entry, path, global_seed)
         entry.close()
+        ev = placed(entry.where, build)
         if ev.name in registry:
-            raise ConfigError(f"duplicate evaluator name {ev.name!r}")
+            raise ConfigError(f"{path}: evaluators[{i}]: duplicate evaluator name {ev.name!r}")
         registry[ev.name] = ev
     return registry
 
 
-def parse_fail_policy(mode: str, worst: Mapping[str, float] | None = None) -> FailPolicy:
-    try:
-        fail_mode = FailMode(mode)
-    except ValueError:
-        options = ", ".join(m.value for m in FailMode)
-        raise ConfigError(f"unknown fail policy {mode!r} (expected one of: {options})") from None
-    return FailPolicy(fail_mode, worst or {})
-
-
-def _registry_get(registry: Mapping[str, Evaluator], name: str) -> Evaluator:
-    if name not in registry:
-        raise ConfigError(f"evaluator {name!r} is not defined in the registry")
-    return registry[name]
+def _fail_policy(doc: Reader, default: FailMode | None) -> FailPolicy | None:
+    """The fail policy a pipeline or step sets, None for a step that sets
+    none. Only ``assign_worst`` reads ``worst``, so elsewhere it is refused."""
+    mode = doc.read("fail_policy", choice(*FailMode), default)
+    if mode is FailMode.ASSIGN_WORST:
+        return doc.read("worst", partial(FailPolicy, mode), FailPolicy(mode))
+    if "worst" in doc.data:
+        raise ConfigError(f"{doc.at('worst')} needs fail_policy assign_worst beside it")
+    return None if mode is None else FailPolicy(mode)
 
 
 def _build_step(entry: Reader, registry: Mapping[str, Evaluator]) -> Step:
     kind = entry.read("step", text)
     label = entry.read("name", text, None)
-    mode = entry.read("fail_policy", text, None)
-    worst = entry.read("worst", mapping, None)
-
-    def optional_evaluator() -> Evaluator | None:
-        name = entry.read("evaluator", text, None)
-        return None if name is None else _registry_get(registry, name)
-
-    def evaluators() -> list[Evaluator]:
-        return [_registry_get(registry, name) for name in entry.read("evaluators", texts, ())]
-
+    policy = _fail_policy(entry, None)
+    evaluator = choice(*registry.values())
     if kind == "identity":
-        step = identity(label or "identity")
+        build = partial(identity, label or "identity")
     elif kind == "map":
-        step = exhaustive_map(_registry_get(registry, entry.read("evaluator", text)), label)
+        build = partial(exhaustive_map, entry.read("evaluator", evaluator), label)
     elif kind == "sort":
-        step = exhaustive_sort(
-            entry.read("key", expression),
-            evaluator=optional_evaluator(),
+        build = partial(
+            exhaustive_sort,
+            entry.read("key", numeric),
+            evaluator=entry.read("evaluator", evaluator, None),
             ascending=entry.read("ascending", boolean, True),
             name=label or "sort",
         )
     elif kind == "prune":
-        step = exhaustive_prune(
-            entry.read("keep", expression), evaluator=optional_evaluator(), name=label or "prune"
+        build = partial(
+            exhaustive_prune,
+            entry.read("keep", predicate),
+            evaluator=entry.read("evaluator", evaluator, None),
+            name=label or "prune",
         )
     elif kind == "reduce_dimension":
-        concern = entry.read("concern", text)
-        to = entry.read("to", text, "min")
-        if to not in ("min", "max"):
-            raise ConfigError(f"reduce_dimension 'to' must be min or max, got {to!r}")
-        step = reduce_dimension(concern, to_min=(to == "min"), name=label)
+        concern, to = entry.read("concern", text), entry.read("to", choice("min", "max"), "min")
+        build = partial(reduce_dimension, concern, to_min=(to == "min"), name=label)
     elif kind == "gradient":
-        step = gradient_sort(
-            evaluators(),
-            entry.read("objective", expression),
+        build = partial(
+            gradient_sort,
+            entry.read("evaluators", listed(evaluator), ()),
+            entry.read("objective", numeric),
             maximize=entry.read("maximize", boolean, True),
             name=label or "gradient",
         )
     elif kind == "quick_prune":
-        chain, keep = evaluators(), entry.read("keep", expression)
-        side = entry.read("side", text, "upward")
-        try:
-            keep_side = KeepSide(side)
-        except ValueError:
-            raise ConfigError(f"quick_prune side must be upward or downward, got {side!r}") from None
-        step = quick_prune(
-            chain,
-            keep,
-            side=keep_side,
+        build = partial(
+            quick_prune,
+            entry.read("evaluators", listed(evaluator), ()),
+            entry.read("keep", predicate),
+            side=entry.read("side", choice(*KeepSide), KeepSide.UPWARD),
             concern=entry.read("concern", text, None),
             name=label or "quick_prune",
         )
     else:
         raise ConfigError(f"{entry.where}: unknown step kind {kind!r}")
     entry.close()
-    return step if mode is None else replace(step, fail_policy=parse_fail_policy(mode, worst))
+    step = placed(entry.where, build)
+    return step if policy is None else replace(step, fail_policy=policy)
 
 
 def load_pipeline(
@@ -272,15 +244,14 @@ def load_pipeline(
     """
     path = Path(path)
     doc = Reader(_load_yaml(path), str(path))
-    listed = doc.read("steps", entries)
-    fail_policy = parse_fail_policy(
-        doc.read("fail_policy", text, "abort"), doc.read("worst", mapping, None)
-    )
+    step_entries = doc.read("steps", entries)
+    fail_policy = _fail_policy(doc, FailMode.ABORT)
     doc.close()
-    if not listed:
+    if not step_entries:
         raise ConfigError(f"{path} must have a non-empty 'steps' list")
     steps = tuple(
-        _build_step(Reader(data, f"{path}: steps[{i}]"), registry) for i, data in enumerate(listed)
+        _build_step(Reader(data, f"{path}: steps[{i}]"), registry)
+        for i, data in enumerate(step_entries)
     )
     return Pipeline(steps, parallelism=parallelism, fail_policy=fail_policy)
 
@@ -300,6 +271,8 @@ class RunManifest:
     def __post_init__(self):
         if self.top < 0:
             raise ConfigError(f"'top' must be at least 0, got {self.top}")
+        if self.parallelism < 1:
+            raise ConfigError(f"'parallelism' must be at least 1, got {self.parallelism}")
 
     def to_dict(self) -> dict:
         return {k: str(v) if isinstance(v, Path) else v for k, v in asdict(self).items()}
@@ -317,7 +290,7 @@ def load_manifest(path: str | Path) -> RunManifest:
     for key in ("parallelism", "seed", "top"):  # defaulting as the dataclass does
         values[key] = doc.read(key, integer, getattr(RunManifest, key))
     doc.close()
-    return RunManifest(**values)
+    return placed(str(path), RunManifest, **values)
 
 
 def echo_manifest(manifest: RunManifest, path: str | Path) -> None:

@@ -60,7 +60,8 @@ class Reader:
 
     ``where`` names the file or entry in messages, and ``path`` the key
     under which this mapping sits in it. Each ``read`` names a key the
-    program uses and a converter that checks its type; ``close`` then
+    program uses and a converter that checks its value, placing at the
+    key the ValueError or DsexError the converter raises; ``close`` then
     refuses every key that no read asked for, so a misspelt or retired
     key fails loudly instead of being ignored.
     """
@@ -68,9 +69,9 @@ class Reader:
     def __init__(self, data, where: str, path: str = ""):
         self.data, self.where, self.path, self.asked = data, where, path, {}
         if not isinstance(data, dict):
-            raise ConfigError(f"{self._at()} must be a mapping, got {data!r}")
+            raise ConfigError(f"{self.at()} must be a mapping, got {data!r}")
 
-    def _at(self, key=""):
+    def at(self, key=""):
         path = ".".join(str(part) for part in (self.path, key) if part != "")
         return f"{self.where}: {path!r}" if path else self.where
 
@@ -78,20 +79,27 @@ class Reader:
         self.asked[key] = None
         if key not in self.data:
             if default is REQUIRED:
-                raise ConfigError(f"{self._at(key)} is missing")
+                raise ConfigError(f"{self.at(key)} is missing")
             return default
         value = self.data[key]
         try:
-            return convert(value)
+            return placed(self.at(key), convert, value)
         except ValueError as err:
-            raise ConfigError(f"{self._at(key)} must be {err}, got {value!r}") from None
-        except ExprSyntaxError as err:
-            raise ConfigError(f"{self._at(key)}: {err}") from None
+            raise ConfigError(f"{self.at(key)} must be {err}, got {value!r}") from None
 
     def close(self) -> None:
         unknown = [key for key in self.data if key not in self.asked]
         if unknown:
-            raise ConfigError(f"{self._at()}: unknown keys {unknown} (known: {list(self.asked)})")
+            raise ConfigError(f"{self.at()}: unknown keys {unknown} (known: {list(self.asked)})")
+
+
+def placed(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with any DsexError it raises placed at
+    ``where``: the file, entry or key whose values it was given."""
+    try:
+        return build(*args, **kwargs)
+    except DsexError as err:
+        raise ConfigError(f"{where}: {err}") from None
 
 
 def _converter(what: str, accepts, convert=None):
@@ -111,24 +119,40 @@ def _scalar(value) -> bool:
     return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
-def _finite(value) -> bool:
+def finite(value) -> bool:
     # False for NaN, inf and ints too large for a float
     return _scalar(value) and not isinstance(value, str) and abs(value) <= sys.float_info.max
+
+
+def listed(convert):
+    """A converter for a list, each item read through ``convert``."""
+
+    def read(value):
+        items = entries(value)
+        try:
+            return tuple(map(convert, items))
+        except ValueError as err:
+            raise ValueError(f"a list, each item {err}") from None
+
+    return read
+
+
+def choice(*options):
+    """A converter to the option the value names: text names itself, an
+    enum member its value, and anything else its ``name``."""
+    table = {getattr(o, "value", getattr(o, "name", o)): o for o in options}
+    return _converter(f"one of {list(table)}", lambda v: type(v) is str and v in table, table.get)
 
 
 # a number is text too, so ``expr: 2`` reads as "2"; a lone string is not
 # a list of text, so ``concerns: qos`` is refused rather than split
 text = _converter("text", _scalar, str)
-texts = _converter(
-    "a list of text",
-    lambda v: isinstance(v, list) and all(map(_scalar, v)),
-    lambda v: tuple(map(str, v)),
-)
 entries = _converter("a list", lambda v: isinstance(v, list))
+texts = listed(text)
 mapping = _converter("a mapping", lambda v: isinstance(v, dict))
 integer = _converter("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-number = _converter("a finite number", _finite, float)
-positive = _converter("a positive finite number", lambda v: _finite(v) and v > 0, float)
+number = _converter("a finite number", finite, float)
+positive = _converter("a positive finite number", lambda v: finite(v) and v > 0, float)
 boolean = _converter("true or false", lambda v: isinstance(v, bool))
 
 

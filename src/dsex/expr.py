@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import EvalError, EvalErrorKind, ExprSyntaxError, text
+from .errors import ConfigError, EvalError, EvalErrorKind, ExprSyntaxError, text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -257,9 +257,20 @@ def parse_expr(text: str) -> MetricExpr:
     return MetricExpr(text, fn, frozenset(parser.names), is_bool)
 
 
-def expression(value) -> MetricExpr:
-    """A ``Reader.read`` converter: run-file text parsed as an expression."""
-    return parse_expr(text(value))
+def predicate(value, what: str = "expression", boolean: bool = True) -> MetricExpr:
+    """``value``, an expression or its text, as a boolean expression (a
+    numeric one when ``boolean`` is false); the other kind raises
+    ConfigError naming ``what``. Also a ``Reader.read`` converter."""
+    expr = value if isinstance(value, MetricExpr) else parse_expr(text(value))
+    if expr.is_predicate != boolean:
+        got, want = ("boolean", "numeric") if expr.is_predicate else ("numeric", "boolean")
+        raise ConfigError(f"{what} must be {want}, got {got} {expr.source!r}")
+    return expr
+
+
+def numeric(value, what: str = "expression") -> MetricExpr:
+    """``value`` as a numeric expression, refused as ``predicate`` refuses."""
+    return predicate(value, what, boolean=False)
 
 
 def evaluate(expr: MetricExpr, env: Mapping[str, float]):

@@ -16,7 +16,6 @@ import math
 import os
 import re
 import subprocess
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision
-from .expr import MetricExpr, parse_expr
+from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision, finite
+from .expr import MetricExpr, numeric
 from .space import DesignSpace, Point, Schema, _point, check_name
 
 
@@ -108,9 +107,7 @@ class FailPolicy:
 
     def __post_init__(self):
         if not isinstance(self.worst, Mapping) or not all(
-            isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max
-            for k, v in self.worst.items()
+            isinstance(k, str) and finite(v) for k, v in self.worst.items()
         ):
             raise ConfigError(
                 f"worst values must map metric names to finite numbers, got {self.worst!r}"
@@ -297,9 +294,7 @@ def apply_transform(
 
 def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Evaluator:
     """Evaluator computing one metric from a cost expression."""
-    expr = parse_expr(expression) if isinstance(expression, str) else expression
-    if expr.is_predicate:
-        raise ConfigError(f"cost expression for {produces!r} must be numeric, not boolean")
+    expr = numeric(expression, f"cost expression for {produces!r}")
 
     def func(view: PointView) -> Sequence[float]:
         value = expr(view.env)

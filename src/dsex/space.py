@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .errors import (
     EmptySpaceError,
@@ -25,6 +25,7 @@ from .errors import (
     NotAFullGrid,
     PointNotInSpace,
     SchemaError,
+    finite,
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -41,11 +42,6 @@ def _is_metric_value(value) -> bool:
     return value is None or (isinstance(value, float) and math.isfinite(value))
 
 
-def _check_ints(kind: str, *values) -> None:
-    if not all(type(v) is int for v in values):
-        raise SchemaError(f"{kind} domain takes integers, got {values!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class NamedMetric:
     """A (name, value) pair; the atom of all measurement."""
@@ -60,69 +56,64 @@ class NamedMetric:
             raise SchemaError(f"metric {self.name!r} has non-finite value {self.value!r}")
 
 
+# each domain kind's values, from its arguments
+_DOMAINS = {
+    "linear": lambda lo, hi: range(lo, hi + 1),
+    "pow2": lambda lo_exp, hi_exp: [2**e for e in range(lo_exp, hi_exp + 1)],
+    "enum": lambda *items: items,
+}
+
+
 @dataclass(frozen=True)
-class Linear:
+class Domain:
+    """A parameter's value domain, ``{kind: list(args)}`` in a schema
+    file; ``Linear``, ``Pow2`` and ``Enumerated`` build each kind. The
+    arguments are integers, never truncated floats or bools."""
+
+    kind: str
+    args: tuple[int, ...]
+    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind, args = self.kind, self.args
+        if kind not in _DOMAINS:
+            raise SchemaError(f"domain kind must be one of {list(_DOMAINS)}, got {kind!r}")
+        if not isinstance(args, (list, tuple)) or not all(type(a) is int for a in args):
+            raise SchemaError(f"{kind} domain takes a list of integers, got {args!r}")
+        if kind != "enum" and len(args) != 2:
+            raise SchemaError(f"{kind} domain takes two integers, got {args!r}")
+        if kind == "pow2" and args[0] < 0:
+            raise SchemaError(f"pow2 domain requires lo_exp >= 0, got {args[0]}")
+        values = tuple(_DOMAINS[kind](*args))
+        if not values:
+            raise SchemaError(f"{kind} domain {list(args)} enumerates no value")
+        if len(set(values)) != len(values):
+            raise SchemaError(f"enum domain has duplicate values: {values}")
+        if not all(map(finite, values)):  # envs and frames hold each value as a float
+            raise SchemaError(f"{kind} domain {list(args)} has a value too large for a float")
+        object.__setattr__(self, "args", tuple(args))
+        object.__setattr__(self, "_values", values)
+
+    def values(self) -> tuple[int, ...]:
+        return self._values
+
+
+def Linear(lo: int, hi: int) -> Domain:
     """Integer range domain enumerating lo, lo+1, ..., hi."""
-
-    lo: int
-    hi: int
-    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_ints("linear", self.lo, self.hi)
-        if self.lo > self.hi:
-            raise SchemaError(f"linear domain requires lo <= hi, got ({self.lo}, {self.hi})")
-        object.__setattr__(self, "_values", tuple(range(self.lo, self.hi + 1)))
-
-    def values(self) -> tuple[int, ...]:
-        return self._values
+    return Domain("linear", (lo, hi))
 
 
-@dataclass(frozen=True)
-class Pow2:
+def Pow2(lo_exp: int, hi_exp: int) -> Domain:
     """Power-of-two domain enumerating 2^lo_exp ... 2^hi_exp."""
-
-    lo_exp: int
-    hi_exp: int
-    _values: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_ints("pow2", self.lo_exp, self.hi_exp)
-        if self.lo_exp < 0:
-            raise SchemaError(f"pow2 domain requires lo_exp >= 0, got {self.lo_exp}")
-        if self.lo_exp > self.hi_exp:
-            raise SchemaError(
-                f"pow2 domain requires lo_exp <= hi_exp, got ({self.lo_exp}, {self.hi_exp})"
-            )
-        exps = range(self.lo_exp, self.hi_exp + 1)
-        object.__setattr__(self, "_values", tuple(2**e for e in exps))
-
-    def values(self) -> tuple[int, ...]:
-        return self._values
+    return Domain("pow2", (lo_exp, hi_exp))
 
 
-@dataclass(frozen=True)
-class Enumerated:
+def Enumerated(items: Iterable[int]) -> Domain:
     """Explicit list of distinct integers, kept in declaration order."""
-
-    items: tuple[int, ...]
-
-    def __init__(self, items: Iterable[int]):
-        object.__setattr__(self, "items", tuple(items))
-        _check_ints("enum", *self.items)
-        if not self.items:
-            raise SchemaError("enum domain must be non-empty")
-        if len(set(self.items)) != len(self.items):
-            raise SchemaError(f"enum domain has duplicate values: {self.items}")
-
-    def values(self) -> tuple[int, ...]:
-        return self.items
+    return Domain("enum", tuple(items))
 
 
-ParamDomain = Union[Linear, Pow2, Enumerated]
-
-
-def cardinality(domain: ParamDomain) -> int:
+def cardinality(domain: Domain) -> int:
     return len(domain.values())
 
 
@@ -136,7 +127,7 @@ class ParamSpec:
     """
 
     name: str
-    domain: ParamDomain
+    domain: Domain
     concerns: tuple[str, ...] = ()
 
     def __post_init__(self):

@@ -26,7 +26,7 @@ from .errors import (
     EvalError,
     PipelineAborted,
 )
-from .expr import MetricExpr, parse_expr
+from .expr import MetricExpr, numeric, predicate
 from .frame import Provenance, ResultFrame, StepReport, build_frame
 from .metrics import (
     ABORT,
@@ -96,10 +96,6 @@ class Pipeline:
             raise ConfigError("parallelism must be a positive integer")
 
 
-def _as_expr(expression: str | MetricExpr) -> MetricExpr:
-    return parse_expr(expression) if isinstance(expression, str) else expression
-
-
 def identity(name: str = "identity") -> Step:
     return Step(name, "identity", lambda space, ctx: space)
 
@@ -120,9 +116,7 @@ def exhaustive_sort(
     name: str = "sort",
 ) -> Step:
     """Optionally transform, then stable-sort points by a key expression."""
-    key_expr = _as_expr(key)
-    if key_expr.is_predicate:
-        raise ConfigError("sort key must be numeric, not boolean")
+    key_expr = numeric(key, "sort key")
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if evaluator is not None:
@@ -140,9 +134,7 @@ def exhaustive_prune(
     name: str = "prune",
 ) -> Step:
     """Optionally transform, then keep exactly the points where ``keep`` holds."""
-    keep_expr = _as_expr(keep)
-    if not keep_expr.is_predicate:
-        raise ConfigError("prune condition must be boolean, not numeric")
+    keep_expr = predicate(keep, "prune condition")
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if evaluator is not None:
@@ -235,9 +227,7 @@ def gradient_sort(
     parallelism. The step's ``evaluated`` counts every probed point,
     those the fail policy pruned included.
     """
-    objective_expr = _as_expr(objective)
-    if objective_expr.is_predicate:
-        raise ConfigError("objective must be numeric, not boolean")
+    objective_expr = numeric(objective, "objective")
     evaluators = _chain(evaluators)
     better = gt if maximize else lt
 
@@ -300,9 +290,7 @@ def quick_prune(
     point-by-point walk would. Under ABORT the error raised is that of
     the earliest failing point in probe order, at any parallelism.
     """
-    keep_expr = _as_expr(keep)
-    if not keep_expr.is_predicate:
-        raise ConfigError("keep condition must be boolean, not numeric")
+    keep_expr = predicate(keep, "keep condition")
     evaluators = _chain(evaluators)
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:

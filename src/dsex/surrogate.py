@@ -26,10 +26,11 @@ from .errors import (
     Reader,
     mapping,
     number,
+    placed,
     text,
     texts,
 )
-from .expr import expression
+from .expr import numeric, predicate
 
 # the served model starts once per point, so this module imports neither
 # dataclasses nor typing at run time; annotation-only names load here
@@ -66,16 +67,12 @@ class ResourceModel:
     ):
         self.name = name
         self.produces = tuple(produces)
-        self.formulas = dict(formulas)
+        self.formulas = {m: numeric(e, f"model formula for {m!r}") for m, e in formulas.items()}
         self.latency_s = latency_s
-        self.fail_if = fail_if
+        self.fail_if = None if fail_if is None else predicate(fail_if, f"model {name!r} fail_if")
         for metric in self.produces:
             if metric not in self.formulas:
                 raise ConfigError(f"model {self.name!r} lacks a formula for {metric!r}")
-            if self.formulas[metric].is_predicate:
-                raise ConfigError(f"model formula for {metric!r} must be numeric")
-        if self.fail_if is not None and not self.fail_if.is_predicate:
-            raise ConfigError(f"model {self.name!r} fail_if must be boolean")
 
     def compute(self, env: Mapping[str, float]) -> dict[str, float]:
         return {metric: float(self.formulas[metric](env)) for metric in self.produces}
@@ -120,12 +117,14 @@ def model_from_dict(data: "Mapping | Reader", name: str = "model") -> ResourceMo
     evaluator entry that has already read its own keys."""
     model = data if isinstance(data, Reader) else Reader(data, f"model {name!r}")
     formulas = Reader(model.read("formulas", mapping), model.where, "formulas")
-    built = ResourceModel(
+    built = placed(
+        model.where,
+        ResourceModel,
         name=model.read("name", text, name),
         produces=model.read("produces", texts),
-        formulas={str(m): formulas.read(m, expression) for m in formulas.data},
+        formulas={str(m): formulas.read(m, numeric) for m in formulas.data},
         latency_s=model.read("latency_s", number, 0.0),
-        fail_if=model.read("fail_if", expression, None),
+        fail_if=model.read("fail_if", predicate, None),
     )
     model.close()
     return built

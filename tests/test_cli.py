@@ -65,7 +65,8 @@ class TestSpaceCommand:
         proc = dsex("space", "--schema", schema)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: params[0]") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: {schema}: params[0]: 'domain'")
+        assert proc.stderr.count("\n") == 1
 
 
     @pytest.mark.parametrize(
@@ -75,8 +76,22 @@ class TestSpaceCommand:
             ("    concerns: qos\n", "'concerns'"),
             ("    concerns: 5\n", "'concerns'"),
             ("    concern: [qos]\n", "'concern'"),
+            # values the domain or schema refuses, placed at the file and entry
+            ("  - {name: q, domain: {linear: [5, 2]}}\n",
+             "schema.yaml: params[1]: 'domain': linear domain [5, 2] enumerates no value"),
+            ("  - {name: q, domain: {pow2: [-1, 2]}}\n", "schema.yaml: params[1]: 'domain'"),
+            ("  - {name: q, domain: {enum: [3, 3]}}\n", "schema.yaml: params[1]: 'domain'"),
+            ("  - {name: q, domain: {}}\n", "schema.yaml: params[1]: 'domain' must be"),
+            # a value no float holds would end the run in an OverflowError
+            ("  - {name: q, domain: {pow2: [1020, 1030]}}\n",
+             "schema.yaml: params[1]: 'domain': pow2 domain [1020, 1030] has a value too large"),
+            ("  - {name: 7x, domain: {enum: [1]}}\n",
+             "schema.yaml: params[1]: invalid identifier: '7x'"),
+            ("  - {name: p, domain: {enum: [1]}}\n",
+             "schema.yaml: duplicate names in schema: ['p', 'p']"),
         ],
-        ids=["string-concerns", "int-concerns", "misspelt-concerns"],
+        ids=["string-concerns", "int-concerns", "misspelt-concerns", "linear-bounds",
+             "pow2-exponent", "enum-repeat", "no-kind", "pow2-overflow", "name", "duplicate"],
     )
     def test_malformed_param_exits_2_naming_the_key(self, tmp_path, capsys, param, named):
         from dsex.cli import main
@@ -400,16 +415,64 @@ class TestMalformedRunFiles:
              "'c': 'timeout_s'"),
             ("", "", "  - {name: c, kind: command, argv: [x], produces: [m], timeout_s: -1}\n",
              "'c': 'timeout_s'"),
-            ("top: -1\n", "", "", "'top'"),
+            ("top: -1\n", "", "", "manifest.yaml: 'top' must be at least 0, got -1"),
+            ("parallelism: 0\n", "", "", "manifest.yaml: 'parallelism'"),
+            # a choice among named options
+            ("", "  - {step: reduce_dimension, concern: qos, to: mid}\n", "",
+             "pipeline.yaml: steps[1]: 'to' must be one of ['min', 'max']"),
+            ("", "  - {step: quick_prune, keep: 'param1 > 1', side: up}\n", "",
+             "pipeline.yaml: steps[1]: 'side' must be one of ['upward', 'downward']"),
+            ("", "fail_policy: skip\n", "", "pipeline.yaml: 'fail_policy' must be one of"),
+            ("", "  - {step: identity, fail_policy: skip}\n", "",
+             "pipeline.yaml: steps[1]: 'fail_policy' must be one of"),
+            ("", "  - {step: map, evaluator: ghost}\n", "  - {name: e, kind: expr, produces: m, "
+             "expr: '1'}\n", "pipeline.yaml: steps[1]: 'evaluator' must be one of ['e']"),
+            # an expression of the wrong kind
+            ("", "  - {step: prune, keep: 'param1 + 1'}\n", "",
+             "pipeline.yaml: steps[1]: 'keep': expression must be boolean, got numeric"),
+            ("", "", "  - {name: x, kind: expr, produces: m, expr: 'param1 > 1'}\n",
+             "evaluators.yaml: evaluator 'x': 'expr': expression must be numeric"),
+            ("", "", "  - {name: x, kind: model, produces: [m], formulas: {m: 'param1 > 1'}}\n",
+             "evaluators.yaml: evaluator 'x': 'formulas.m': expression must be numeric"),
+            ("", "", "  - {name: x, kind: model, produces: [m], formulas: {m: '1'}, "
+             "fail_if: 'param1'}\n",
+             "evaluators.yaml: evaluator 'x': 'fail_if': expression must be boolean"),
+            # worst values: mistyped, and given where no assign_worst policy reads them
+            ("", "fail_policy: assign_worst\nworst: {m: abc}\n", "",
+             "pipeline.yaml: 'worst': worst values must map metric names to finite numbers"),
+            ("", "  - {step: identity, worst: {m: -5}}\n"
+             "fail_policy: assign_worst\nworst: {m: 1000}\n", "",
+             "pipeline.yaml: steps[1]: 'worst' needs fail_policy"),
+            ("", "fail_policy: prune\nworst: {m: 1}\n", "", "pipeline.yaml: 'worst' needs"),
+            # values each constructor refuses, placed at the entry that gave them
+            ("", "", "  - {name: 7x, kind: expr, produces: m, expr: '1'}\n",
+             "evaluators.yaml: evaluator '7x': invalid identifier: '7x'"),
+            ("", "", "  - {name: x, kind: model, produces: [a], formulas: {m: '1'}}\n",
+             "evaluators.yaml: evaluator 'x': model 'x' lacks a formula for 'a'"),
+            ("", "", "  - {name: c, kind: command, argv: [], produces: [m]}\n",
+             "evaluators.yaml: evaluator 'c': command argv must not be empty"),
+            ("", "", "  - {name: a, kind: expr, produces: m, expr: '1'}\n"
+             "  - {name: a, kind: expr, produces: n, expr: '2'}\n",
+             "evaluators.yaml: evaluators[1]: duplicate evaluator name 'a'"),
+            ("", "  - {step: gradient, evaluators: [e1, e2], objective: x}\n",
+             "  - {name: e1, kind: expr, produces: x, expr: param1}\n"
+             "  - {name: e2, kind: expr, produces: x, expr: param2}\n",
+             "pipeline.yaml: steps[1]: evaluator chain produces a name twice"),
         ],
         ids=["parallelism", "seed", "top", "bool", "pipeline-parallelism", "model-file",
              "timeout_s", "overhead", "S0", "mu", "sigma", "T", "huge-timeout_s",
-             "model-key", "zero-timeout_s", "negative-timeout_s", "negative-top"],
+             "model-key", "zero-timeout_s", "negative-timeout_s", "negative-top",
+             "zero-parallelism", "to", "side", "fail_policy", "step-fail_policy",
+             "unknown-evaluator", "numeric-keep", "boolean-expr", "boolean-formula",
+             "numeric-fail_if", "worst", "step-worst-alone", "worst-without-assign_worst",
+             "evaluator-name", "missing-formula", "empty-argv", "duplicate-evaluator", "chain"],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, manifest, pipeline, registry, named):
-        err = run_refused(tmp_path, capsys, manifest, pipeline + "steps:\n  - {step: identity}\n",
+        # the pipeline's lines after its first step either add steps or set top-level keys
+        err = run_refused(tmp_path, capsys, manifest, "steps:\n  - {step: identity}\n" + pipeline,
                           registry)
         assert named in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "manifest, pipeline, file, key",

@@ -24,7 +24,6 @@ from dsex.config import (
     load_manifest,
     load_pipeline,
     load_schema,
-    parse_fail_policy,
     save_schema,
     schema_from_dict,
     schema_to_dict,
@@ -87,11 +86,38 @@ class TestSchemaFormat:
             {"params": [{"name": "p", "domain": {"linear": ["1", "3"]}}]},
             {"params": [{"name": "p", "domain": {"pow2": [0, "x"]}}]},
             {"params": [{"name": "p", "domain": {"pow2": [0, 1, 2]}}]},
+            {"params": [{"name": "p", "domain": {"linear": [5, 2]}}]},
         ],
     )
     def test_invalid_schemas(self, data):
         with pytest.raises(ConfigError):
             schema_from_dict(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(
+                    lambda t: Linear(t[0], t[0] + t[1])
+                ),
+                st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+                    lambda t: Pow2(t[0], t[0] + t[1])
+                ),
+                st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True).map(
+                    Enumerated
+                ),
+            ),
+            min_size=3,
+            max_size=6,
+        ).filter(lambda domains: {d.kind for d in domains} == {"linear", "pow2", "enum"})
+    )
+    def test_round_trip_of_every_domain_kind(self, domains):
+        schema = Schema([ParamSpec(f"p{k}", d) for k, d in enumerate(domains)])
+        data = schema_to_dict(schema)
+        assert [p["domain"] for p in data["params"]] == [{d.kind: list(d.args)} for d in domains]
+        again = schema_from_dict(yaml.safe_load(yaml.safe_dump(data)))
+        assert again == schema
+        assert [p.domain.values() for p in again.params] == [d.values() for d in domains]
 
     def test_yaml_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -283,10 +309,13 @@ class TestPipelineFormat:
         with pytest.raises(ConfigError, match="finite numbers"):
             load_pipeline(pipe, {})
 
-    def test_parse_fail_policy(self):
-        assert parse_fail_policy("assign_worst", {"m": 0}).mode is FailMode.ASSIGN_WORST
+    def test_fail_policy_modes_are_read(self, tmp_path):
+        pipe = tmp_path / "pipe.yaml"
+        pipe.write_text("steps:\n  - {step: identity}\nfail_policy: assign_worst\nworst: {m: 0}\n")
+        assert load_pipeline(pipe, {}).fail_policy.mode is FailMode.ASSIGN_WORST
+        pipe.write_text("steps:\n  - {step: identity}\nfail_policy: explode\n")
         with pytest.raises(ConfigError):
-            parse_fail_policy("explode")
+            load_pipeline(pipe, {})
 
 
 class TestManifest:
@@ -354,7 +383,8 @@ _MUTATIONS = [7, -3, 0, float("nan"), "x", True, None, [1, "a"], {"k": 1}, "add-
 class TestLoaderFuzz:
     """Every loader, given a shipped run file with one value swapped for
     another type or one unknown key added, loads it or raises a
-    DsexError, never any other exception."""
+    DsexError, never any other exception. The error names the file, or
+    the file the mutated value points at."""
 
     @pytest.fixture(scope="class")
     def tree(self, tmp_path_factory):
@@ -385,7 +415,8 @@ class TestLoaderFuzz:
         path.write_text(json.dumps(parsed) if as_json else yaml.safe_dump(parsed))
         try:
             _load(path)
-        except DsexError:
-            pass
+        except DsexError as err:
+            named = (str(path), str(path.parent / str(mutation)))
+            assert any(name in str(err) for name in named), str(err)
         finally:
             path.write_text(original)
