@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from enum import Enum
+from functools import partial
 
 
 class DsexError(Exception):
@@ -189,6 +190,11 @@ class EvalError(DsexError):
         self.coords = coords
         self.exit_code = exit_code
         self.name = name
+
+    def __reduce__(self):
+        # Exception pickles as cls(*args), which would drop every field
+        fields = {"coords": self.coords, "exit_code": self.exit_code, "name": self.name}
+        return partial(type(self), **fields), (self.kind, self.detail)
 
     def at(self, coords: tuple[int, ...]) -> "EvalError":
         """Copy of this error tagged with the originating point's coords."""

@@ -184,7 +184,7 @@ class Schema:
         """The frozen params by name; read it, never change it."""
         return {m.name: m.value for m in self.frozen}
 
-    @property
+    @cached_property
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(cardinality(p.domain) for p in self.params)
 
@@ -374,15 +374,57 @@ class DesignSpace:
     ) -> set[tuple[int, ...]]:
         """Coords of the points at or above (``UPWARD``) or at or below
         (``DOWNWARD``) some ``frontier`` coords, componentwise in index
-        space. Costs O(points x frontier); an empty frontier closes
-        nothing.
+        space; an empty frontier closes nothing. Needs a full grid, which
+        it does not check (see ``Dominance``).
         """
-        fronts = list(frontier)
-        cmp = operator.ge if side is KeepSide.UPWARD else operator.le
-        return {
-            p.coords for p in self.points
-            if any(all(map(cmp, p.coords, q)) for q in fronts)
-        }
+        closure = Dominance(self.schema.cardinalities, side)
+        closure.add(frontier)
+        return closure.coords()
+
+
+class Dominance:
+    """The coords of a full grid at or above (``UPWARD``) or at or below
+    (``DOWNWARD``) some coords added so far, componentwise in index space.
+
+    Holds one bit per coords of the grid's cardinalities, in row-major
+    order, so it needs every coords of the grid to be a point, which it
+    does not check. ``add`` closes the set by ORing it into itself
+    shifted one index along each axis in turn, cardinality - 1 times:
+    O(axes x cardinality) big-integer operations, however many points.
+    """
+
+    def __init__(self, cards: tuple[int, ...], side: KeepSide):
+        self.cards, self.up, self.bits = cards, side is KeepSide.UPWARD, 0
+        self.size = math.prod(cards)
+        self.strides = [math.prod(cards[k + 1:]) for k in range(len(cards))]
+        self.masks = []  # per axis, the bits a one-index step may land on
+        for n, stride in zip(cards, self.strides):
+            inner = "1" * (stride * (n - 1))
+            period = "0" * stride + inner if self.up else inner + "0" * stride
+            # character i of the string is bit i
+            self.masks.append(int((period * (self.size // (stride * n)))[::-1], 2))
+
+    def _bit(self, coords: tuple[int, ...]) -> int:
+        return 1 << sum(map(operator.mul, coords, self.strides))
+
+    def __contains__(self, coords: tuple[int, ...]) -> bool:
+        return bool(self.bits & self._bit(coords))
+
+    def add(self, coords: Iterable[tuple[int, ...]]) -> None:
+        bits = self.bits
+        for c in coords:
+            bits |= self._bit(c)
+        if bits == self.bits:
+            return
+        for n, stride, mask in zip(self.cards, self.strides, self.masks):
+            for _ in range(n - 1):
+                bits |= (bits << stride if self.up else bits >> stride) & mask
+        self.bits = bits
+
+    def coords(self) -> set[tuple[int, ...]]:
+        flags = format(self.bits, f"0{self.size}b")[::-1]
+        grid = itertools.product(*map(range, self.cards))
+        return {c for c, flag in zip(grid, flags) if flag == "1"}
 
 
 def build_space(schema: Schema) -> DesignSpace:

@@ -14,6 +14,8 @@ side of that frontier by componentwise index dominance.
 from __future__ import annotations
 
 import logging
+import math
+import random
 import time
 from dataclasses import dataclass, field
 from operator import gt, itemgetter, lt
@@ -40,9 +42,13 @@ from .metrics import (
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
-from .space import _point
+from .space import Dominance, _point
 
 log = logging.getLogger(__name__)
+
+# seeds quick_prune's audit sample, so the points a step probes follow
+# from its inputs alone
+AUDIT_SEED = 0
 
 
 @dataclass
@@ -272,26 +278,51 @@ def quick_prune(
     """Prune a full grid by tracing the frontier of the kept region.
 
     Assumes the kept region is a single connected region bounded by one
-    continuous frontier. Walks the grid diagonal for a first kept
-    point, grows the frontier through Chebyshev-distance-1 expansion,
-    then keeps the points dominating (or dominated by, per ``side``) the
-    seed or a frontier point in index space (``dominance_closure``),
-    except any point the walk probed and saw fail ``keep`` or pruned
-    under the fail policy. With ``concern`` the decision runs on the
-    concern-projected grid, and an input point survives when its image
-    under ``concern_image`` (the rule ``project_space`` projects with)
-    is retained. The recorded frontier holds exactly the kept points
-    with a Chebyshev-distance-1 neighbor that is not kept.
+    continuous frontier, and that ``keep`` is monotone in index space:
+    on the ``upward`` side a point dominating a kept point is kept and a
+    point that a failing point dominates fails (``downward`` is the
+    mirror case). Walks the grid diagonal for a first kept point, grows
+    the frontier through Chebyshev-distance-1 expansion, then keeps the
+    points dominating (or dominated by, per ``side``) the seed or a
+    frontier point in index space (``dominance_closure``), except any
+    point whose verdict is that it fails ``keep``: probed and seen to
+    fail, pruned under the fail policy, or inferred to fail. With
+    ``concern`` the decision runs on the concern-projected grid, and an
+    input point survives when its image under ``concern_image`` (the
+    rule ``project_space`` projects with) is retained. The recorded
+    frontier holds exactly the kept points, by probed or inferred
+    verdict, with a Chebyshev-distance-1 neighbor that is not kept.
+
+    The walk probes no point whose verdict the monotone assumption
+    settles from a point probed in an earlier batch and neither pruned
+    nor degraded; the point holds that inferred verdict and, like an
+    interior point, no metrics. The walk then audits the verdicts it
+    asserted without a probe, the inferred ones and the closure's
+    unprobed members: it probes ceil(sqrt(n)) of those n, drawn by
+    ``random.Random(AUDIT_SEED)``. When a probe contradicts its verdict
+    the assumption is broken, and the step falls back: it walks again
+    without inference, over the probes made so far.
 
     Probes run in batches at the pipeline's parallelism, in a fixed
     order: the diagonal point by point, the seed's ring (and for an
     interior seed its members' rings), then per wave the wave's rings
-    and the kept candidates' rings. They evaluate the same set as a
-    point-by-point walk would. Under ABORT the error raised is that of
-    the earliest failing point in probe order, at any parallelism.
+    and the kept candidates' rings, then the audit. Inference reads only
+    earlier batches, so the evaluated set does not depend on the
+    parallelism. Under ABORT the error raised is that of the earliest
+    failing point in probe order, at any parallelism.
+
+    Provenance records every real probe (``predicate_evaluations``, the
+    audit's included) and its share of the work grid
+    (``evaluated_fraction``), the points ``inferred``, ``audited`` and
+    contradicted (``audit_failures``), whether the step ``fell_back``,
+    the kept work-grid points nobody probed (``unprobed_kept``) and the
+    probed closure members that failed or were pruned
+    (``failures_in_closure``). A fallback or such a failure logs a
+    warning.
     """
     keep_expr = predicate(keep, "keep condition")
     evaluators = _chain(evaluators)
+    away = KeepSide.DOWNWARD if side is KeepSide.UPWARD else KeepSide.UPWARD
 
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         schema = check_no_collision(space.schema, evaluators)
@@ -307,66 +338,138 @@ def quick_prune(
             # region, so the first kept diagonal point sits near it
             diag = list(reversed(diag))
 
-        probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
+        real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
         rings: dict[tuple, list[Point]] = {}
+        inferred: dict[tuple, bool] = {}
+        # the verdicts points probed, neither pruned nor degraded, imply
+        kept_by = Dominance(work_schema.cardinalities, side)
+        failed_by = Dominance(work_schema.cardinalities, away)
 
         def ring(point: Point) -> list[Point]:
             if point.coords not in rings:
                 rings[point.coords] = work.neighbours(point, Norm.LINF, 1)
             return rings[point.coords]
 
-        def kept(point: Point) -> bool:
-            # a probed point the fail policy pruned is not kept
-            entry = memo[point.coords]
-            return entry is not None and entry[1]
+        def verdict(coords: tuple) -> bool | None:
+            # as probed (a pruned point fails), else as inferred, else unknown
+            if coords in memo:
+                entry = memo[coords]
+                return entry is not None and bool(entry[1])
+            return inferred.get(coords)
+
+        def probe(points: Sequence[Point], infer: bool) -> None:
+            # give every point a verdict: inferred from earlier batches, or probed
+            todo: dict[tuple, Point] = {}
+            for p in points:
+                if p.coords in memo or p.coords in inferred or p.coords in todo:
+                    continue
+                # infer only where exactly one implication holds
+                if infer and (kept := p.coords in kept_by) != (p.coords in failed_by):
+                    inferred[p.coords] = kept
+                else:
+                    todo[p.coords] = p
+            real_probe(list(todo.values()))
+            if infer:
+                # what this batch implies, for the batches after it
+                bases = [(c, memo[c]) for c in todo]
+                bases = [(c, entry[1]) for c, entry in bases if entry and not entry[0].degraded]
+                kept_by.add(c for c, value in bases if value)
+                failed_by.add(c for c, value in bases if not value)
 
         def on_frontier(point: Point) -> bool:
-            # the point and its whole ring have been probed
-            return kept(point) and not all(map(kept, ring(point)))
+            # the point and its whole ring have a verdict
+            return verdict(point.coords) and not all(verdict(q.coords) for q in ring(point))
 
-        # Start: first kept point on the diagonal, nudged onto the frontier
-        seed = next((p for p in diag if probe([p])[0]), None)
-        if seed is not None:
-            probe(ring(seed))
-            if not on_frontier(seed):
-                # interior: move to the first ring member on the frontier, if any
-                for q in ring(seed):
-                    probe(ring(q))
-                    if on_frontier(q):
-                        seed = q
-                        break
+        def walk(infer: bool) -> dict[tuple, Point]:
+            """The seed and the frontier points reached from it."""
+            # Start: first kept point on the diagonal, nudged onto the frontier
+            seed = None
+            for p in diag:
+                probe([p], infer)
+                if verdict(p.coords):
+                    seed = p
+                    break
+            if seed is not None:
+                probe(ring(seed), infer)
+                if not on_frontier(seed):
+                    # interior: move to the first ring member on the frontier, if any
+                    for q in ring(seed):
+                        probe(ring(q), infer)
+                        if on_frontier(q):
+                            seed = q
+                            break
 
-        # Frontier: breadth-wise Chebyshev expansion from the seed
-        reached: dict[tuple, Point] = {} if seed is None else {seed.coords: seed}
-        wave = list(reached.values())
-        while wave:
-            around = list(
-                {q.coords: q for p in wave for q in ring(p) if q.coords not in reached}.values()
-            )
-            candidates = [q for q, k in zip(around, probe(around)) if k]
-            probe([r for q in candidates for r in ring(q)])
-            wave = [q for q in candidates if on_frontier(q)]
-            reached.update((q.coords, q) for q in wave)
-        frontier = [c for c, p in reached.items() if on_frontier(p)]
+            # Frontier: breadth-wise Chebyshev expansion from the seed
+            reached: dict[tuple, Point] = {} if seed is None else {seed.coords: seed}
+            wave = list(reached.values())
+            while wave:
+                around = list(
+                    {q.coords: q for p in wave for q in ring(p) if q.coords not in reached}.values()
+                )
+                probe(around, infer)
+                candidates = [q for q in around if verdict(q.coords)]
+                probe([r for q in candidates for r in ring(q)], infer)
+                wave = [q for q in candidates if on_frontier(q)]
+                reached.update((q.coords, q) for q in wave)
+            return reached
 
-        ctx.extra["predicate_evaluations"] = len(memo)
-        ctx.extra["frontier_size"] = len(frontier)
-        ctx.extra["frontier"] = sorted(frontier)
-
-        # Update: retain the dominance closure of the frontier, carried
-        # back to the input space through each point's image on the work
-        # grid, less every image probed and seen to fail or pruned. Only
-        # a point whose image was probed gets the metrics produced there;
-        # interior points were never evaluated, which is what the step
-        # saves, and hold None for them.
+        reached = walk(True)
         closed = work.dominance_closure(reached, side)
+
+        # Audit: probe a fixed-seed sample of the verdicts asserted
+        # without a probe; a closure member nobody probed is asserted kept
+        asserted = [
+            p for p in work.points
+            if p.coords not in memo and (p.coords in inferred or p.coords in closed)
+        ]
+        audit = random.Random(AUDIT_SEED).sample(asserted, math.ceil(math.sqrt(len(asserted))))
+        claims = [verdict(p.coords) is not False for p in audit]
+        real_probe(audit)
+        audit_failures = sum(verdict(p.coords) != claim for p, claim in zip(audit, claims))
+        n_inferred = len(inferred)
+        if audit_failures:
+            inferred.clear()
+            reached = walk(False)
+            closed = work.dominance_closure(reached, side)
+        frontier = [c for c, p in reached.items() if on_frontier(p)]
+        failures_in_closure = sum(c in memo and not verdict(c) for c in closed)
+
+        ctx.extra.update({
+            "predicate_evaluations": len(memo),
+            "evaluated_fraction": len(memo) / len(work),
+            "inferred": n_inferred,
+            "audited": len(audit),
+            "audit_failures": audit_failures,
+            "fell_back": bool(audit_failures),
+            "unprobed_kept": sum(c not in memo and verdict(c) is not False for c in closed),
+            "failures_in_closure": failures_in_closure,
+            "frontier_size": len(frontier),
+            "frontier": sorted(frontier),
+        })
+        if audit_failures or failures_in_closure:
+            log.warning(
+                "%s: keep is not monotone on this grid: the audit contradicted %d of %d "
+                "verdicts%s, and %d probed points in the dominance closure fail it",
+                name,
+                audit_failures,
+                len(audit),
+                ", so the step probed without inference" if audit_failures else "",
+                failures_in_closure,
+            )
+
+        # Update: retain the dominance closure, carried back to the input
+        # space through each point's image on the work grid, less every
+        # image whose verdict is a failure. Only a point whose image was
+        # probed gets the metrics produced there; interior and inferred
+        # points were never evaluated, which is what the step saves, and
+        # hold None for them.
         known = len(space.schema.metrics)
         unprobed = (None,) * (len(schema.metrics) - known)
         out = []
         for p in space.points:
             coords = image(p.coords)
-            entry = memo.get(coords)
-            if coords in closed and (entry[1] if entry else coords not in memo):
+            if coords in closed and verdict(coords) is not False:
+                entry = memo.get(coords)
                 enh = entry and entry[0]
                 tail, degraded = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)
                 out.append(_point(p.coords, p.metrics + tail, p.degraded or degraded))

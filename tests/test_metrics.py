@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -458,3 +459,21 @@ class TestExternalCommand:
         with pytest.raises(EvalError) as err:
             apply_transform(space, external_command("tool", spec), Cache())
         assert err.value.kind is EvalErrorKind.PARSE_FAILURE
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        EvalError(EvalErrorKind.TOOL_FAILURE, "dead", exit_code=1),
+        EvalError(EvalErrorKind.TIMEOUT, "slow", coords=(2, 0, 1), name="synth"),
+        EvalError(EvalErrorKind.NON_FINITE, "m is nan").at((4,)),
+    ],
+    ids=["exit_code", "coords_and_name", "tagged"],
+)
+def test_eval_error_survives_pickling(error):
+    # a process pool sends a worker's failure back pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is EvalError
+    fields = ("kind", "detail", "coords", "exit_code", "name", "args")
+    assert [getattr(copy, f) for f in fields] == [getattr(error, f) for f in fields]
+    assert str(copy) == str(error)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from dsex import (
     DesignSpace,
     Enumerated,
+    KeepSide,
     Linear,
     NamedMetric,
     NoSuchConcern,
@@ -22,6 +24,7 @@ from dsex import (
     cardinality,
     project_space,
 )
+from dsex.space import Dominance
 
 
 def grid(*dims):
@@ -342,6 +345,42 @@ class TestDiagonal:
         assert len(diag) == max(d - 1 for d in dims) + 1
         for a, b in zip(diag, diag[1:]):
             assert max(abs(x - y) for x, y in zip(a.coords, b.coords)) <= 1
+
+
+class TestDominanceClosure:
+    """The closure against its all-pairs definition: a point is closed when
+    it sits at or beyond some frontier coords on every axis."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        side=st.sampled_from(list(KeepSide)),
+        data=st.data(),
+    )
+    def test_matches_all_pairs(self, dims, side, data):
+        space = grid(*dims)
+        coords = [p.coords for p in space.points]
+        frontier = data.draw(st.lists(st.sampled_from(coords), max_size=5))
+        beyond = operator.ge if side is KeepSide.UPWARD else operator.le
+        expected = {c for c in coords if any(all(map(beyond, c, f)) for f in frontier)}
+        assert space.dominance_closure(frontier, side) == expected
+        # adding the frontier in two parts closes the same set
+        closure = Dominance(space.schema.cardinalities, side)
+        split = data.draw(st.integers(0, len(frontier)))
+        closure.add(frontier[:split])
+        closure.add(frontier[split:])
+        assert closure.coords() == expected
+        assert all((c in closure) == (c in expected) for c in coords)
+
+    @pytest.mark.parametrize("side", list(KeepSide))
+    def test_empty_frontier_closes_nothing(self, side):
+        assert grid(3, 4, 2).dominance_closure([], side) == set()
+
+    def test_corner_closes_the_grid(self):
+        space = grid(9, 9, 4, 4)
+        everything = {p.coords for p in space.points}
+        assert space.dominance_closure([(0, 0, 0, 0)], KeepSide.UPWARD) == everything
+        assert space.dominance_closure([(8, 8, 3, 3)], KeepSide.DOWNWARD) == everything
 
 
 def _schema(domains) -> Schema:

@@ -484,6 +484,23 @@ class TestQuickPrune:
         kept = {p.coords for p in out.points}
         assert kept == {p.coords for p in space.points if sum(p.coords) >= 5} - {(3, 3)}
 
+    def test_no_verdict_is_inferred_from_a_degraded_point(self):
+        # (3, 3) passes, but fails to evaluate and is assigned a failing
+        # worst value; inferring from that would fail (2, 3) and (3, 2)
+        space = grid(6, 6)
+
+        def func(view):
+            if view.point.coords == (3, 3):
+                raise EvalError(EvalErrorKind.TOOL_FAILURE, "dead", exit_code=1)
+            return (float(sum(view.point.coords)),)
+
+        ev, calls = counting(Evaluator("e", ("m",), func))
+        context = ctx(policy=FailPolicy(FailMode.ASSIGN_WORST, {"m": -100.0}))
+        out = quick_prune([ev], "m >= 5").apply(space, context)
+        assert (3, 3) in calls and not context.extra["fell_back"]
+        kept = {p.coords for p in out.points}
+        assert kept == {p.coords for p in space.points if sum(p.coords) >= 5} - {(3, 3)}
+
     @pytest.mark.parametrize(
         "params, frozen, threshold",
         [
@@ -532,11 +549,13 @@ class TestQuickPrune:
 
 
 # (space, evaluator expression, keep, side, concern, predicate evaluations);
-# the counts are those of the point-by-point walk the batched one replaced,
-# so a batching scheme that evaluates speculatively fails the pin
+# the counts are those of the walk that infers verdicts from earlier
+# batches, plus its audit, so a batching scheme that evaluates
+# speculatively, or infers within a batch, fails the pin; the bowl is not
+# monotone, so its count is the walk without inference plus the audit
 BATCH_CASES = {
-    "2d_up": (grid(9, 7), "p0 + 2 * p1", "m >= 10", KeepSide.UPWARD, None, 48),
-    "2d_down": (grid(9, 7), "2 * p0 + p1", "m <= 9", KeepSide.DOWNWARD, None, 39),
+    "2d_up": (grid(9, 7), "p0 + 2 * p1", "m >= 10", KeepSide.UPWARD, None, 27),
+    "2d_down": (grid(9, 7), "2 * p0 + p1", "m <= 9", KeepSide.DOWNWARD, None, 26),
     # the first kept diagonal point is interior and is nudged onto the frontier
     "2d_seed_nudge": (
         grid(7, 7),
@@ -544,17 +563,17 @@ BATCH_CASES = {
         "m >= 8",
         KeepSide.UPWARD,
         None,
-        44,
+        46,
     ),
-    "3d_up": (grid(5, 4, 6), "p0 + p1 + p2", "m >= 7", KeepSide.UPWARD, None, 99),
-    "3d_down": (grid(5, 4, 6), "p0 + 2 * p1 + p2", "m <= 8", KeepSide.DOWNWARD, None, 114),
+    "3d_up": (grid(5, 4, 6), "p0 + p1 + p2", "m >= 7", KeepSide.UPWARD, None, 56),
+    "3d_down": (grid(5, 4, 6), "p0 + 2 * p1 + p2", "m <= 8", KeepSide.DOWNWARD, None, 76),
     "concern_3d_up": (
         concern_grid(("a", 4, "qos"), ("c", 2, "resource"), ("b", 5, "qos"), ("d", 3, "qos")),
         "a + b + d",
         "m >= 6",
         KeepSide.UPWARD,
         "qos",
-        110,
+        70,
     ),
     "concern_2d_down": (
         concern_grid(("a", 6, "qos"), ("c", 2, "resource"), ("b", 5, "qos")),
@@ -562,7 +581,7 @@ BATCH_CASES = {
         "m <= 8",
         KeepSide.DOWNWARD,
         "qos",
-        32,
+        23,
     ),
 }
 
@@ -630,6 +649,26 @@ class TestQuickPruneBatches:
             errors.append((err.value.kind, err.value.coords))
         assert errors == [(EvalErrorKind.TOOL_FAILURE, first)] * 2
 
+    def test_the_bowl_falls_back(self, caplog):
+        # the bowl is not monotone: its rim passes, so the origin implies
+        # every other verdict; the audit probes ceil(sqrt(48)) = 7 of them,
+        # meets the failing hollow and the step walks again without inference
+        space, expression, keep, side, _, pinned = BATCH_CASES["2d_seed_nudge"]
+        ev, calls = counting(expr_evaluator("e", "m", expression))
+        context = ctx()
+        caplog.set_level(logging.WARNING, logger="dsex")
+        out = quick_prune([ev], keep, side=side).apply(space, context)
+        extra = context.extra
+        assert (extra["inferred"], extra["audited"], extra["fell_back"]) == (8, 7, True)
+        assert 0 < extra["audit_failures"] <= extra["audited"]
+        assert extra["predicate_evaluations"] == len(calls) == pinned
+        assert extra["evaluated_fraction"] == pinned / 49
+        hollow = {c for c in calls if (c[0] - 3) ** 2 + (c[1] - 3) ** 2 < 8}
+        assert hollow and hollow.isdisjoint(p.coords for p in out.points)
+        assert extra["failures_in_closure"] >= len(hollow)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "without inference" in warnings[0]
+
     def test_log_lines(self, caplog):
         space = grid(9, 7)
         ev = expr_evaluator("e", "m", "p0 + 2 * p1")
@@ -638,7 +677,7 @@ class TestQuickPruneBatches:
         frame = run_pipeline(pipeline, space)
         records = [r for r in caplog.records if r.name == "dsex.strategy"]
         steps = [r.getMessage() for r in records if r.levelno == logging.INFO]
-        assert steps[0].startswith("step quick_prune: 63 points in, 34 out, 48 invocations")
+        assert steps[0].startswith("step quick_prune: 63 points in, 34 out, 27 invocations")
         assert steps[1].startswith("step sort: 34 points in, 34 out, 0 invocations")
         assert len(steps) == len(frame.provenance.steps) == 2
         batches = [
@@ -973,6 +1012,13 @@ class TestNeighbourhoodOracle:
         assert [p.coords for p in points] == expected
         work_size = math.prod(schema.cardinalities[k] for k in axes)
         assert extra["predicate_evaluations"] == len(calls) <= work_size
+        assert extra["evaluated_fraction"] == len(calls) / work_size
+        # inference is exact on a monotone predicate, so the audit agrees
+        assert (extra["audit_failures"], extra["fell_back"], extra["failures_in_closure"]) == (
+            0, False, 0
+        )
+        unprobed = {tuple(p.coords[k] for k in axes) for p in points} - set(calls)
+        assert extra["unprobed_kept"] == len(unprobed)
         # every recorded frontier point is kept and has a Chebyshev
         # neighbour on the work grid that is not
         work_cards = [schema.cardinalities[k] for k in axes]
@@ -993,6 +1039,50 @@ class TestNeighbourhoodOracle:
         for p in points:
             if p.metrics[0] is not None:
                 assert p.metrics == (image_sum(p.coords),)
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_quick_prune_keeps_no_point_it_saw_fail(self, case, data):
+        # a predicate drawn point by point is rarely monotone: inference
+        # then asserts wrong verdicts, which the audit may or may not meet
+        schema, concern, _ = case
+        space = build_space(schema)
+        axes = [
+            k for k, p in enumerate(schema.params) if concern is None or concern in p.concerns
+        ]
+        work = list(itertools.product(*(range(schema.cardinalities[k]) for k in axes)))
+        values = data.draw(st.lists(st.integers(0, 9), min_size=len(work), max_size=len(work)))
+        table = dict(zip(work, map(float, values)))
+        threshold = data.draw(st.integers(0, 10))
+        side = data.draw(st.sampled_from(list(KeepSide)))
+        op = ">=" if side is KeepSide.UPWARD else "<="
+        holds = (lambda v: v >= threshold) if op == ">=" else (lambda v: v <= threshold)
+        passes = {c for c, v in table.items() if holds(v)}
+
+        def image(coords):
+            return tuple(coords[k] for k in axes)
+
+        runs = []
+        for parallelism in (1, 3):
+            ev, calls = counting(Evaluator("e", ("m",), lambda v: (table[v.point.coords],)))
+            context = ctx(parallelism=parallelism)
+            out = quick_prune([ev], f"m {op} {threshold}", side, concern).apply(space, context)
+            runs.append((out.points, sorted(calls), dict(context.extra)))
+        assert runs[0] == runs[1]
+        points, calls, extra = runs[0]
+
+        assert extra["predicate_evaluations"] == len(calls) == len(set(calls))
+        assert extra["evaluated_fraction"] == len(calls) / len(work)
+        # no survivor was probed and seen to fail; a probed one carries its value
+        for p in points:
+            if image(p.coords) in calls:
+                assert image(p.coords) in passes
+                assert p.metrics == (table[image(p.coords)],)
+            else:
+                assert p.metrics == (None,)
+        assert extra["fell_back"] == (extra["audit_failures"] > 0)
+        assert extra["audit_failures"] <= extra["audited"]
+        assert extra["unprobed_kept"] == len({image(p.coords) for p in points} - set(calls))
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(case=oracle_cases(), data=st.data())
