@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, Decimal
 from operator import getitem
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .space import DesignSpace
@@ -67,6 +67,10 @@ class Provenance:
         }
 
 
+# the JSON text json.dumps gives the values whose repr is not JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 @dataclass(frozen=True)
 class ResultFrame:
     """Ordered rows of raw values; None marks a metric absent on a row."""
@@ -88,14 +92,22 @@ class ResultFrame:
         with open(path, "w", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.rows:
-                fh.write(",".join("" if v is None else repr(float(v)) for v in row) + "\n")
+                fh.write(",".join(["" if v is None else repr(float(v)) for v in row]) + "\n")
 
     def to_jsonl(self, path: str | Path) -> None:
-        """One JSON object per row, of its non-None cells, written as it is built."""
-        cols = self.columns
+        """One JSON object per row, of its non-None cells, written as it is built.
+
+        Each line is byte for byte ``json.dumps`` of the row's dict of
+        non-None cells in column order, non-finite values included
+        (``NaN``, ``Infinity``), but rendered directly: each column's
+        key text once, each value as the number's ``repr``.
+        """
+        keys = [json.dumps(c) + ": " for c in self.columns]
+        text = _JSON_NON_FINITE.get
         with open(path, "w", newline="\n") as fh:
             for row in self.rows:
-                fh.write(json.dumps({c: v for c, v in zip(cols, row) if v is not None}) + "\n")
+                cells = [k + text(r := repr(v), r) for k, v in zip(keys, row) if v is not None]
+                fh.write("{" + ", ".join(cells) + "}\n")
 
     def provenance_json(self, path: str | Path) -> None:
         if self.provenance is None:
@@ -127,18 +139,13 @@ def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
     path = Path(path)
     if path.suffix == ".jsonl":
         rows = []
-        columns: list[str] = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
-                d = {k: float(v) for k, v in json.loads(line).items()}
-                for k in d:
-                    if k not in columns:
-                        columns.append(k)
-                rows.append(d)
-        return columns, rows
+                rows.append({k: float(v) for k, v in json.loads(line).items()})
+        return _merge_key_orders(dict.fromkeys(map(tuple, rows))), rows
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -154,6 +161,22 @@ def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
                 {c: float(v) for c, v in zip(columns, values) if v != ""}
             )
         return columns, rows
+
+
+def _merge_key_orders(orders: Iterable[tuple[str, ...]]) -> list[str]:
+    """The columns of JSONL rows whose keys each come in column order:
+    each column after every column some row lists before it, ties (and
+    any cycle) broken by first appearance."""
+    before: dict[str, set[str]] = {}  # in order of first appearance
+    for keys in orders:
+        for i, k in enumerate(keys):
+            before.setdefault(k, set()).update(keys[:i])
+    columns: list[str] = []
+    while len(columns) < len(before):
+        placed = set(columns)
+        todo = [k for k in before if k not in placed]
+        columns.append(next((k for k in todo if before[k] <= placed), todo[0]))
+    return columns
 
 
 def render_2dp(value: float) -> str:

@@ -21,11 +21,26 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import getitem
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision, finite
 from .expr import MetricExpr, numeric
 from .space import DesignSpace, Point, Schema, _point, check_name
+
+
+class _unlocked_cached_property(cached_property):
+    """``cached_property`` without the lock Python 3.10 and 3.11 take on
+    each first access (3.12 dropped it). A view is made per evaluation,
+    so every view paid for that lock; two threads racing on one view
+    would only compute the same env twice."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.attrname] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -43,10 +58,16 @@ class PointView:
     schema: Schema
     point: Point
 
-    @cached_property
+    def __init__(self, schema: Schema, point: Point):
+        # a view per evaluation: skip the frozen dataclass's object.__setattr__
+        fields = self.__dict__
+        fields["schema"] = schema
+        fields["point"] = point
+
+    @_unlocked_cached_property
     def env(self) -> dict[str, float]:
         schema = self.schema
-        env = {n: v[c] for n, v, c in zip(schema.names, schema.floats, self.point.coords)}
+        env = dict(map(getitem, schema.env_items, self.point.coords))
         env.update(schema.frozen_env)
         for name, value in zip(schema.metrics, self.point.metrics):
             if value is not None:
@@ -80,10 +101,6 @@ class Evaluator:
             check_name(n)
         if len(set(self.produces)) != len(self.produces):
             raise ConfigError(f"evaluator {self.name!r} has duplicate produced names")
-
-    @property
-    def arity(self) -> int:
-        return len(self.produces)
 
 
 class FailMode(Enum):
@@ -151,23 +168,28 @@ class Cache:
         the evaluator.
         """
         coords, key = view.point.coords, (evaluator.name, view.schema.frozen)
-        with self._lock:
+        # acquire/release: a `with` block costs about twice as much per entry
+        lock = self._lock
+        lock.acquire()
+        try:
             table = self._tables.get(key)
             if table is None:
                 table = self._tables[key] = {}
-            if coords in table:
+            cached = table.get(coords)  # a stored entry is never None
+            if cached is not None:
                 self.hits += 1
-                cached = table[coords]
                 if isinstance(cached, EvalError):
                     raise cached
                 return cached
             self.misses += 1
+        finally:
+            lock.release()
         try:
-            values = tuple(float(v) for v in evaluator.func(view))
-            if len(values) != evaluator.arity:
+            values = tuple(map(float, evaluator.func(view)))
+            if len(values) != len(evaluator.produces):
                 raise ConfigError(
                     f"evaluator {evaluator.name!r} returned {len(values)} values, "
-                    f"declared arity is {evaluator.arity}"
+                    f"declared arity is {len(evaluator.produces)}"
                 )
             if not all(map(math.isfinite, values)):
                 raise EvalError(
@@ -177,8 +199,11 @@ class Cache:
                 )
         except EvalError as err:
             values = err.at(coords) if err.coords is None else err
-        with self._lock:  # first write wins; a racing computation is discarded
+        lock.acquire()  # first write wins; a racing computation is discarded
+        try:
             stored = table.setdefault(coords, values)
+        finally:
+            lock.release()
         if isinstance(stored, EvalError):
             raise stored
         return stored

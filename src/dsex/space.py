@@ -180,6 +180,12 @@ class Schema:
         return tuple(tuple(map(float, p.domain.values())) for p in self.params)
 
     @cached_property
+    def env_items(self) -> tuple[tuple[tuple[str, float], ...], ...]:
+        """Each parameter's (name, value) pairs over ``floats``, so an env
+        is one ``dict`` of a pair per parameter."""
+        return tuple(tuple((n, v) for v in fl) for n, fl in zip(self.names, self.floats))
+
+    @cached_property
     def frozen_env(self) -> dict[str, float]:
         """The frozen params by name; read it, never change it."""
         return {m.name: m.value for m in self.frozen}
@@ -223,12 +229,18 @@ class Point:
 
 def _point(coords: tuple[int, ...], metrics: tuple, degraded: bool) -> Point:
     """``Point(coords, metrics, degraded)`` from values already in their
-    final types, without ``__post_init__``: the hot paths build with it."""
+    final types, without ``__post_init__``: the hot paths build with it.
+    The slots' own setters skip ``object.__setattr__``'s name lookup."""
     p = object.__new__(Point)
-    object.__setattr__(p, "coords", coords)
-    object.__setattr__(p, "metrics", metrics)
-    object.__setattr__(p, "degraded", degraded)
+    _set_coords(p, coords)
+    _set_metrics(p, metrics)
+    _set_degraded(p, degraded)
     return p
+
+
+_set_coords, _set_metrics, _set_degraded = (
+    Point.coords.__set__, Point.metrics.__set__, Point.degraded.__set__
+)
 
 
 def _space(schema: Schema, points: tuple[Point, ...]) -> "DesignSpace":
@@ -478,14 +490,24 @@ def project_space(space: DesignSpace, concern: str, project_to_min: bool = True)
     coords of its image. Points are deduplicated on those coords, first
     occurrence winning, with relative order preserved.
     """
+    return project_images(space, concern, project_to_min)[0]
+
+
+def project_images(
+    space: DesignSpace, concern: str, project_to_min: bool = True
+) -> tuple[DesignSpace, list[tuple[int, ...]]]:
+    """``project_space``'s projection, plus the coords of each input
+    point's image, aligned with ``space.points``."""
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
     schema, image = concern_image(space.schema, concern, project_to_min)
     if len(schema) == len(space.schema):
-        return space
+        return space, [p.coords for p in space.points]
     new_points: dict[tuple[int, ...], Point] = {}
+    images = []
     for p in space.points:
         coords = image(p.coords)
         if coords not in new_points:
             new_points[coords] = Point(coords, p.metrics, p.degraded)
-    return DesignSpace(schema, new_points.values())
+        images.append(new_points[coords].coords)  # one tuple per image
+    return DesignSpace(schema, new_points.values()), images

@@ -42,7 +42,7 @@ from .metrics import (
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
-from .space import Dominance, _point
+from .space import Dominance, _point, project_images
 
 log = logging.getLogger(__name__)
 
@@ -328,10 +328,10 @@ def quick_prune(
         schema = check_no_collision(space.schema, evaluators)
 
         if concern is not None:
-            work = project_space(space, concern, True)
-            work_schema, image = concern_image(schema, concern, True)
+            work, images = project_images(space, concern, True)
+            work_schema = concern_image(schema, concern, True)[0]
         else:
-            work, work_schema, image = space, schema, lambda coords: coords
+            work, work_schema, images = space, schema, [p.coords for p in space.points]
         diag = work.diagonal()  # also enforces the full-grid precondition
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
@@ -466,8 +466,7 @@ def quick_prune(
         known = len(space.schema.metrics)
         unprobed = (None,) * (len(schema.metrics) - known)
         out = []
-        for p in space.points:
-            coords = image(p.coords)
+        for p, coords in zip(space.points, images):
             if coords in closed and verdict(coords) is not False:
                 entry = memo.get(coords)
                 enh = entry and entry[0]

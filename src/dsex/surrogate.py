@@ -74,8 +74,9 @@ class ResourceModel:
             if metric not in self.formulas:
                 raise ConfigError(f"model {self.name!r} lacks a formula for {metric!r}")
 
-    def compute(self, env: Mapping[str, float]) -> dict[str, float]:
-        return {metric: float(self.formulas[metric](env)) for metric in self.produces}
+    def compute(self, env: Mapping[str, float]) -> list[float]:
+        """The produced metrics' values, in ``produces`` order."""
+        return [float(self.formulas[metric](env)) for metric in self.produces]
 
     def fails_on(self, env: Mapping[str, float]) -> bool:
         return self.fail_if is not None and bool(self.fail_if(env))
@@ -93,8 +94,7 @@ def model_evaluator(model: ResourceModel, name: str | None = None) -> "Evaluator
             )
         if model.latency_s > 0:
             time.sleep(model.latency_s)
-        values = model.compute(env)
-        return [values[m] for m in model.produces]
+        return model.compute(env)
 
     return Evaluator(name or model.name, model.produces, func)
 
@@ -182,9 +182,8 @@ def serve_once(model: ResourceModel, environ: Mapping[str, str] = os.environ) ->
         return 1
     if model.latency_s > 0:
         time.sleep(model.latency_s)
-    values = model.compute(env)
     payload = {
-        m: (int(v) if float(v).is_integer() else v) for m, v in values.items()
+        m: (int(v) if v.is_integer() else v) for m, v in zip(model.produces, model.compute(env))
     }
     print(json.dumps(payload))
     return 0

@@ -15,7 +15,8 @@ from dsex import (
     Schema,
     build_frame,
 )
-from dsex.frame import ResultFrame
+from dsex.cli import main
+from dsex.frame import ResultFrame, load_rows
 
 
 def reference_csv(frame: ResultFrame) -> str:
@@ -112,3 +113,81 @@ class TestExportOracle:
             tracemalloc.stop()
         assert peak < 0.5 * 2**20, f"to_jsonl peaked at {peak / 2**20:.2f} MB"
         assert (tmp_path / "frame.jsonl").read_text() == reference_jsonl(frame)
+
+
+_awkward = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1e16, 123456789.0, 0.1, 1e-7]),
+    st.integers(-2**53, 2**53).map(float),  # integral values
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.none(),
+)
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def frames(draw, cells=_awkward):
+    """A ResultFrame built directly, its cells drawn from ``cells``."""
+    widths = [draw(st.integers(0, 3)) for _ in range(3)]
+    params, frozen, metrics = (
+        tuple(f"{prefix}{k}" for k in range(width)) for prefix, width in zip("pzm", widths)
+    )
+    width = sum(widths) + 1
+    rows = draw(st.lists(st.tuples(*[cells] * width), max_size=12))
+    return ResultFrame(params, frozen, metrics, tuple(rows))
+
+
+class TestAwkwardValues:
+    @settings(max_examples=200, deadline=None)
+    @given(frame=frames(st.one_of(_awkward, _non_finite)))
+    def test_exports_match_their_references(self, frame, tmp_path_factory):
+        # -0.0, subnormals, the float extremes, integral values, empty
+        # cells, and NaN and infinities, which json.dumps writes as NaN,
+        # Infinity and -Infinity
+        out = tmp_path_factory.mktemp("frame")
+        frame.to_csv(out / "frame.csv")
+        frame.to_jsonl(out / "frame.jsonl")
+        assert (out / "frame.csv").read_text() == reference_csv(frame)
+        assert (out / "frame.jsonl").read_text() == reference_jsonl(frame)
+
+
+def _reloaded_columns(frame: ResultFrame, out) -> tuple[list[str], list[str]]:
+    frame.to_csv(out / "frame.csv")
+    frame.to_jsonl(out / "frame.jsonl")
+    return load_rows(out / "frame.csv")[0], load_rows(out / "frame.jsonl")[0]
+
+
+class TestLoadRowsColumns:
+    def test_a_metric_missing_from_the_first_row_keeps_its_place(self, tmp_path, capsys):
+        frame = ResultFrame(("a",), (), ("m1", "m2"), ((1.0, None, 2.0, 0.0), (2.0, 3.0, 4.0, 0.0)))
+        csv_columns, jsonl_columns = _reloaded_columns(frame, tmp_path)
+        assert csv_columns == jsonl_columns == ["a", "m1", "m2", "degraded"]
+        headers = []
+        for name in ("frame.csv", "frame.jsonl"):
+            assert main(["report", "--frame", str(tmp_path / name)]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0] == headers[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=frames())
+    def test_jsonl_columns_are_the_csv_columns_the_rows_determine(
+        self, frame, tmp_path_factory
+    ):
+        csv_columns, jsonl_columns = _reloaded_columns(frame, tmp_path_factory.mktemp("frame"))
+        # a column no row holds a value for cannot appear in the JSONL
+        held = [k for k, c in enumerate(csv_columns) if any(r[k] is not None for r in frame.rows)]
+        assert sorted(jsonl_columns) == sorted(csv_columns[k] for k in held)
+        # every row lists its keys in the reloaded order
+        position = {c: i for i, c in enumerate(jsonl_columns)}
+        for row in frame.rows:
+            keys = [position[c] for c, v in zip(csv_columns, row) if v is not None]
+            assert keys == sorted(keys)
+        # and where each two neighbouring held columns share a row, the
+        # rows fix the order: it is the CSV's (two frames whose columns
+        # never share a row can write the same JSONL in different orders)
+        if all(
+            any(r[i] is not None and r[j] is not None for r in frame.rows)
+            for i, j in zip(held, held[1:])
+        ):
+            assert jsonl_columns == [csv_columns[k] for k in held]

@@ -258,6 +258,53 @@ def _oracle_evaluators():
     ]
 
 
+@st.composite
+def views(draw):
+    """A point on a random schema with frozen params, holding values for
+    a prefix of the schema's metrics, some of them None."""
+    domains = draw(st.lists(
+        st.one_of(
+            st.tuples(st.integers(-3, 3), st.integers(0, 3)).map(lambda t: Linear(t[0], t[0] + t[1])),
+            st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda t: Pow2(t[0], t[0] + t[1])),
+            st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True).map(Enumerated),
+        ),
+        min_size=1, max_size=4,
+    ))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    frozen = [NamedMetric(f"z{k}", v) for k, v in enumerate(draw(st.lists(values, max_size=3)))]
+    metrics = [f"m{k}" for k in range(draw(st.integers(0, 4)))]
+    schema = Schema([ParamSpec(f"p{k}", d) for k, d in enumerate(domains)], frozen, metrics)
+    coords = tuple(draw(st.integers(0, len(d.values()) - 1)) for d in domains)
+    held = draw(st.integers(0, len(metrics)))
+    return schema, Point(coords, tuple(draw(st.one_of(st.none(), values)) for _ in range(held)))
+
+
+class TestPointView:
+    @settings(max_examples=200, deadline=None)
+    @given(view=views())
+    def test_env_matches_a_name_by_name_reference(self, view):
+        schema, point = view
+        reference = {}
+        for param, c in zip(schema.params, point.coords):
+            reference[param.name] = float(param.domain.values()[c])
+        for m in schema.frozen:
+            reference[m.name] = m.value
+        for name, value in zip(schema.metrics, point.metrics):
+            if value is not None:
+                reference[name] = value
+        pv = PointView(schema, point)
+        env = pv.env
+        assert env == reference
+        assert pv.env is env  # built once per view
+
+    def test_env_stays_a_cached_property(self):
+        # the traced benchmark re-wraps PointView.env.func in a plain cached_property
+        from functools import cached_property
+
+        assert isinstance(PointView.__dict__["env"], cached_property)
+        assert callable(PointView.env.func)
+
+
 class TestCacheOracle:
     """The per-(evaluator, frozen params) tables against one flat dict keyed
     by (evaluator name, coords, frozen params)."""
