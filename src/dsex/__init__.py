@@ -47,14 +47,12 @@ _EXPORTS = {
         "Enumerated",
         "KeepSide",
         "Linear",
-        "NamedMetric",
         "Norm",
         "ParamSpec",
         "Point",
         "Pow2",
         "Schema",
         "build_space",
-        "cardinality",
         "project_space",
     ],
     "strategy": [

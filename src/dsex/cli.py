@@ -5,14 +5,14 @@ Subcommands: ``space`` inspects schema cardinalities and projections,
 provenance.json, ``report`` re-sorts or filters a saved frame offline.
 
 Exit codes for ``run``: 0 success, 1 evaluator failure under the abort
-policy, 2 schema/config errors, 3 empty final space. Set DSEX_LOG to
-debug/info/warning to control verbosity.
+policy, 2 schema/config errors or an output that cannot be written, 3
+empty final space. Set DSEX_LOG to debug/info/warning to control
+verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -43,7 +43,7 @@ def _setup_logging() -> None:
 
 
 def _print_points(space) -> None:
-    frozen = [render_raw(m.value) for m in space.schema.frozen]
+    frozen = [*map(render_raw, space.schema.frozen_env.values())]
     for p in space.points:
         print("[" + ", ".join([*map(str, space.raw_values(p)), *frozen]) + "]")
 
@@ -68,6 +68,11 @@ def cmd_space(args) -> int:
     except DsexError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _cannot_write(err: OSError) -> int:
+    print(f"error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+    return 2
 
 
 def _manifest_from_args(args) -> RunManifest:
@@ -98,8 +103,11 @@ def cmd_run(args) -> int:
         return 2
 
     out_dir = manifest.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-    echo_manifest(manifest, out_dir / "manifest.yaml")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        echo_manifest(manifest, out_dir / "manifest.yaml")
+    except OSError as err:
+        return _cannot_write(err)
     log.info("exploring %d points through %d steps", len(space), len(pipeline.steps))
 
     try:
@@ -109,14 +117,18 @@ def cmd_run(args) -> int:
     except DsexError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.provenance is not None:
-            (out_dir / "provenance.json").write_text(
-                json.dumps(err.provenance.to_dict(), indent=2) + "\n"
-            )
+            try:
+                err.provenance.write_json(out_dir / "provenance.json")
+            except OSError as write_err:
+                return _cannot_write(write_err)
         return 1 if isinstance(err, PipelineAborted) else 2
 
-    frame.to_csv(out_dir / "frame.csv")
-    frame.to_jsonl(out_dir / "frame.jsonl")
-    frame.provenance_json(out_dir / "provenance.json")
+    try:
+        frame.to_csv(out_dir / "frame.csv")
+        frame.to_jsonl(out_dir / "frame.jsonl")
+        frame.provenance_json(out_dir / "provenance.json")
+    except OSError as err:
+        return _cannot_write(err)
     print(render_top_table(frame, manifest.top))
     if len(frame) == 0:
         print("final space is empty", file=sys.stderr)

@@ -95,7 +95,7 @@ def _param_spec(entry: Reader) -> ParamSpec:
 
 def schema_to_dict(schema: Schema) -> dict:
     if schema.frozen or schema.metrics:
-        names = [m.name for m in schema.frozen] + list(schema.metrics)
+        names = [*schema.frozen_env, *schema.metrics]
         raise ConfigError(f"a schema with frozen params or metrics {names} has no file form")
     params = []
     for p in schema.params:

@@ -66,6 +66,11 @@ class Provenance:
             "steps": [s.to_dict() for s in self.steps],
         }
 
+    def write_json(self, path: str | Path) -> None:
+        with open(path, "w", newline="\n") as fh:
+            json.dump(self.to_dict(), fh, indent=2)
+            fh.write("\n")
+
 
 # the JSON text json.dumps gives the values whose repr is not JSON
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -112,9 +117,7 @@ class ResultFrame:
     def provenance_json(self, path: str | Path) -> None:
         if self.provenance is None:
             raise ConfigError("frame has no provenance to write")
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.provenance.to_dict(), fh, indent=2)
-            fh.write("\n")
+        self.provenance.write_json(path)
 
 
 def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> ResultFrame:

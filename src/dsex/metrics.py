@@ -294,7 +294,7 @@ def check_no_collision(schema: Schema, evaluators: Sequence[Evaluator]) -> Schem
     """The output schema of running ``evaluators`` on a space of ``schema``:
     its metric names extended by the produced ones, which must be new."""
     produced = tuple(n for ev in evaluators for n in ev.produces)
-    clash = set(produced) & {*schema.names, *(m.name for m in schema.frozen), *schema.metrics}
+    clash = set(produced) & {*schema.names, *schema.frozen_env, *schema.metrics}
     if clash:
         raise MetricCollision(f"produced names already in the schema: {sorted(clash)}")
     return Schema(schema.params, schema.frozen, schema.metrics + produced)
@@ -346,7 +346,8 @@ class CommandSpec:
     the point with ``{name}`` placeholders. The process additionally
     receives ``DSEX_<PARAMNAME>=<raw value>`` for every parameter of
     the schema, frozen ones included, must print a flat JSON object of
-    name -> number on stdout and exit 0.
+    name -> number on stdout and exit 0. Two names that differ only in
+    case would share a variable: such a schema is a config error.
     """
 
     argv: tuple[str, ...]
@@ -385,10 +386,13 @@ def external_command(name: str, spec: CommandSpec) -> Evaluator:
 
     def func(view: PointView) -> Sequence[float]:
         env_map = view.env
+        proc_env, passed = dict(os.environ), {}
+        for param in (*view.schema.names, *view.schema.frozen_env):
+            var = f"DSEX_{param.upper()}"
+            if passed.setdefault(var, param) != param:
+                raise ConfigError(f"parameters {passed[var]!r} and {param!r} both pass as {var}")
+            proc_env[var] = render_raw(env_map[param])
         argv = [_substitute(a, env_map) for a in spec.argv]
-        proc_env = dict(os.environ)
-        for param in (*view.schema.names, *(m.name for m in view.schema.frozen)):
-            proc_env[f"DSEX_{param.upper()}"] = render_raw(env_map[param])
         for key, tmpl in spec.env.items():
             proc_env[key] = _substitute(tmpl, env_map)
         try:

@@ -3,9 +3,9 @@
 A design space is an ordered, finite collection of candidate
 implementations (points). Every point is addressed by integer indices
 into the enumeration of each parameter domain; searches that rely on
-neighborhoods (hill climbing, frontier tracing) measure distance in
-this index space, never in raw-value space, so that power-of-two
-domains step uniformly.
+neighborhoods (hill climbing, frontier tracing) step to the points at
+distance 1 in this index space, under the L1 or the Chebyshev norm,
+never in raw-value space, so that power-of-two domains step uniformly.
 """
 
 from __future__ import annotations
@@ -38,22 +38,14 @@ def check_name(name: str) -> str:
     return name
 
 
+def _frozen(name: str, value) -> float:
+    if not finite(value):
+        raise SchemaError(f"frozen param {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _is_metric_value(value) -> bool:
     return value is None or (isinstance(value, float) and math.isfinite(value))
-
-
-@dataclass(frozen=True, slots=True)
-class NamedMetric:
-    """A (name, value) pair; the atom of all measurement."""
-
-    name: str
-    value: float
-
-    def __post_init__(self):
-        check_name(self.name)
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise SchemaError(f"metric {self.name!r} has non-finite value {self.value!r}")
 
 
 # each domain kind's values, from its arguments
@@ -113,10 +105,6 @@ def Enumerated(items: Iterable[int]) -> Domain:
     return Domain("enum", tuple(items))
 
 
-def cardinality(domain: Domain) -> int:
-    return len(domain.values())
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """A named generation parameter: its value domain plus concern tags.
@@ -147,25 +135,25 @@ class Schema:
 
     Order is significant: it fixes coordinate order in points and the
     axes of the index grid. ``frozen`` holds the parameters dimension
-    reduction removed, at their raw value, for every point of a space.
-    ``metrics`` names the metric columns every point of a space holds
-    values for, in production order.
+    reduction removed as (name, raw value) pairs, each value a finite
+    float, for every point of a space. ``metrics`` names the metric
+    columns every point of a space holds values for, in production order.
     """
 
     params: tuple[ParamSpec, ...]
-    frozen: tuple[NamedMetric, ...] = ()
+    frozen: tuple[tuple[str, float], ...] = ()
     metrics: tuple[str, ...] = ()
 
     def __init__(
         self,
         params: Iterable[ParamSpec],
-        frozen: Iterable[NamedMetric] = (),
+        frozen: Iterable[tuple[str, float]] = (),
         metrics: Iterable[str] = (),
     ):
         object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "frozen", tuple(frozen))
+        object.__setattr__(self, "frozen", tuple((check_name(n), _frozen(n, v)) for n, v in frozen))
         object.__setattr__(self, "metrics", tuple(map(check_name, metrics)))
-        names = [p.name for p in self.params] + [m.name for m in self.frozen] + list(self.metrics)
+        names = [p.name for p in self.params] + [n for n, _ in self.frozen] + list(self.metrics)
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate names in schema: {names}")
 
@@ -188,11 +176,11 @@ class Schema:
     @cached_property
     def frozen_env(self) -> dict[str, float]:
         """The frozen params by name; read it, never change it."""
-        return {m.name: m.value for m in self.frozen}
+        return dict(self.frozen)
 
     @cached_property
     def cardinalities(self) -> tuple[int, ...]:
-        return tuple(cardinality(p.domain) for p in self.params)
+        return tuple(len(p.domain.values()) for p in self.params)
 
     def concern_tags(self) -> tuple[str, ...]:
         """All concern tags in first-appearance order."""
@@ -261,23 +249,6 @@ class KeepSide(Enum):
     DOWNWARD = "downward"
 
 
-def _ball(
-    centre: tuple[int, ...], spans: list[range], norm: Norm, dist: int
-) -> Iterable[tuple[int, ...]]:
-    """The coords inside ``spans`` within ``dist`` of ``centre``."""
-    if norm is Norm.LINF:
-        return itertools.product(*spans)
-    ball = [((), dist)]
-    for c, span in zip(centre, spans):
-        ball = [
-            (prefix + (x,), left - abs(x - c))
-            for prefix, left in ball
-            for x in span
-            if abs(x - c) <= left
-        ]
-    return [coords for coords, _ in ball]
-
-
 @dataclass(frozen=True)
 class DesignSpace:
     """An ordered finite collection of points sharing one schema.
@@ -333,32 +304,28 @@ class DesignSpace:
             spec.domain.values()[c] for spec, c in zip(self.schema.params, point.coords)
         )
 
-    def contains(self, point: Point) -> bool:
-        return point.coords in self._positions
-
     def is_full_grid(self) -> bool:
         # the points hold distinct coords in range, so counting suffices
         return len(self.points) == math.prod(self.schema.cardinalities)
 
-    def neighbours(self, point: Point, norm: Norm, dist: int) -> list[Point]:
-        """Points within ``dist`` of ``point`` in index space, excluding it.
+    def neighbours(self, point: Point, norm: Norm) -> list[Point]:
+        """Points at distance 1 of ``point`` in index space under ``norm``.
 
         Returned in the space's enumeration order. The coords of the
-        ball are probed in the coords index, so the cost follows the
-        size of the ball, not of the space.
+        ring are probed in the coords index, so the cost follows the
+        size of the ring, not of the space.
         """
-        if dist < 1:
-            raise ValueError("distance must be a positive integer")
-        at = self._positions
-        me = at.get(point.coords)
+        at, c = self._positions, point.coords
+        me = at.get(c)
         if me is None:
-            raise PointNotInSpace(f"point {point.coords} is not in the space")
-        spans = [
-            range(max(c - dist, 0), min(c + dist, n - 1) + 1)
-            for c, n in zip(point.coords, self.schema.cardinalities)
-        ]
-        ball = map(at.get, _ball(point.coords, spans, norm, dist))
-        return [self.points[i] for i in sorted(i for i in ball if i is not None and i != me)]
+            raise PointNotInSpace(f"point {c} is not in the space")
+        spans = [range(max(x - 1, 0), min(x + 2, n)) for x, n in zip(c, self.schema.cardinalities)]
+        if norm is Norm.LINF:
+            ring = itertools.product(*spans)
+        else:  # one axis moved at a time, so c itself recurs once per axis
+            ring = [c[:k] + (x,) + c[k + 1:] for k, span in enumerate(spans) for x in span]
+        hits = map(at.get, ring)
+        return [self.points[i] for i in sorted(i for i in hits if i is not None and i != me)]
 
     def diagonal(self) -> list[Point]:
         """The corner-to-corner diagonal of a full grid.
@@ -380,18 +347,6 @@ class DesignSpace:
                 tuple((2 * t * (c - 1) + span) // (2 * span) for c in cards)
             )
         return [self.points[self._positions[c]] for c in coords_list]
-
-    def dominance_closure(
-        self, frontier: Iterable[tuple[int, ...]], side: KeepSide
-    ) -> set[tuple[int, ...]]:
-        """Coords of the points at or above (``UPWARD``) or at or below
-        (``DOWNWARD``) some ``frontier`` coords, componentwise in index
-        space; an empty frontier closes nothing. Needs a full grid, which
-        it does not check (see ``Dominance``).
-        """
-        closure = Dominance(self.schema.cardinalities, side)
-        closure.add(frontier)
-        return closure.coords()
 
 
 class Dominance:
@@ -470,7 +425,7 @@ def concern_image(
         raise NoSuchConcern(f"no parameter carries concern {concern!r}")
     pick = min if project_to_min else max
     frozen = schema.frozen + tuple(
-        NamedMetric(p.name, float(pick(p.domain.values())))
+        (p.name, float(pick(p.domain.values())))
         for i, p in enumerate(schema.params)
         if i not in keep
     )

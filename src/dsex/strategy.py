@@ -4,11 +4,11 @@ Every step is a pure space-to-space function; a pipeline threads a
 design space through its steps in listed order and tabulates the final
 space. Besides the exhaustive trio (map, sort, prune) and dimension
 reduction, two neighborhood-driven steps cut evaluation counts on
-expensive metrics: a hill-climbing sort that only evaluates the
-L1-distance-1 ring around the incumbent until no neighbor improves,
-and a quick prune that traces the boundary of the kept region with
-Chebyshev-distance-1 expansion, then keeps everything on the chosen
-side of that frontier by componentwise index dominance.
+expensive metrics: a hill-climbing sort that only evaluates the L1
+ring (``neighbours`` at distance 1) around the incumbent until no
+neighbor improves, and a quick prune that traces the boundary of the
+kept region through Chebyshev rings, then keeps everything on the
+chosen side of that frontier by a ``Dominance`` closure in index space.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def gradient_sort(
 
         moves, cost = 0, memo[current.coords][1]
         while True:
-            ring = space.neighbours(current, Norm.L1, 1)
+            ring = space.neighbours(current, Norm.L1)
             best = None
             for q, value in zip(ring, probe(ring)):
                 if value is not None and (best is None or better(value, best[1])):
@@ -284,7 +284,7 @@ def quick_prune(
     mirror case). Walks the grid diagonal for a first kept point, grows
     the frontier through Chebyshev-distance-1 expansion, then keeps the
     points dominating (or dominated by, per ``side``) the seed or a
-    frontier point in index space (``dominance_closure``), except any
+    frontier point in index space (a ``Dominance`` closure), except any
     point whose verdict is that it fails ``keep``: probed and seen to
     fail, pruned under the fail policy, or inferred to fail. With
     ``concern`` the decision runs on the concern-projected grid, and an
@@ -347,7 +347,7 @@ def quick_prune(
 
         def ring(point: Point) -> list[Point]:
             if point.coords not in rings:
-                rings[point.coords] = work.neighbours(point, Norm.LINF, 1)
+                rings[point.coords] = work.neighbours(point, Norm.LINF)
             return rings[point.coords]
 
         def verdict(coords: tuple) -> bool | None:
@@ -379,6 +379,11 @@ def quick_prune(
         def on_frontier(point: Point) -> bool:
             # the point and its whole ring have a verdict
             return verdict(point.coords) and not all(verdict(q.coords) for q in ring(point))
+
+        def closure(reached: dict[tuple, Point]) -> set[tuple]:
+            closed = Dominance(work_schema.cardinalities, side)
+            closed.add(reached)
+            return closed.coords()
 
         def walk(infer: bool) -> dict[tuple, Point]:
             """The seed and the frontier points reached from it."""
@@ -414,7 +419,7 @@ def quick_prune(
             return reached
 
         reached = walk(True)
-        closed = work.dominance_closure(reached, side)
+        closed = closure(reached)
 
         # Audit: probe a fixed-seed sample of the verdicts asserted
         # without a probe; a closure member nobody probed is asserted kept
@@ -430,7 +435,7 @@ def quick_prune(
         if audit_failures:
             inferred.clear()
             reached = walk(False)
-            closed = work.dominance_closure(reached, side)
+            closed = closure(reached)
         frontier = [c for c, p in reached.items() if on_frontier(p)]
         failures_in_closure = sum(c in memo and not verdict(c) for c in closed)
 

@@ -47,7 +47,6 @@ from dsex.blackscholes import (
 from dsex.config import load_evaluators, load_manifest, load_pipeline, load_schema
 from dsex.errors import EvalErrorKind
 from dsex.frame import render_2dp
-from dsex.metrics import enhance_point
 from dsex.surrogate import load_model, model_evaluator
 
 from conftest import PIPELINES, ROOT, counting, subprocess_env

@@ -219,6 +219,49 @@ class TestRunCommand:
             assert "'/nonexistent/tool' cannot start" in capsys.readouterr().err
             assert "'/nonexistent/tool' cannot start" in step["error"]
 
+    @pytest.mark.parametrize("under", ["", "out"], ids=["out", "parent"])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, under):
+        from dsex.cli import main
+
+        # the output directory, or a directory above it, is a regular file
+        (tmp_path / "out").write_text("")
+        out = tmp_path / "out" / under if under else tmp_path / "out"
+        argv = ["run", "--manifest", str(PIPELINES / "dsp-pipeline" / "manifest.yaml"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_export_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        out = tmp_path / "out"
+        (out / "frame.csv").mkdir(parents=True)
+        argv = ["run", "--manifest", str(PIPELINES / "dsp-pipeline" / "manifest.yaml"),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / 'frame.csv'}: Is a directory\n"
+
+    def test_failed_run_whose_provenance_cannot_be_written_exits_2(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        (tmp_path / "evaluators.yaml").write_text(
+            "evaluators:\n"
+            "  - {name: tool, kind: command, argv: [/nonexistent/tool], produces: [m]}\n"
+        )
+        (tmp_path / "pipeline.yaml").write_text("steps:\n  - {step: map, evaluator: tool}\n")
+        out = tmp_path / "out"
+        (out / "provenance.json").mkdir(parents=True)
+        argv = ["run", "--schema", str(PIPELINES / "schemas" / "dummy.yaml"),
+                "--pipeline", str(tmp_path / "pipeline.yaml"),
+                "--evaluators", str(tmp_path / "evaluators.yaml"), "--out", str(out)]
+        assert main(argv) == 2
+        # the step's error, then the write's
+        step_error, write_error = capsys.readouterr().err.splitlines()
+        assert "'/nonexistent/tool' cannot start" in step_error
+        assert write_error == f"error: cannot write {out / 'provenance.json'}: Is a directory"
+
     @pytest.mark.parametrize(
         "pipeline, named",
         [

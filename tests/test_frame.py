@@ -8,7 +8,6 @@ from dsex import (
     DesignSpace,
     Enumerated,
     Linear,
-    NamedMetric,
     ParamSpec,
     Point,
     Pow2,
@@ -37,7 +36,7 @@ def reference_jsonl(frame: ResultFrame) -> str:
 
 def reference_rows(space: DesignSpace) -> list[tuple]:
     """Rows as built one float at a time from each point's raw values."""
-    frozen = [m.value for m in space.schema.frozen]
+    frozen = [value for _, value in space.schema.frozen]
     return [
         (*(float(v) for v in space.raw_values(p)), *frozen, *p.metrics, float(p.degraded))
         for p in space.points
@@ -59,7 +58,7 @@ _domains = st.one_of(
 def spaces(draw):
     domains = draw(st.lists(_domains, min_size=1, max_size=3))
     params = [ParamSpec(f"p{k}", d) for k, d in enumerate(domains)]
-    frozen = [NamedMetric(f"z{k}", v) for k, v in enumerate(draw(st.lists(_values, max_size=2)))]
+    frozen = [(f"z{k}", v) for k, v in enumerate(draw(st.lists(_values, max_size=2)))]
     metrics = [f"m{k}" for k in range(draw(st.integers(0, 3)))]
     schema = Schema(params, frozen, metrics)
     cells = [

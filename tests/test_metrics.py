@@ -17,7 +17,6 @@ from dsex import (
     FailPolicy,
     Linear,
     MetricCollision,
-    NamedMetric,
     ParamSpec,
     Pipeline,
     PipelineAborted,
@@ -201,7 +200,7 @@ class TestCache:
         ev = constant_evaluator("c", "m", 1.0)
         cache = Cache()
         for value in (None, 4.0, 5.0, 4.0):
-            frozen = () if value is None else (NamedMetric("z", value),)
+            frozen = () if value is None else (("z", value),)
             cache.run(ev, PointView(Schema(params, frozen), point))
         assert (cache.misses, cache.hits) == (3, 1)
 
@@ -271,7 +270,7 @@ def views(draw):
         min_size=1, max_size=4,
     ))
     values = st.floats(allow_nan=False, allow_infinity=False)
-    frozen = [NamedMetric(f"z{k}", v) for k, v in enumerate(draw(st.lists(values, max_size=3)))]
+    frozen = [(f"z{k}", v) for k, v in enumerate(draw(st.lists(values, max_size=3)))]
     metrics = [f"m{k}" for k in range(draw(st.integers(0, 4)))]
     schema = Schema([ParamSpec(f"p{k}", d) for k, d in enumerate(domains)], frozen, metrics)
     coords = tuple(draw(st.integers(0, len(d.values()) - 1)) for d in domains)
@@ -287,8 +286,8 @@ class TestPointView:
         reference = {}
         for param, c in zip(schema.params, point.coords):
             reference[param.name] = float(param.domain.values()[c])
-        for m in schema.frozen:
-            reference[m.name] = m.value
+        for name, value in schema.frozen:
+            reference[name] = value
         for name, value in zip(schema.metrics, point.metrics):
             if value is not None:
                 reference[name] = value
@@ -314,7 +313,7 @@ class TestCacheOracle:
     def test_random_interleavings_match_a_flat_reference(self, data):
         params = [ParamSpec("a", Linear(0, 2)), ParamSpec("b", Linear(0, 1))]
         # two schemas that differ only in frozen values
-        schemas = [Schema(params, (NamedMetric("z", z),)) for z in (1.0, 2.0)]
+        schemas = [Schema(params, (("z", z),)) for z in (1.0, 2.0)]
         points = build_space(Schema(params)).points
         counted = [counting(ev) for ev in _oracle_evaluators()]
         evaluators = [ev for ev, _ in counted]
@@ -456,7 +455,7 @@ class TestExternalCommand:
         # params lose the fractional part, others keep it
         schema = Schema(
             [ParamSpec("width", Pow2(0, 4)), ParamSpec("depth", Enumerated([4, 11, 9]))],
-            (NamedMetric("lanes", 4.0), NamedMetric("ratio", 2.5)),
+            (("lanes", 4.0), ("ratio", 2.5)),
         )
         space = DesignSpace(schema, [Point((3, 1))])
         code = (
@@ -470,6 +469,23 @@ class TestExternalCommand:
         out = apply_transform(space, external_command("tool", spec), Cache())
         assert out.schema.metrics == ("ok",)
         assert out.points[0].metrics == (1.0,)
+
+    @pytest.mark.parametrize(
+        "params, frozen, names",
+        [
+            ([("a", Linear(0, 1)), ("A", Linear(5, 6))], (), "'a' and 'A'"),
+            ([("width", Linear(0, 1))], (("WIDTH", 2.0),), "'width' and 'WIDTH'"),
+        ],
+        ids=["params", "frozen"],
+    )
+    def test_names_sharing_a_variable_are_refused_before_spawning(self, params, frozen, names):
+        # a tool that cannot start would fail each point with an EvalError,
+        # so the ConfigError shows that no process was started
+        schema = Schema([ParamSpec(n, d) for n, d in params], frozen)
+        spec = CommandSpec(argv=("/nonexistent/tool",), produces=("m",))
+        policy = FailPolicy(FailMode.PRUNE)
+        with pytest.raises(ConfigError, match=f"{names} both pass as DSEX_"):
+            apply_transform(build_space(schema), external_command("tool", spec), Cache(), policy)
 
     def test_timeout(self):
         schema = Schema([ParamSpec("x", Linear(0, 0))])

@@ -10,7 +10,6 @@ from dsex import (
     Enumerated,
     KeepSide,
     Linear,
-    NamedMetric,
     NoSuchConcern,
     Norm,
     NotAFullGrid,
@@ -21,7 +20,6 @@ from dsex import (
     Schema,
     SchemaError,
     build_space,
-    cardinality,
     project_space,
 )
 from dsex.space import Dominance
@@ -57,15 +55,21 @@ class TestDomains:
         with pytest.raises(SchemaError):
             bad()
 
-    def test_named_metric_rejects_non_finite(self):
-        with pytest.raises(SchemaError):
-            NamedMetric("x", float("nan"))
-        with pytest.raises(SchemaError):
-            NamedMetric("x", float("inf"))
+    def test_frozen_value_must_be_finite(self):
+        # a float, or an int a float holds; never a string or a bool
+        for value in (float("nan"), float("inf"), -float("inf"), 10**400, "1.0", True):
+            with pytest.raises(SchemaError, match="finite number"):
+                Schema([ParamSpec("p", Linear(0, 1))], [("x", value)])
 
     def test_bad_identifier(self):
-        with pytest.raises(SchemaError):
-            NamedMetric("2fast", 1.0)
+        with pytest.raises(SchemaError, match="invalid identifier"):
+            Schema([ParamSpec("p", Linear(0, 1))], [("2fast", 1.0)])
+
+    def test_schema_stores_frozen_values_as_floats(self):
+        schema = Schema([ParamSpec("p", Linear(0, 1))], [("x", 4), ("y", 2.5)])
+        assert schema.frozen == (("x", 4.0), ("y", 2.5))
+        assert all(type(v) is float for _, v in schema.frozen)
+        assert schema.frozen_env == {"x": 4.0, "y": 2.5}
 
 
 class TestBuildSpace:
@@ -94,7 +98,7 @@ class TestBuildSpace:
     @pytest.mark.parametrize("frozen", [["p", "x"], ["x", "x"]], ids=["param", "frozen"])
     def test_frozen_name_repeating_a_name_rejected(self, frozen):
         with pytest.raises(SchemaError):
-            Schema([ParamSpec("p", Linear(0, 1))], [NamedMetric(n, 1.0) for n in frozen])
+            Schema([ParamSpec("p", Linear(0, 1))], [(n, 1.0) for n in frozen])
 
     def test_metric_names_are_identifiers(self):
         with pytest.raises(SchemaError):
@@ -104,7 +108,7 @@ class TestBuildSpace:
 
 
 def _m(name, value=1.0):
-    return NamedMetric(name, value)
+    return (name, value)
 
 
 class TestConstructorChecks:
@@ -167,14 +171,14 @@ class TestProjectSpace:
         projected = project_space(space, "resource")
         assert len(projected) == 17 * 9 == 153
         assert projected.schema.names == ("param1", "param2")
-        assert projected.schema.frozen == (NamedMetric("param3", 4.0),)
+        assert projected.schema.frozen == (("param3", 4.0),)
 
     def test_qos_projection(self, dummy_schema):
         assert len(project_space(build_space(dummy_schema), "qos")) == 17 * 3 == 51
 
     def test_projection_to_max(self, dummy_schema):
         projected = project_space(build_space(dummy_schema), "resource", project_to_min=False)
-        assert projected.schema.frozen == (NamedMetric("param3", 9.0),)
+        assert projected.schema.frozen == (("param3", 9.0),)
 
     def test_full_coverage_is_identity(self):
         schema = Schema([ParamSpec("a", Linear(0, 3), ("x",)), ParamSpec("b", Linear(0, 2), ("x",))])
@@ -202,7 +206,7 @@ class TestProjectSpace:
         # undoing the projection at the frozen values lands inside the original
         space = build_space(dummy_schema)
         projected = project_space(space, "qos")
-        frozen_value = projected.schema.frozen[0].value
+        (frozen_value,) = projected.schema.frozen_env.values()
         k = dummy_schema.names.index("param2")
         idx = dummy_schema.params[k].domain.values().index(int(frozen_value))
         originals = {p.coords for p in space.points}
@@ -216,64 +220,62 @@ class TestNeighbours:
     def test_interior_l1(self):
         space = grid(5, 5)
         center = space.points[12]
-        assert [p.coords for p in space.neighbours(center, Norm.L1, 1)] == [
+        assert [p.coords for p in space.neighbours(center, Norm.L1)] == [
             (1, 2), (2, 1), (2, 3), (3, 2),
         ]
 
     def test_interior_linf(self):
         space = grid(5, 5)
-        assert len(space.neighbours(space.points[12], Norm.LINF, 1)) == 8
+        assert len(space.neighbours(space.points[12], Norm.LINF)) == 8
 
     def test_corner_clipping(self):
         space = grid(5, 5)
-        assert len(space.neighbours(space.points[0], Norm.LINF, 1)) == 3
+        assert len(space.neighbours(space.points[0], Norm.LINF)) == 3
 
     def test_point_not_in_space(self):
         full = grid(3, 3)
         space = DesignSpace(full.schema, full.points[1:])
         alien = Point((0, 0))
         with pytest.raises(PointNotInSpace):
-            space.neighbours(alien, Norm.L1, 1)
+            space.neighbours(alien, Norm.L1)
 
     def test_sparse_space_matches_brute_force(self):
-        # 8 of 16 cells, out of row-major order; balls both smaller and
-        # larger than the space occur below
+        # 8 of 16 cells, out of row-major order
         schema = Schema(
             [ParamSpec("p0", Linear(0, 3)), ParamSpec("p1", Linear(0, 3))],
-            (NamedMetric("z", 0.0),),
+            (("z", 0.0),),
         )
         cells = [(2, 1), (0, 0), (3, 3), (1, 1), (1, 2), (0, 3), (2, 2), (3, 0)]
         points = [Point(c) for c in cells]
         space = DesignSpace(schema, points)
         assert not space.is_full_grid()
 
-        def brute(p, norm, d):
+        def brute(p, norm):
             out = []
             for q in space.points:
                 deltas = [abs(a - b) for a, b in zip(p.coords, q.coords)]
                 reach = sum(deltas) if norm is Norm.L1 else max(deltas)
-                if q.coords != p.coords and reach <= d:
+                if q.coords != p.coords and reach <= 1:
                     out.append(q)
             return out
 
         for norm in (Norm.L1, Norm.LINF):
-            for d in (1, 2):
-                for p in space.points:
-                    assert space.neighbours(p, norm, d) == brute(p, norm, d), (norm, d, p)
-        assert space.neighbours(points[0], Norm.LINF, 1) == [
+            for p in space.points:
+                assert space.neighbours(p, norm) == brute(p, norm), (norm, p)
+        assert space.neighbours(points[0], Norm.LINF) == [
             points[3], points[4], points[6], points[7],
         ]
-        assert all(space.contains(p) for p in space.points)
-        assert not space.contains(Point((3, 1)))
+        # a cell of the grid that is not a point of the space has no ring
+        with pytest.raises(PointNotInSpace):
+            space.neighbours(Point((3, 1)), Norm.LINF)
 
     @settings(max_examples=60, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-        d=st.integers(1, 3),
         norm=st.sampled_from([Norm.L1, Norm.LINF]),
         data=st.data(),
     )
-    def test_random_sparse_space_matches_brute_force(self, dims, d, norm, data):
+    def test_random_sparse_space_matches_brute_force(self, dims, norm, data):
         # a random subset of the grid in random order
         cells = data.draw(st.permutations(list(itertools.product(*map(range, dims)))))
         cells = cells[: data.draw(st.integers(1, len(cells)))]
@@ -285,28 +287,24 @@ class TestNeighbours:
             for q in space.points:
                 deltas = [abs(a - b) for a, b in zip(p.coords, q.coords)]
                 reach = sum(deltas) if norm is Norm.L1 else max(deltas)
-                if q.coords != p.coords and reach <= d:
+                if q.coords != p.coords and reach <= 1:
                     brute.append(q)
-            assert space.neighbours(p, norm, d) == brute, (norm, d, p)
+            assert space.neighbours(p, norm) == brute, (norm, p)
 
     @settings(max_examples=60, deadline=None)
     @given(
         dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
-        d=st.integers(1, 3),
         norm=st.sampled_from([Norm.L1, Norm.LINF]),
         data=st.data(),
     )
-    def test_symmetry_and_monotonicity(self, dims, d, norm, data):
+    def test_symmetry(self, dims, norm, data):
         space = grid(*dims)
         i = data.draw(st.integers(0, len(space) - 1))
         j = data.draw(st.integers(0, len(space) - 1))
         p, q = space.points[i], space.points[j]
-        in_pq = q in space.neighbours(p, norm, d)
-        in_qp = p in space.neighbours(q, norm, d)
+        in_pq = q in space.neighbours(p, norm)
+        in_qp = p in space.neighbours(q, norm)
         assert in_pq == in_qp
-        smaller = set(id(x) for x in space.neighbours(p, norm, d))
-        larger = set(id(x) for x in space.neighbours(p, norm, d + 1))
-        assert smaller <= larger
 
 
 class TestDiagonal:
@@ -347,6 +345,12 @@ class TestDiagonal:
             assert max(abs(x - y) for x, y in zip(a.coords, b.coords)) <= 1
 
 
+def closure_of(space, frontier, side):
+    closure = Dominance(space.schema.cardinalities, side)
+    closure.add(frontier)
+    return closure.coords()
+
+
 class TestDominanceClosure:
     """The closure against its all-pairs definition: a point is closed when
     it sits at or beyond some frontier coords on every axis."""
@@ -363,7 +367,7 @@ class TestDominanceClosure:
         frontier = data.draw(st.lists(st.sampled_from(coords), max_size=5))
         beyond = operator.ge if side is KeepSide.UPWARD else operator.le
         expected = {c for c in coords if any(all(map(beyond, c, f)) for f in frontier)}
-        assert space.dominance_closure(frontier, side) == expected
+        assert closure_of(space, frontier, side) == expected
         # adding the frontier in two parts closes the same set
         closure = Dominance(space.schema.cardinalities, side)
         split = data.draw(st.integers(0, len(frontier)))
@@ -374,13 +378,13 @@ class TestDominanceClosure:
 
     @pytest.mark.parametrize("side", list(KeepSide))
     def test_empty_frontier_closes_nothing(self, side):
-        assert grid(3, 4, 2).dominance_closure([], side) == set()
+        assert closure_of(grid(3, 4, 2), [], side) == set()
 
     def test_corner_closes_the_grid(self):
         space = grid(9, 9, 4, 4)
         everything = {p.coords for p in space.points}
-        assert space.dominance_closure([(0, 0, 0, 0)], KeepSide.UPWARD) == everything
-        assert space.dominance_closure([(8, 8, 3, 3)], KeepSide.DOWNWARD) == everything
+        assert closure_of(space, [(0, 0, 0, 0)], KeepSide.UPWARD) == everything
+        assert closure_of(space, [(8, 8, 3, 3)], KeepSide.DOWNWARD) == everything
 
 
 def _schema(domains) -> Schema:

@@ -22,7 +22,6 @@ from dsex import (
     FailPolicy,
     KeepSide,
     Linear,
-    NamedMetric,
     NotAFullGrid,
     ParamSpec,
     Pipeline,
@@ -178,7 +177,7 @@ class TestReduceDimension:
         space = build_space(schema)
         context = ctx()
         out = reduce_dimension("resource", to_min=True).apply(space, context)
-        frozen = {m.name: m.value for m in out.schema.frozen}
+        frozen = out.schema.frozen_env
         assert frozen == {"nbIteration": 32.0, "nbEuler": 2.0}
         assert context.extra["removed_dimensions"] == ["nbIteration", "nbEuler"]
         assert context.extra["cardinality"] == len(out)
@@ -328,7 +327,7 @@ def brute_force_frontier(space, keep):
     for p in space.points:
         if not kept[p.coords]:
             continue
-        ring = space.neighbours(p, Norm.LINF, 1)
+        ring = space.neighbours(p, Norm.LINF)
         if any(not kept[q.coords] for q in ring):
             frontier.add(p.coords)
     return frontier
@@ -509,7 +508,7 @@ class TestQuickPrune:
             # a resource axis sits between the qos axes, the schema freezes f
             (
                 [("a", 5, "qos"), ("c", 2, "resource"), ("b", 4, "qos")],
-                (NamedMetric("f", 3.0),),
+                (("f", 3.0),),
                 5,
             ),
         ],
