@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptySpaceError,
@@ -392,6 +392,30 @@ class Dominance:
         flags = format(self.bits, f"0{self.size}b")[::-1]
         grid = itertools.product(*map(range, self.cards))
         return {c for c, flag in zip(grid, flags) if flag == "1"}
+
+
+def order_masks(coords: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Componentwise order among distinct coords, as bitsets.
+
+    Returns ``below`` and ``above``: bit j of ``below[i]`` (``above[i]``)
+    is set when ``coords[j]`` is at or below (at or above) ``coords[i]``
+    on every axis, so each holds bit i itself. Per axis it ORs the bits
+    of each value into running masks: O(axes x len(coords)) big-integer
+    operations, never a pairwise comparison.
+    """
+    full = (1 << len(coords)) - 1
+    below, above = [full] * len(coords), [full] * len(coords)
+    for axis in zip(*coords):
+        at: dict[int, int] = {}
+        for i, v in enumerate(axis):
+            at[v] = at.get(v, 0) | 1 << i
+        le, ge, run = {}, {}, 0
+        for v in sorted(at):
+            run |= at[v]
+            le[v], ge[v] = run, full & ~run | at[v]
+        below = [b & le[v] for b, v in zip(below, axis)]
+        above = [a & ge[v] for a, v in zip(above, axis)]
+    return below, above
 
 
 def build_space(schema: Schema) -> DesignSpace:

@@ -18,7 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import gt, itemgetter, lt
+from operator import attrgetter, gt, itemgetter, lt
 from typing import Callable, Sequence
 
 from .errors import (
@@ -42,9 +42,11 @@ from .metrics import (
     enhance_points,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
-from .space import Dominance, _point, project_images
+from .space import Dominance, _point, order_masks, project_images
 
 log = logging.getLogger(__name__)
+
+_coords = attrgetter("coords")
 
 # seeds quick_prune's audit sample, so the points a step probes follow
 # from its inputs alone
@@ -85,9 +87,9 @@ class Pipeline:
     Steps consume the previous step's output in listed order. The
     parallelism bound caps how many point evaluations of one batch run
     at once: every point of a map, sort or prune, each ring of a
-    gradient walk, each probe batch of a quick prune. Results never
-    depend on it. Steps themselves never run concurrently with each
-    other.
+    gradient walk, each antichain of a quick prune's probe batches.
+    Results, and the points evaluated, never depend on it. Steps
+    themselves never run concurrently with each other.
     """
 
     steps: tuple[Step, ...]
@@ -294,9 +296,15 @@ def quick_prune(
     verdict, with a Chebyshev-distance-1 neighbor that is not kept.
 
     The walk probes no point whose verdict the monotone assumption
-    settles from a point probed in an earlier batch and neither pruned
-    nor degraded; the point holds that inferred verdict and, like an
-    interior point, no metrics. The walk then audits the verdicts it
+    settles from a point probed earlier and neither pruned nor degraded;
+    the point holds that inferred verdict and, like an interior point,
+    no metrics. It splits each batch of undecided points into antichains:
+    it ranks the batch's points once, the points whose verdict would
+    split the batch most evenly first (the smaller of how many batch
+    points lie at or below the point and at or above it), ties in batch
+    order, then probes the greedy antichain of the ranked points still
+    undecided, infers what those verdicts settle and repeats until every
+    point has a verdict. The walk then audits the verdicts it
     asserted without a probe, the inferred ones and the closure's
     unprobed members: it probes ceil(sqrt(n)) of those n, drawn by
     ``random.Random(AUDIT_SEED)``. When a probe contradicts its verdict
@@ -306,10 +314,11 @@ def quick_prune(
     Probes run in batches at the pipeline's parallelism, in a fixed
     order: the diagonal point by point, the seed's ring (and for an
     interior seed its members' rings), then per wave the wave's rings
-    and the kept candidates' rings, then the audit. Inference reads only
-    earlier batches, so the evaluated set does not depend on the
-    parallelism. Under ABORT the error raised is that of the earliest
-    failing point in probe order, at any parallelism.
+    and the kept candidates' rings, each as its antichains, then the
+    audit. The antichains follow from the batch and the verdicts alone,
+    never from the parallelism or from timing, so the evaluated set does
+    not depend on the parallelism. Under ABORT the error raised is that
+    of the earliest failing point in probe order, at any parallelism.
 
     Provenance records every real probe (``predicate_evaluations``, the
     audit's included) and its share of the work grid
@@ -340,7 +349,8 @@ def quick_prune(
 
         real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
         rings: dict[tuple, list[Point]] = {}
-        inferred: dict[tuple, bool] = {}
+        # each point's verdict: as probed (a pruned point fails), or inferred
+        verdicts: dict[tuple, bool] = {}
         # the verdicts points probed, neither pruned nor degraded, imply
         kept_by = Dominance(work_schema.cardinalities, side)
         failed_by = Dominance(work_schema.cardinalities, away)
@@ -350,35 +360,48 @@ def quick_prune(
                 rings[point.coords] = work.neighbours(point, Norm.LINF)
             return rings[point.coords]
 
-        def verdict(coords: tuple) -> bool | None:
-            # as probed (a pruned point fails), else as inferred, else unknown
-            if coords in memo:
-                entry = memo[coords]
-                return entry is not None and bool(entry[1])
-            return inferred.get(coords)
+        def land(points: list[Point]) -> None:
+            # probe points as one batch and record their verdicts
+            for p, value in zip(points, real_probe(points)):
+                verdicts[p.coords] = bool(value)
+
+        def implied(p: Point) -> bool:
+            # infer the point's verdict where exactly one implication holds
+            if (kept := p.coords in kept_by) != (p.coords in failed_by):
+                verdicts[p.coords] = kept
+                return True
+            return False
 
         def probe(points: Sequence[Point], infer: bool) -> None:
-            # give every point a verdict: inferred from earlier batches, or probed
-            todo: dict[tuple, Point] = {}
-            for p in points:
-                if p.coords in memo or p.coords in inferred or p.coords in todo:
-                    continue
-                # infer only where exactly one implication holds
-                if infer and (kept := p.coords in kept_by) != (p.coords in failed_by):
-                    inferred[p.coords] = kept
-                else:
-                    todo[p.coords] = p
-            real_probe(list(todo.values()))
-            if infer:
-                # what this batch implies, for the batches after it
-                bases = [(c, memo[c]) for c in todo]
+            # give every point a verdict, inferred where dominance settles it
+            todo = list({p.coords: p for p in points if p.coords not in verdicts}.values())
+            if not infer:
+                land(todo)
+                return
+            todo = [p for p in todo if not implied(p)]
+            # probe one antichain at a time, the points whose verdict
+            # splits the batch most evenly first, and infer after each
+            below, above = order_masks([p.coords for p in todo])
+            rank = [-min(b.bit_count(), a.bit_count()) for b, a in zip(below, above)]
+            ranked = sorted(range(len(todo)), key=rank.__getitem__)
+            while ranked:
+                taken, batch = 0, []
+                for i in ranked:
+                    if not (below[i] | above[i]) & taken:
+                        taken |= 1 << i
+                        batch.append(todo[i])
+                land(batch)
+                bases = [(p.coords, memo[p.coords]) for p in batch]
                 bases = [(c, entry[1]) for c, entry in bases if entry and not entry[0].degraded]
                 kept_by.add(c for c, value in bases if value)
                 failed_by.add(c for c, value in bases if not value)
+                ranked = [i for i in ranked if not taken >> i & 1 and not implied(todo[i])]
 
         def on_frontier(point: Point) -> bool:
             # the point and its whole ring have a verdict
-            return verdict(point.coords) and not all(verdict(q.coords) for q in ring(point))
+            return verdicts.get(point.coords) and not all(
+                map(verdicts.get, map(_coords, ring(point)))
+            )
 
         def closure(reached: dict[tuple, Point]) -> set[tuple]:
             closed = Dominance(work_schema.cardinalities, side)
@@ -391,7 +414,7 @@ def quick_prune(
             seed = None
             for p in diag:
                 probe([p], infer)
-                if verdict(p.coords):
+                if verdicts[p.coords]:
                     seed = p
                     break
             if seed is not None:
@@ -412,7 +435,7 @@ def quick_prune(
                     {q.coords: q for p in wave for q in ring(p) if q.coords not in reached}.values()
                 )
                 probe(around, infer)
-                candidates = [q for q in around if verdict(q.coords)]
+                candidates = [q for q in around if verdicts[q.coords]]
                 probe([r for q in candidates for r in ring(q)], infer)
                 wave = [q for q in candidates if on_frontier(q)]
                 reached.update((q.coords, q) for q in wave)
@@ -425,19 +448,20 @@ def quick_prune(
         # without a probe; a closure member nobody probed is asserted kept
         asserted = [
             p for p in work.points
-            if p.coords not in memo and (p.coords in inferred or p.coords in closed)
+            if p.coords not in memo and (p.coords in verdicts or p.coords in closed)
         ]
         audit = random.Random(AUDIT_SEED).sample(asserted, math.ceil(math.sqrt(len(asserted))))
-        claims = [verdict(p.coords) is not False for p in audit]
-        real_probe(audit)
-        audit_failures = sum(verdict(p.coords) != claim for p, claim in zip(audit, claims))
-        n_inferred = len(inferred)
+        claims = [verdicts.get(p.coords) is not False for p in audit]
+        n_inferred = len(verdicts) - len(memo)
+        land(audit)
+        audit_failures = sum(verdicts[p.coords] != claim for p, claim in zip(audit, claims))
         if audit_failures:
-            inferred.clear()
+            for c in verdicts.keys() - memo.keys():  # the inferred verdicts
+                del verdicts[c]
             reached = walk(False)
             closed = closure(reached)
         frontier = [c for c, p in reached.items() if on_frontier(p)]
-        failures_in_closure = sum(c in memo and not verdict(c) for c in closed)
+        failures_in_closure = sum(c in memo and not verdicts[c] for c in closed)
 
         ctx.extra.update({
             "predicate_evaluations": len(memo),
@@ -446,7 +470,7 @@ def quick_prune(
             "audited": len(audit),
             "audit_failures": audit_failures,
             "fell_back": bool(audit_failures),
-            "unprobed_kept": sum(c not in memo and verdict(c) is not False for c in closed),
+            "unprobed_kept": sum(c not in memo and verdicts.get(c) is not False for c in closed),
             "failures_in_closure": failures_in_closure,
             "frontier_size": len(frontier),
             "frontier": sorted(frontier),
@@ -472,7 +496,7 @@ def quick_prune(
         unprobed = (None,) * (len(schema.metrics) - known)
         out = []
         for p, coords in zip(space.points, images):
-            if coords in closed and verdict(coords) is not False:
+            if coords in closed and verdicts.get(coords) is not False:
                 entry = memo.get(coords)
                 enh = entry and entry[0]
                 tail, degraded = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)

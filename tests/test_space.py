@@ -22,7 +22,7 @@ from dsex import (
     build_space,
     project_space,
 )
-from dsex.space import Dominance
+from dsex.space import Dominance, order_masks
 
 
 def grid(*dims):
@@ -385,6 +385,19 @@ class TestDominanceClosure:
         everything = {p.coords for p in space.points}
         assert closure_of(space, [(0, 0, 0, 0)], KeepSide.UPWARD) == everything
         assert closure_of(space, [(8, 8, 3, 3)], KeepSide.DOWNWARD) == everything
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coords=st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=12, unique=True)
+    )
+)
+def test_order_masks_match_all_pairs(coords):
+    below, above = order_masks(coords)
+    for i, c in enumerate(coords):
+        assert below[i] == sum(1 << j for j, o in enumerate(coords) if all(map(operator.le, o, c)))
+        assert above[i] == sum(1 << j for j, o in enumerate(coords) if all(map(operator.ge, o, c)))
 
 
 def _schema(domains) -> Schema:

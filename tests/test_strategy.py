@@ -548,13 +548,14 @@ class TestQuickPrune:
 
 
 # (space, evaluator expression, keep, side, concern, predicate evaluations);
-# the counts are those of the walk that infers verdicts from earlier
-# batches, plus its audit, so a batching scheme that evaluates
-# speculatively, or infers within a batch, fails the pin; the bowl is not
-# monotone, so its count is the walk without inference plus the audit
+# the counts are those of the walk that probes each batch one antichain
+# at a time and infers after each, plus its audit, so a scheme that
+# evaluates speculatively, or probes two comparable points together,
+# fails the pin; the bowl is not monotone, so its count is the walk
+# without inference plus the audit
 BATCH_CASES = {
-    "2d_up": (grid(9, 7), "p0 + 2 * p1", "m >= 10", KeepSide.UPWARD, None, 27),
-    "2d_down": (grid(9, 7), "2 * p0 + p1", "m <= 9", KeepSide.DOWNWARD, None, 26),
+    "2d_up": (grid(9, 7), "p0 + 2 * p1", "m >= 10", KeepSide.UPWARD, None, 24),
+    "2d_down": (grid(9, 7), "2 * p0 + p1", "m <= 9", KeepSide.DOWNWARD, None, 22),
     # the first kept diagonal point is interior and is nudged onto the frontier
     "2d_seed_nudge": (
         grid(7, 7),
@@ -564,15 +565,15 @@ BATCH_CASES = {
         None,
         46,
     ),
-    "3d_up": (grid(5, 4, 6), "p0 + p1 + p2", "m >= 7", KeepSide.UPWARD, None, 56),
-    "3d_down": (grid(5, 4, 6), "p0 + 2 * p1 + p2", "m <= 8", KeepSide.DOWNWARD, None, 76),
+    "3d_up": (grid(5, 4, 6), "p0 + p1 + p2", "m >= 7", KeepSide.UPWARD, None, 46),
+    "3d_down": (grid(5, 4, 6), "p0 + 2 * p1 + p2", "m <= 8", KeepSide.DOWNWARD, None, 52),
     "concern_3d_up": (
         concern_grid(("a", 4, "qos"), ("c", 2, "resource"), ("b", 5, "qos"), ("d", 3, "qos")),
         "a + b + d",
         "m >= 6",
         KeepSide.UPWARD,
         "qos",
-        70,
+        47,
     ),
     "concern_2d_down": (
         concern_grid(("a", 6, "qos"), ("c", 2, "resource"), ("b", 5, "qos")),
@@ -580,7 +581,21 @@ BATCH_CASES = {
         "m <= 8",
         KeepSide.DOWNWARD,
         "qos",
-        23,
+        20,
+    ),
+    # the dummy schema's 17x9x3 grid under a resource bound that ignores
+    # the third axis, as the tool-frontier benchmark prunes it
+    "dummy_3d_down": (
+        build_space(Schema([
+            ParamSpec("p0", Linear(0, 16)),
+            ParamSpec("p1", Pow2(0, 8)),
+            ParamSpec("p2", Enumerated([4, 6, 9])),
+        ])),
+        "8 * p0 + p1 / 2.1",
+        "m < 128",
+        KeepSide.DOWNWARD,
+        None,
+        74,
     ),
 }
 
@@ -676,7 +691,7 @@ class TestQuickPruneBatches:
         frame = run_pipeline(pipeline, space)
         records = [r for r in caplog.records if r.name == "dsex.strategy"]
         steps = [r.getMessage() for r in records if r.levelno == logging.INFO]
-        assert steps[0].startswith("step quick_prune: 63 points in, 34 out, 27 invocations")
+        assert steps[0].startswith("step quick_prune: 63 points in, 34 out, 24 invocations")
         assert steps[1].startswith("step sort: 34 points in, 34 out, 0 invocations")
         assert len(steps) == len(frame.provenance.steps) == 2
         batches = [
@@ -941,10 +956,10 @@ def test_chain_producing_a_name_twice_is_refused_when_built(build):
 
 
 @st.composite
-def oracle_cases(draw):
-    """A schema of 1 to 4 mixed axes with 1 to 7 values each, maybe
-    tagged with a concern, and positive weights on its parameters."""
-    n_axes = draw(st.integers(1, 4))
+def oracle_cases(draw, min_axes=1):
+    """A schema of ``min_axes`` to 4 mixed axes with 1 to 7 values each,
+    maybe tagged with a concern, and positive weights on its parameters."""
+    n_axes = draw(st.integers(min_axes, 4))
     concern = draw(st.sampled_from([None, "qos"]))
     tagged = draw(st.integers(0, n_axes - 1))  # an axis that surely carries it
     params = []
@@ -973,9 +988,16 @@ class TestNeighbourhoodOracle:
     """quick_prune and gradient on random grids, against exhaustive values
     computed here without dsex."""
 
-    @settings(max_examples=120, derandomize=True, deadline=None)
-    @given(case=oracle_cases(), data=st.data())
-    def test_quick_prune_keeps_the_exhaustive_prune(self, case, data):
+    @staticmethod
+    def monotone_keep(case, data):
+        """A drawn threshold on the case's weighted sum, taken on each
+        point's concern image: a monotone keep condition.
+
+        Returns the grid, the concern's axes, the sum on an input point's
+        coords, whether a sum is kept, whether a work-grid point is kept,
+        the side, the keep condition and the evaluator expression that
+        produces the sum as ``m``.
+        """
         schema, concern, weights = case
         space = build_space(schema)
         axes = [
@@ -997,12 +1019,28 @@ class TestNeighbourhoodOracle:
         holds = (lambda s: s >= threshold) if op == ">=" else (lambda s: s <= threshold)
         expression = " + ".join(f"{w} * p{k}" for k, w in enumerate(weights))
 
+        def kept(work_coords):
+            coords = [0] * len(schema)  # image_sum reads no removed axis
+            for k, c in zip(axes, work_coords):
+                coords[k] = c
+            return holds(image_sum(coords))
+
+        return space, axes, image_sum, holds, kept, side, f"m {op} {threshold}", expression
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_quick_prune_keeps_the_exhaustive_prune(self, case, data):
+        schema, concern, _ = case
+        space, axes, image_sum, holds, kept, side, keep, expression = self.monotone_keep(
+            case, data
+        )
+        sums = [image_sum(p.coords) for p in space.points]
+
         runs = []
         for parallelism in (1, 3):
             ev, calls = counting(expr_evaluator("e", "m", expression))
             context = ctx(parallelism=parallelism)
-            step = quick_prune([ev], f"m {op} {threshold}", side, concern)
-            out = step.apply(space, context)
+            out = quick_prune([ev], keep, side, concern).apply(space, context)
             runs.append((out.points, sorted(calls), dict(context.extra)))
         assert runs[0] == runs[1]
         points, calls, extra = runs[0]
@@ -1021,13 +1059,6 @@ class TestNeighbourhoodOracle:
         # every recorded frontier point is kept and has a Chebyshev
         # neighbour on the work grid that is not
         work_cards = [schema.cardinalities[k] for k in axes]
-
-        def kept(work_coords):
-            coords = [0] * len(schema)  # image_sum reads no removed axis
-            for k, c in zip(axes, work_coords):
-                coords[k] = c
-            return holds(image_sum(coords))
-
         for c in extra["frontier"]:
             assert kept(c), c
             ring = itertools.product(*(
@@ -1038,6 +1069,34 @@ class TestNeighbourhoodOracle:
         for p in points:
             if p.metrics[0] is not None:
                 assert p.metrics == (image_sum(p.coords),)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=oracle_cases(min_axes=2), data=st.data())
+    def test_quick_prune_probes_no_point_an_earlier_probe_implies(self, case, data):
+        concern = case[1]
+        space, _, image_sum, holds, kept, side, keep, expression = self.monotone_keep(case, data)
+
+        runs = []
+        for parallelism in (1, 3):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            context = ctx(parallelism=parallelism)
+            out = quick_prune([ev], keep, side, concern).apply(space, context)
+            runs.append(([p.coords for p in out.points], calls, context.extra["audited"]))
+        assert runs[0][0] == [p.coords for p in space.points if holds(image_sum(p.coords))]
+        assert runs[0][0] == runs[1][0]
+        assert sorted(runs[0][1]) == sorted(runs[1][1])
+
+        def at_or_below(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        # at parallelism 1 the calls come in probe order, the audit last
+        _, calls, audited = runs[0]
+        for i, c in enumerate(calls[: len(calls) - audited]):
+            for d in calls[:i]:
+                # under the monotone assumption d's verdict settles the
+                # points above it (lo = d) or below it (hi = d)
+                lo, hi = (d, c) if kept(d) == (side is KeepSide.UPWARD) else (c, d)
+                assert not at_or_below(lo, hi), (d, c)
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(case=oracle_cases(), data=st.data())
