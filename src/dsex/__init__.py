@@ -37,7 +37,6 @@ _EXPORTS = {
         "FailPolicy",
         "PointView",
         "apply_transform",
-        "constant_evaluator",
         "expr_evaluator",
         "external_command",
     ],

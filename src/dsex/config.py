@@ -3,9 +3,7 @@ and run manifests.
 
 All files are YAML key-value trees. Paths inside a file resolve
 relative to that file's directory, so pipeline bundles stay
-relocatable. Schema files round-trip losslessly through
-``schema_to_dict`` / ``schema_from_dict``; a schema with frozen params
-or metric names, which only steps make, has no file form.
+relocatable.
 """
 
 from __future__ import annotations
@@ -93,25 +91,8 @@ def _param_spec(entry: Reader) -> ParamSpec:
     return placed(entry.where, ParamSpec, name, domain, concerns)
 
 
-def schema_to_dict(schema: Schema) -> dict:
-    if schema.frozen or schema.metrics:
-        names = [*schema.frozen_env, *schema.metrics]
-        raise ConfigError(f"a schema with frozen params or metrics {names} has no file form")
-    params = []
-    for p in schema.params:
-        entry: dict = {"name": p.name, "domain": {p.domain.kind: list(p.domain.args)}}
-        if p.concerns:
-            entry["concerns"] = list(p.concerns)
-        params.append(entry)
-    return {"params": params}
-
-
 def load_schema(path: str | Path) -> Schema:
     return schema_from_dict(_load_yaml(Path(path)), str(path))
-
-
-def save_schema(schema: Schema, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(schema_to_dict(schema), sort_keys=False))
 
 
 def _evaluator_builder(entry: Reader, path: Path, global_seed: int) -> Callable[[], Evaluator]:

@@ -10,8 +10,9 @@ truncated to 2 decimals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from operator import getitem
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -138,16 +139,23 @@ def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> Res
 
 
 def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
-    """Read a saved frame (CSV or JSONL) back as column names plus rows."""
+    """Read a saved frame (CSV or JSONL) back as column names plus rows.
+
+    A JSONL line that is not an object of numbers is refused with a
+    ``ValueError`` naming the file and the line.
+    """
     path = Path(path)
     if path.suffix == ".jsonl":
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for n, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                rows.append({k: float(v) for k, v in json.loads(line).items()})
+                try:
+                    rows.append(_jsonl_row(line))
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {n}: {err}") from None
         return _merge_key_orders(dict.fromkeys(map(tuple, rows))), rows
     with open(path) as fh:
         header = fh.readline().strip()
@@ -166,6 +174,19 @@ def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
         return columns, rows
 
 
+def _jsonl_row(line: str) -> dict[str, float]:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{err.msg} at column {err.colno}") from None
+    if not isinstance(row, dict):
+        raise ValueError(f"a row must be a JSON object, got {line}")
+    for k, v in row.items():
+        if type(v) not in (int, float):  # bool, null, text and nesting are refused
+            raise ValueError(f"{k!r} must be a number, got {json.dumps(v)}")
+    return {k: float(v) for k, v in row.items()}
+
+
 def _merge_key_orders(orders: Iterable[tuple[str, ...]]) -> list[str]:
     """The columns of JSONL rows whose keys each come in column order:
     each column after every column some row lists before it, ties (and
@@ -182,13 +203,21 @@ def _merge_key_orders(orders: Iterable[tuple[str, ...]]) -> list[str]:
     return columns
 
 
+# enough digits to hold any finite float's integer part and 2 decimals
+_FLOAT_DIGITS = Context(prec=312)
+
+
 def render_2dp(value: float) -> str:
     """Render a value truncated (not rounded) to 2 decimals.
 
     Truncation keeps 247.56/0.77 at 321.50, the presentation used in
-    ranked tables.
+    ranked tables. Non-finite values render as ``inf``, ``-inf`` or
+    ``nan``.
     """
-    return str(Decimal(str(float(value))).quantize(Decimal("0.01"), rounding=ROUND_DOWN))
+    value = float(value)
+    if not math.isfinite(value):
+        return str(value)
+    return str(Decimal(str(value)).quantize(Decimal("0.01"), ROUND_DOWN, _FLOAT_DIGITS))
 
 
 def _render_params(values: Sequence[float]) -> str:

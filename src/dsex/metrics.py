@@ -328,10 +328,6 @@ def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Ev
     return Evaluator(name, (produces,), func)
 
 
-def constant_evaluator(name: str, produces: str, value: float) -> Evaluator:
-    return Evaluator(name, (produces,), lambda view: (float(value),))
-
-
 def render_raw(value: float) -> str:
     """A raw value as tools and listings see it: integral values without
     a fractional part, others in full precision."""

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     EmptySpaceError,
@@ -431,43 +431,16 @@ def build_space(schema: Schema) -> DesignSpace:
     return _space(schema, tuple(_point(c, (), False) for c in grid))
 
 
-def concern_image(
-    schema: Schema, concern: str, project_to_min: bool = True
-) -> tuple[Schema, Callable[[tuple[int, ...]], tuple[int, ...]]]:
-    """The rule projecting ``schema`` onto ``concern``.
-
-    Returns the projected schema and a function mapping coords of
-    ``schema`` to the coords of their image. The projected schema keeps
-    the parameters carrying ``concern``, in schema order, freezes every
-    removed one, after ``schema``'s own frozen params, at its domain's
-    minimum raw value (maximum when ``project_to_min`` is false), and
-    keeps ``schema``'s metric names.
-    """
-    keep = tuple(i for i, p in enumerate(schema.params) if concern in p.concerns)
-    if not keep:
-        # equivalently, every dimension would be removed
-        raise NoSuchConcern(f"no parameter carries concern {concern!r}")
-    pick = min if project_to_min else max
-    frozen = schema.frozen + tuple(
-        (p.name, float(pick(p.domain.values())))
-        for i, p in enumerate(schema.params)
-        if i not in keep
-    )
-
-    def image(coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(coords[i] for i in keep)
-
-    return Schema((schema.params[i] for i in keep), frozen, schema.metrics), image
-
-
 def project_space(space: DesignSpace, concern: str, project_to_min: bool = True) -> DesignSpace:
     """Project a space onto the parameters carrying ``concern``.
 
-    The space moves to the schema ``concern_image`` projects to, where
-    removed parameters are frozen at their domain's minimum raw value
-    (maximum when ``project_to_min`` is false), and each point to the
-    coords of its image. Points are deduplicated on those coords, first
-    occurrence winning, with relative order preserved.
+    The projected schema keeps those parameters, in schema order,
+    freezes every removed one, after the space's own frozen params, at
+    its domain's minimum raw value (maximum when ``project_to_min`` is
+    false), and keeps the metric names. Each point moves to the coords
+    of its image, its coords on the kept axes. Points are deduplicated
+    on those coords, first occurrence winning, with relative order
+    preserved.
     """
     return project_images(space, concern, project_to_min)[0]
 
@@ -479,14 +452,25 @@ def project_images(
     point's image, aligned with ``space.points``."""
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
-    schema, image = concern_image(space.schema, concern, project_to_min)
-    if len(schema) == len(space.schema):
+    schema = space.schema
+    keep = [i for i, p in enumerate(schema.params) if concern in p.concerns]
+    if not keep:
+        # equivalently, every dimension would be removed
+        raise NoSuchConcern(f"no parameter carries concern {concern!r}")
+    if len(keep) == len(schema):
         return space, [p.coords for p in space.points]
+    pick = min if project_to_min else max
+    frozen = schema.frozen + tuple(
+        (p.name, float(pick(p.domain.values())))
+        for i, p in enumerate(schema.params)
+        if i not in keep
+    )
+    projected = Schema((schema.params[i] for i in keep), frozen, schema.metrics)
     new_points: dict[tuple[int, ...], Point] = {}
     images = []
     for p in space.points:
-        coords = image(p.coords)
+        coords = tuple(p.coords[i] for i in keep)
         if coords not in new_points:
             new_points[coords] = Point(coords, p.metrics, p.degraded)
         images.append(new_points[coords].coords)  # one tuple per image
-    return DesignSpace(schema, new_points.values()), images
+    return DesignSpace(projected, new_points.values()), images

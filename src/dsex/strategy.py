@@ -41,7 +41,7 @@ from .metrics import (
     enhance_point,  # noqa: F401  perfbench/worker.py patches it here by name
     enhance_points,
 )
-from .space import DesignSpace, KeepSide, Norm, Point, Schema, concern_image, project_space
+from .space import DesignSpace, KeepSide, Norm, Point, Schema, project_space
 from .space import Dominance, _point, order_masks, project_images
 
 log = logging.getLogger(__name__)
@@ -290,10 +290,10 @@ def quick_prune(
     point whose verdict is that it fails ``keep``: probed and seen to
     fail, pruned under the fail policy, or inferred to fail. With
     ``concern`` the decision runs on the concern-projected grid, and an
-    input point survives when its image under ``concern_image`` (the
-    rule ``project_space`` projects with) is retained. The recorded
-    frontier holds exactly the kept points, by probed or inferred
-    verdict, with a Chebyshev-distance-1 neighbor that is not kept.
+    input point survives when its image, its coords on the axes
+    ``project_space`` keeps, is retained. The recorded frontier holds
+    exactly the kept points, by probed or inferred verdict, with a
+    Chebyshev-distance-1 neighbor that is not kept.
 
     The walk probes no point whose verdict the monotone assumption
     settles from a point probed earlier and neither pruned nor degraded;
@@ -338,9 +338,9 @@ def quick_prune(
 
         if concern is not None:
             work, images = project_images(space, concern, True)
-            work_schema = concern_image(schema, concern, True)[0]
         else:
-            work, work_schema, images = space, schema, [p.coords for p in space.points]
+            work, images = space, [p.coords for p in space.points]
+        work_schema = check_no_collision(work.schema, evaluators)
         diag = work.diagonal()  # also enforces the full-grid precondition
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept

@@ -99,19 +99,6 @@ def model_evaluator(model: ResourceModel, name: str | None = None) -> "Evaluator
     return Evaluator(name or model.name, model.produces, func)
 
 
-def model_to_dict(model: ResourceModel) -> dict:
-    out: dict = {
-        "name": model.name,
-        "produces": list(model.produces),
-        "formulas": {m: e.source for m, e in model.formulas.items()},
-    }
-    if model.latency_s:
-        out["latency_s"] = model.latency_s
-    if model.fail_if is not None:
-        out["fail_if"] = model.fail_if.source
-    return out
-
-
 def model_from_dict(data: "Mapping | Reader", name: str = "model") -> ResourceModel:
     """A model from its mapping, or from a reader over it, such as an
     evaluator entry that has already read its own keys."""

@@ -194,6 +194,29 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert (tmp_path / "out" / "provenance.json").is_file()
 
+    def test_huge_metric_prints_in_the_top_table(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        evs = tmp_path / "evaluators.yaml"
+        evs.write_text(
+            "evaluators:\n"
+            "  - {name: huge, kind: expr, produces: h, expr: \"(param1 + 1) * 1e30\"}\n"
+        )
+        pipe = tmp_path / "pipeline.yaml"
+        pipe.write_text("steps:\n  - {step: map, evaluator: huge}\n")
+        code = main([
+            "run",
+            "--schema", str(PIPELINES / "schemas" / "dummy.yaml"),
+            "--pipeline", str(pipe),
+            "--evaluators", str(evs),
+            "--out", str(tmp_path / "out"),
+            "--top", "1",
+        ])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        cells = [c.strip() for c in row.split("|")[2:]]
+        assert cells == ["1000000000000000000000000000000.00", "0.00"]
+
     @pytest.mark.parametrize("policy, code", [("prune", 3), ("abort", 1)])
     def test_command_that_cannot_start_goes_through_the_fail_policy(
         self, tmp_path, capsys, policy, code
@@ -754,3 +777,34 @@ class TestReportCommand:
         proc = dsex("report", "--frame", jsonl, "--keep", "param1 == 0", "--top", "4")
         assert proc.returncode == 0
         assert len(proc.stdout.strip().splitlines()) == 5
+
+    def test_non_finite_cells_print(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        path = tmp_path / "frame.csv"
+        path.write_text("a,m\n1.0,inf\n2.0,nan\n3.0,1e+30\n")
+        assert main(["report", "--frame", str(path)]) == 0
+        cells = [line.split("|")[2].strip() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cells == ["inf", "nan", "1000000000000000000000000000000.00"]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("[1, 2]", "a row must be a JSON object, got [1, 2]"),
+            ('{"a": 2.0, "m": null}', "'m' must be a number, got null"),
+            ('{"a": 2.0, "m": true}', "'m' must be a number, got true"),
+            ('{"a": 2.0, "m": "4"}', "'m' must be a number, got \"4\""),
+            ('{"a": 2.0, "m": [4]}', "'m' must be a number, got [4]"),
+            ('{"a": 2.0', "Expecting ',' delimiter at column 10"),
+        ],
+        ids=["array", "null", "bool", "text", "nested", "truncated"],
+    )
+    def test_bad_jsonl_row_exits_2_naming_file_and_line(self, tmp_path, capsys, line, reason):
+        from dsex.cli import main
+
+        path = tmp_path / "frame.jsonl"
+        path.write_text('{"a": 1.0, "m": 3.5}\n\n' + line + "\n")
+        assert main(["report", "--frame", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 3: {reason}\n"

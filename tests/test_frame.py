@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from decimal import ROUND_DOWN, Context, Decimal, localcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from dsex import (
     build_frame,
 )
 from dsex.cli import main
-from dsex.frame import ResultFrame, load_rows
+from dsex.frame import ResultFrame, load_rows, render_2dp, render_top_table
 
 
 def reference_csv(frame: ResultFrame) -> str:
@@ -190,3 +191,30 @@ class TestLoadRowsColumns:
             for i, j in zip(held, held[1:])
         ):
             assert jsonl_columns == [csv_columns[k] for k in held]
+
+
+class TestRender2dp:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_awkward.filter(lambda v: v is not None))
+    def test_every_finite_float_truncates_to_2_decimals(self, value):
+        text = render_2dp(value)
+        whole, point, cents = text.partition(".")
+        assert point == "." and len(cents) == 2 and whole.lstrip("-").isdigit()
+        with localcontext(Context(prec=400)):  # exact arithmetic on any float
+            shown, exact = Decimal(text), Decimal(repr(value))
+            assert abs(shown) <= abs(exact) < abs(shown) + Decimal("0.01")
+            assert shown == 0 or (shown < 0) == (exact < 0)
+        if abs(value) < 1e26:  # the range the default 28-digit context holds
+            assert text == str(Decimal(repr(value)).quantize(Decimal("0.01"), ROUND_DOWN))
+
+    def test_non_finite_values(self):
+        assert [render_2dp(float(v)) for v in ("inf", "-inf", "nan")] == ["inf", "-inf", "nan"]
+
+    def test_top_table_holds_huge_and_non_finite_metrics(self):
+        rows = ((1.0, 1e30, 0.0), (2.5, float("-inf"), 0.0), (3.0, float("nan"), 1.0))
+        lines = render_top_table(ResultFrame(("a",), (), ("m",), rows)).splitlines()
+        assert [[c.strip() for c in line.split("|")[1:]] for line in lines[1:]] == [
+            ["[1]", "1000000000000000000000000000000.00", "0.00"],
+            ["[2.50]", "-inf", "0.00"],
+            ["[3]", "nan", "1.00"],
+        ]

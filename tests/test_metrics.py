@@ -26,7 +26,6 @@ from dsex import (
     Schema,
     apply_transform,
     build_space,
-    constant_evaluator,
     exhaustive_map,
     expr_evaluator,
     external_command,
@@ -56,8 +55,8 @@ class TestApplyTransform:
     def test_efficiency_metric_value(self):
         schema = Schema([ParamSpec("p", Linear(0, 0))])
         space = build_space(schema)
-        space = apply_transform(space, constant_evaluator("f", "freq", 247.56), Cache())
-        space = apply_transform(space, constant_evaluator("l", "lut_pct", 0.77), Cache())
+        space = apply_transform(space, expr_evaluator("f", "freq", "247.56"), Cache())
+        space = apply_transform(space, expr_evaluator("l", "lut_pct", "0.77"), Cache())
         eff = expr_evaluator("eff", "eff", "freq / lut_pct")
         out = apply_transform(space, eff, Cache())
         assert out.schema.metrics[-1] == "eff"
@@ -65,7 +64,7 @@ class TestApplyTransform:
 
     def test_constant_transform_preserves_cardinality(self, dummy_schema):
         space = build_space(dummy_schema)
-        out = apply_transform(space, constant_evaluator("one", "one", 1.0), Cache())
+        out = apply_transform(space, expr_evaluator("one", "one", "1.0"), Cache())
         assert len(out) == 459
         assert out.schema.metrics == ("one",)
         assert all(p.metrics == (1.0,) for p in out.points)
@@ -119,10 +118,10 @@ class TestApplyTransform:
 
     def test_name_collision_rejected(self, grid_17x9):
         with pytest.raises(MetricCollision):
-            apply_transform(grid_17x9, constant_evaluator("x", "a", 1.0), Cache())
-        once = apply_transform(grid_17x9, constant_evaluator("x", "m", 1.0), Cache())
+            apply_transform(grid_17x9, expr_evaluator("x", "a", "1.0"), Cache())
+        once = apply_transform(grid_17x9, expr_evaluator("x", "m", "1.0"), Cache())
         with pytest.raises(MetricCollision):
-            apply_transform(once, constant_evaluator("y", "m", 2.0), Cache())
+            apply_transform(once, expr_evaluator("y", "m", "2.0"), Cache())
 
     def test_arity_mismatch(self, grid_17x9):
         bad = Evaluator("bad", ("x", "y"), lambda view: (1.0,))
@@ -197,7 +196,7 @@ class TestCache:
         # schemas that differ only in frozen values never share an entry
         params = [ParamSpec("a", Linear(0, 1))]
         point = build_space(Schema(params)).points[0]
-        ev = constant_evaluator("c", "m", 1.0)
+        ev = expr_evaluator("c", "m", "1.0")
         cache = Cache()
         for value in (None, 4.0, 5.0, 4.0):
             frozen = () if value is None else (("z", value),)

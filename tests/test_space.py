@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsex
 from dsex import (
     DesignSpace,
     Enumerated,
@@ -459,3 +460,11 @@ def test_enumeration_matches_itertools_product(dummy_schema):
     space = build_space(dummy_schema)
     expected = list(itertools.product(range(17), range(9), range(3)))
     assert [p.coords for p in space.points] == expected
+
+
+@pytest.mark.parametrize("name", dsex.__all__)
+def test_every_exported_name_resolves(name):
+    # the package loads its names lazily, so a name left in its export
+    # table after its definition went would otherwise fail only on use
+    getattr(dsex, name)
+    assert name in dir(dsex)

@@ -33,7 +33,6 @@ from dsex import (
     StepContext,
     build_frame,
     build_space,
-    constant_evaluator,
     exhaustive_map,
     exhaustive_prune,
     exhaustive_sort,
@@ -75,14 +74,14 @@ def env_of(space, point):
 class TestExhaustiveMap:
     def test_invocation_count_on_full_dummy_space(self, dummy_schema):
         space = build_space(dummy_schema)
-        ev, calls = counting(constant_evaluator("c", "m", 1.0))
+        ev, calls = counting(expr_evaluator("c", "m", "1.0"))
         out = exhaustive_map(ev).apply(space, ctx())
         assert len(calls) == 459
         assert len(out) == 459
 
     def test_empty_space(self, dummy_schema):
         space = DesignSpace(build_space(dummy_schema).schema, ())
-        ev, calls = counting(constant_evaluator("c", "m", 1.0))
+        ev, calls = counting(expr_evaluator("c", "m", "1.0"))
         out = exhaustive_map(ev).apply(space, ctx())
         assert len(out) == 0 and calls == []
 
@@ -240,7 +239,7 @@ class TestGradientSort:
 
     def test_single_point_space(self):
         space = grid(1)
-        ev, calls = counting(constant_evaluator("c", "score", 5.0))
+        ev, calls = counting(expr_evaluator("c", "score", "5.0"))
         out = gradient_sort([ev], "score").apply(space, ctx())
         assert len(out) == 1 and len(calls) == 1
 
@@ -291,7 +290,7 @@ class TestGradientSort:
     def test_empty_space_rejected(self):
         space = DesignSpace(grid(2).schema, ())
         with pytest.raises(EmptySpaceError):
-            gradient_sort([constant_evaluator("c", "s", 1.0)], "s").apply(space, ctx())
+            gradient_sort([expr_evaluator("c", "s", "1.0")], "s").apply(space, ctx())
 
     def test_purity_and_repeatability(self):
         space = grid(6, 6)
@@ -948,7 +947,7 @@ def test_every_builtin_step_is_pure(step):
     ids=["gradient", "quick_prune"],
 )
 def test_chain_producing_a_name_twice_is_refused_when_built(build):
-    e1, e2 = constant_evaluator("e1", "x", 1.0), constant_evaluator("e2", "x", 2.0)
+    e1, e2 = expr_evaluator("e1", "x", "1.0"), expr_evaluator("e2", "x", "2.0")
     with pytest.raises(ConfigError, match="produces a name twice"):
         build([e1, e2])
     with pytest.raises(ConfigError, match="produces a name twice"):

@@ -24,8 +24,6 @@ from dsex.surrogate import (
     ResourceModel,
     load_model,
     model_evaluator,
-    model_from_dict,
-    model_to_dict,
     serve_once,
 )
 
@@ -102,11 +100,6 @@ class TestModelEvaluator:
         path.write_text('{"produces": ["a"], "formulas": {"a": "p +"}}')
         assert main(["--model", str(path)]) == 1
         assert capsys.readouterr().err.count("\n") == 1
-
-    def test_dict_round_trip(self):
-        model = core_model(latency_s=0.5, fail_if=parse_expr("nbCore > 100"))
-        again = model_from_dict(model_to_dict(model))
-        assert model_to_dict(again) == model_to_dict(model)
 
 
 class TestServeOnce:
