@@ -10,16 +10,24 @@ floats; comparisons yield booleans; mixing the two kinds is an
 evaluation-time type error. Division by zero is an error, never
 infinity.
 
-The parser compiles each expression once into nested closures. Every
-subexpression's kind (number or boolean) is fixed by its syntax, so
-the kind checks are settled at parse time: a well-kinded expression
-evaluates with no check at all, and a mixed one compiles to a closure
-that evaluates its operands in order and then raises the type error.
+The parser compiles each expression once into nested column closures,
+``fn(env, n) -> list``: ``env`` maps each name to a list of n values,
+one per row, and every node yields its n values, each row's float
+operations in the order a row-by-row evaluation makes them. ``&&`` and
+``||`` skip their right operand when no row needs it, so a column of
+one short-circuits exactly as a single evaluation does; over more rows
+a column may raise where no row on its own would, and the caller then
+evaluates row by row. Every subexpression's kind (number or boolean)
+is fixed by its syntax, so the kind checks are settled at parse time:
+a well-kinded expression evaluates with no check at all, and a mixed
+one compiles to a closure that evaluates its operands in order and
+then raises the type error.
 """
 
 from __future__ import annotations
 
 import re
+from operator import add, and_, eq, ge, gt, le, lt, mul, ne, neg, not_, or_, sub, truediv
 
 from .errors import ConfigError, EvalError, EvalErrorKind, ExprSyntaxError, text
 
@@ -27,8 +35,8 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Callable, Mapping
 
-    # a compiled subexpression: its closure, and whether it yields a boolean
-    Compiled = tuple[Callable[[Mapping[str, float]], object], bool]
+    # a compiled subexpression: its column closure, and whether it yields a boolean
+    Compiled = tuple[Callable[[Mapping[str, list], int], list], bool]
 
 _COMPARISONS = ("<=", ">=", "==", "!=", "<", ">")
 _TOKEN_RE = re.compile(
@@ -64,30 +72,52 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _divide(left, right):
-    def fn(env):
-        a = left(env)
-        b = right(env)
-        if b == 0.0:
+    def fn(env, n):
+        a = left(env, n)
+        b = right(env, n)
+        if 0.0 in b:
             raise EvalError(EvalErrorKind.DIV_BY_ZERO, "division by zero")
-        return a / b
+        return list(map(truediv, a, b))
 
     return fn
 
 
-# closure builders for well-kinded operands; each evaluates left before right
+def _rows(op):
+    """The builder of a closure applying ``op`` row by row, left before right."""
+    return lambda a, b: lambda env, n: list(map(op, a(env, n), b(env, n)))
+
+
+def _connective(op, skip: bool):
+    """The builder of ``&&`` (``skip`` False) or ``||`` (True): a row whose
+    left value is ``skip`` keeps it, and the right operand is evaluated
+    only when some row needs it."""
+
+    def build(a, b):
+        def fn(env, n):
+            left = a(env, n)
+            if (not skip) not in left:
+                return left
+            return list(map(op, left, b(env, n)))
+
+        return fn
+
+    return build
+
+
+# closure builders for well-kinded operands
 _OPS = {
-    "+": lambda a, b: lambda env: a(env) + b(env),
-    "-": lambda a, b: lambda env: a(env) - b(env),
-    "*": lambda a, b: lambda env: a(env) * b(env),
+    "+": _rows(add),
+    "-": _rows(sub),
+    "*": _rows(mul),
     "/": _divide,
-    "<": lambda a, b: lambda env: a(env) < b(env),
-    "<=": lambda a, b: lambda env: a(env) <= b(env),
-    ">": lambda a, b: lambda env: a(env) > b(env),
-    ">=": lambda a, b: lambda env: a(env) >= b(env),
-    "==": lambda a, b: lambda env: a(env) == b(env),
-    "!=": lambda a, b: lambda env: a(env) != b(env),
-    "&&": lambda a, b: lambda env: a(env) and b(env),
-    "||": lambda a, b: lambda env: a(env) or b(env),
+    "<": _rows(lt),
+    "<=": _rows(le),
+    ">": _rows(gt),
+    ">=": _rows(ge),
+    "==": _rows(eq),
+    "!=": _rows(ne),
+    "&&": _connective(and_, False),
+    "||": _connective(or_, True),
 }
 
 
@@ -96,9 +126,9 @@ def _raising(operands, expected: str, got_bool: bool):
     type error that their kinds make certain."""
     detail = f"expected {expected}, got {'boolean' if got_bool else 'number'}"
 
-    def fn(env):
+    def fn(env, n):
         for operand in operands:
-            operand(env)
+            operand(env, n)
         raise EvalError(EvalErrorKind.TYPE_MISMATCH, detail)
 
     return fn
@@ -115,9 +145,9 @@ def _expect(node: Compiled, boolean: bool):
 def _unary(op: str, operand: Compiled) -> Compiled:
     if op == "-":
         fn = _expect(operand, False)
-        return (lambda env: -fn(env)), False
+        return (lambda env, n: list(map(neg, fn(env, n)))), False
     fn = _expect(operand, True)
-    return (lambda env: not fn(env)), True
+    return (lambda env, n: list(map(not_, fn(env, n)))), True
 
 
 def _binary(op: str, left: Compiled, right: Compiled) -> Compiled:
@@ -192,11 +222,11 @@ class _Parser:
         if kind == "num":
             self.take()
             number = float(value)
-            return (lambda env: number), False
+            return (lambda env, n: [number] * n), False
         if kind == "name":
             self.take()
             self.names.add(value)
-            return (lambda env: float(env[value])), False
+            return (lambda env, n: env[value]), False
         if kind == "op" and value == "(":
             self.take()
             node = self.or_expr()
@@ -218,7 +248,7 @@ class _Parser:
 
 class MetricExpr:
     """A parsed, reusable expression: its source text, the free names it
-    reads, whether it yields a boolean, and its compiled closure.
+    reads, whether it yields a boolean, and its compiled column closure.
 
     Two expressions are equal when their sources are.
     """
@@ -245,6 +275,18 @@ class MetricExpr:
 
     def __call__(self, env: Mapping[str, float]):
         return evaluate(self, env)
+
+    def column(self, env: Mapping[str, list], n: int) -> list:
+        """The expression's values over n rows, ``env`` mapping each name
+        to its n values. A missing name raises as ``evaluate`` does. Any
+        other EvalError says only that some row may fail: evaluate the
+        rows one at a time to learn which, and how."""
+        for name in self._sorted_names:
+            if name not in env:
+                raise EvalError(
+                    EvalErrorKind.NAME_NOT_FOUND, f"name {name!r} not found on point", name=name
+                )
+        return self._fn(env, n)
 
 
 def parse_expr(text: str) -> MetricExpr:
@@ -274,16 +316,12 @@ def numeric(value, what: str = "expression") -> MetricExpr:
 
 
 def evaluate(expr: MetricExpr, env: Mapping[str, float]):
-    """Evaluate an expression against a name -> value environment.
+    """Evaluate an expression against a name -> value environment, as a
+    column of one.
 
     All free names must resolve; missing names raise EvalError
     (name_not_found, naming the alphabetically first) before any
     evaluation, so boolean short-circuiting never hides an unresolvable
     name.
     """
-    for name in expr._sorted_names:
-        if name not in env:
-            raise EvalError(
-                EvalErrorKind.NAME_NOT_FOUND, f"name {name!r} not found on point", name=name
-            )
-    return expr._fn(env)
+    return expr.column({name: [float(env[name])] for name in expr.names if name in env}, 1)[0]

@@ -141,8 +141,10 @@ def build_frame(space: DesignSpace, provenance: Provenance | None = None) -> Res
 def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
     """Read a saved frame (CSV or JSONL) back as column names plus rows.
 
-    A JSONL line that is not an object of numbers is refused with a
-    ``ValueError`` naming the file and the line.
+    A JSONL line that is not an object of numbers, or a CSV line whose
+    cells are not as many as the header's or not all numbers (an empty
+    cell is a missing value), is refused with a ``ValueError`` naming
+    the file and the line.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
@@ -163,15 +165,28 @@ def load_rows(path: str | Path) -> tuple[list[str], list[dict[str, float]]]:
             return [], []
         columns = header.split(",")
         rows = []
-        for line in fh:
+        for n, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            values = line.split(",")
-            rows.append(
-                {c: float(v) for c, v in zip(columns, values) if v != ""}
-            )
+            try:
+                rows.append(_csv_row(columns, line.split(",")))
+            except ValueError as err:
+                raise ValueError(f"{path}: line {n}: {err}") from None
         return columns, rows
+
+
+def _csv_row(columns: list[str], cells: list[str]) -> dict[str, float]:
+    if len(cells) != len(columns):
+        raise ValueError(f"{len(cells)} cells, the header has {len(columns)}")
+    row = {}
+    for c, v in zip(columns, cells):
+        if v != "":
+            try:
+                row[c] = float(v)
+            except ValueError:
+                raise ValueError(f"{c!r} must be a number, got {v!r}") from None
+    return row
 
 
 def _jsonl_row(line: str) -> dict[str, float]:

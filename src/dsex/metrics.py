@@ -1,12 +1,15 @@
 """Evaluator contract, memoizing cache, failure policies and transforms.
 
 An evaluator turns a point into a fixed list of new named metrics (or
-fails with an EvalError). All evaluator invocations are routed through
-a write-once cache keyed by (evaluator name, frozen params, coords);
-stored failures are replayed on later lookups so expensive timeouts
-are never retried. Spaces are enhanced point-by-point, optionally in
-parallel, with results always reassembled in point-index order so
-output never depends on completion timing.
+fails with an EvalError); an in-process one may also turn a whole batch
+of points into columns of them. All evaluator invocations are routed
+through a write-once cache keyed by (evaluator name, frozen params,
+domain values, coords); stored failures are replayed on later lookups
+so expensive timeouts are never retried. A batch whose chain has
+column forms is evaluated a column at a time on the calling thread;
+any other batch, or one where some point fails, point by point,
+optionally in parallel, with results always reassembled in point-index
+order so output never depends on completion timing.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import getitem
-from typing import Callable, Mapping, Sequence
+from operator import attrgetter, getitem, itemgetter
+from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision, finite
 from .expr import MetricExpr, numeric
@@ -79,6 +82,34 @@ class PointView:
         return self.point.coords
 
 
+_coords, _metrics = attrgetter("coords"), attrgetter("metrics")
+
+
+def env_columns(
+    schema: Schema, points: Sequence[Point], names: Collection[str]
+) -> dict[str, list[float]]:
+    """Each of ``names`` that every point's ``PointView.env`` resolves,
+    mapped to its values in point order: a metric some point holds None
+    for, or holds no value for yet, is absent."""
+    coords, metrics = list(map(_coords, points)), list(map(_metrics, points))
+    env = {}
+    for k, (name, floats) in enumerate(zip(schema.names, schema.floats)):
+        if name in names:
+            env[name] = list(map(floats.__getitem__, map(itemgetter(k), coords)))
+    for name, value in schema.frozen:
+        if name in names:
+            env[name] = [value] * len(points)
+    for j, name in enumerate(schema.metrics):
+        if name in names:
+            try:
+                column = list(map(itemgetter(j), metrics))
+            except IndexError:  # a point holds no value for it yet
+                continue
+            if None not in column:
+                env[name] = column
+    return env
+
+
 @dataclass(frozen=True)
 class Evaluator:
     """Produces a fixed set of named metrics for any point.
@@ -86,11 +117,18 @@ class Evaluator:
     ``func`` returns the metric values in ``produces`` order, or raises
     EvalError. Evaluators should be deterministic with respect to the
     point they see; results are cached per point, first result wins.
+    An in-process evaluator may also have ``column_func``, its column
+    form: given a schema and n points on it, the produced metrics'
+    columns of n floats each, in ``produces`` order, which must equal
+    what ``func`` returns point by point. When it raises EvalError, or
+    returns a wrong arity or a non-finite value, the batch is evaluated
+    through ``func`` instead.
     """
 
     name: str
     produces: tuple[str, ...]
     func: Callable[[PointView], Sequence[float]]
+    column_func: Callable[[Schema, Sequence[Point]], Sequence[list[float]]] | None = None
 
     def __post_init__(self):
         check_name(self.name)
@@ -145,13 +183,13 @@ ABORT = FailPolicy(FailMode.ABORT)
 class Cache:
     """Write-once memo of evaluator results, including stored failures.
 
-    One table per (evaluator name, the schema's frozen params) holds
-    the results by the coords tuple the point already carries, so
-    schemas that differ only in frozen values share no entry and an
-    entry needs no key of its own. Hit/miss counters are exposed; a miss
-    is counted per evaluator invocation. Safe under concurrent
-    read/write; on a race the first stored result wins and later
-    computations are discarded.
+    One table per (evaluator name, the schema's frozen params, its
+    parameters' raw values) holds the results by the coords tuple the
+    point already carries, so schemas that differ in frozen values or
+    in domains share no entry and an entry needs no key of its own.
+    Hit/miss counters are exposed; a miss is counted per evaluator
+    invocation. Safe under concurrent read/write; on a race the first
+    stored result wins and later computations are discarded.
     """
 
     def __init__(self):
@@ -167,7 +205,8 @@ class Cache:
         EvalErrors are re-raised on later lookups without re-invoking
         the evaluator.
         """
-        coords, key = view.point.coords, (evaluator.name, view.schema.frozen)
+        schema = view.schema
+        coords, key = view.point.coords, (evaluator.name, schema.frozen, schema.floats)
         # acquire/release: a `with` block costs about twice as much per entry
         lock = self._lock
         lock.acquire()
@@ -208,11 +247,63 @@ class Cache:
             raise stored
         return stored
 
+    def run_columns(
+        self, evaluators: Sequence[Evaluator], schema: Schema, points: Sequence[Point]
+    ) -> list[Point] | None:
+        """The chain's enhanced points for a batch, through the column forms.
+
+        Per evaluator, the batch is looked up in one table and the
+        distinct coords it lacks are evaluated as one column. Returns
+        None, having stored and counted nothing, unless every evaluator
+        yields finite values of its arity for every point and no stored
+        failure is met; the per-point path then raises, applies the fail
+        policy and counts exactly as it does for any other batch. On
+        success the counts are those of the per-point path run in order.
+        """
+        coords = list(map(_coords, points))
+        current = list(points)
+        staged, hits = [], 0
+        for ev in evaluators:
+            key = (ev.name, schema.frozen, schema.floats)
+            found = list(map(self._tables.get(key, {}).get, coords))
+            todo: dict[tuple, Point] = {}  # each missing coords' first point
+            for c, p, stored in zip(coords, current, found):
+                if stored is None:
+                    todo.setdefault(c, p)
+                elif type(stored) is not tuple:  # a stored failure
+                    return None
+            hits += len(coords) - len(todo)
+            new: dict[tuple, tuple[float, ...]] = {}
+            if todo:
+                first = list(todo.values())
+                try:
+                    columns = ev.column_func(schema, first)
+                except EvalError:
+                    return None
+                if len(columns) != len(ev.produces) or not all(
+                    len(col) == len(first) and all(map(math.isfinite, col)) for col in columns
+                ):
+                    return None
+                new = dict(zip(todo, zip(*columns)))
+            staged.append((key, new))
+            current = [
+                _point(c, p.metrics + (stored or new[c]), p.degraded)
+                for c, p, stored in zip(coords, current, found)
+            ]
+        with self._lock:
+            for key, new in staged:
+                table = self._tables.setdefault(key, new)
+                if table is not new:
+                    for c, values in new.items():
+                        table.setdefault(c, values)
+                self.misses += len(new)
+            self.hits += hits
+        return current
+
     def holds(self, evaluators: Sequence[Evaluator], schema: Schema, point: Point) -> bool:
         """Whether every evaluator's result (or failure) for the point is stored."""
-        return all(
-            point.coords in self._tables.get((ev.name, schema.frozen), ()) for ev in evaluators
-        )
+        key = (schema.frozen, schema.floats)
+        return all(point.coords in self._tables.get((ev.name, *key), ()) for ev in evaluators)
 
     def counters(self) -> tuple[int, int]:
         with self._lock:
@@ -259,11 +350,17 @@ def enhance_points(
 ) -> list[Point | None]:
     """Batch form of enhance_point; output is aligned with the input.
 
-    Only points with an evaluation missing from the cache go to the
-    thread pool; the others resolve on the calling thread. Under ABORT
-    with parallel execution the error surfaced is the one of the
+    When every evaluator has a column form, the batch first goes to
+    ``Cache.run_columns`` on the calling thread. Otherwise, or when that
+    declines, only points with an evaluation missing from the cache go
+    to the thread pool; the others resolve on the calling thread. Under
+    ABORT with parallel execution the error surfaced is the one of the
     earliest failing point in index order, never the first to complete.
     """
+    if points and all(ev.column_func is not None for ev in evaluators):
+        done = cache.run_columns(evaluators, schema, points)
+        if done is not None:
+            return done
 
     def one(point: Point):
         try:
@@ -325,7 +422,10 @@ def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Ev
         value = expr(view.env)
         return (float(value),)
 
-    return Evaluator(name, (produces,), func)
+    def column_func(schema: Schema, points: Sequence[Point]) -> list[list[float]]:
+        return [expr.column(env_columns(schema, points, expr.names), len(points))]
+
+    return Evaluator(name, (produces,), func, column_func)
 
 
 def render_raw(value: float) -> str:

@@ -40,6 +40,7 @@ from .metrics import (
     check_no_collision,
     enhance_point,  # noqa: F401  perfbench/worker.py patches it here by name
     enhance_points,
+    env_columns,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, project_space
 from .space import Dominance, _point, order_masks, project_images
@@ -129,7 +130,7 @@ def exhaustive_sort(
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if evaluator is not None:
             space = apply_transform(space, evaluator, ctx.cache, ctx.policy, ctx.parallelism)
-        keys = [key_expr(PointView(space.schema, p).env) for p in space.points]
+        keys = _values(key_expr, space.schema, space.points)
         order = sorted(range(len(keys)), key=keys.__getitem__, reverse=not ascending)
         return space.derive(space.points[i] for i in order)
 
@@ -147,8 +148,8 @@ def exhaustive_prune(
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         if evaluator is not None:
             space = apply_transform(space, evaluator, ctx.cache, ctx.policy, ctx.parallelism)
-        kept = [p for p in space.points if keep_expr(PointView(space.schema, p).env)]
-        return space.derive(kept)
+        keep = _values(keep_expr, space.schema, space.points)
+        return space.derive(p for p, kept in zip(space.points, keep) if kept)
 
     return Step(name, "prune", apply_fn)
 
@@ -168,6 +169,15 @@ def reduce_dimension(concern: str, to_min: bool = True, name: str | None = None)
         return out
 
     return Step(name or f"reduce_{concern}", "reduce_dimension", apply_fn)
+
+
+def _values(expr: MetricExpr, schema: Schema, points: Sequence[Point]) -> list:
+    """``expr`` on each point, as one column; when the column raises, point
+    by point, so the error is the first failing point's own."""
+    try:
+        return expr.column(env_columns(schema, points, expr.names), len(points))
+    except EvalError:
+        return [expr(PointView(schema, p).env) for p in points]
 
 
 def _chain(evaluators: Sequence[Evaluator]) -> tuple[Evaluator, ...]:
@@ -205,8 +215,10 @@ def _prober(
             batch = enhance_points(
                 todo, schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
             )
+            kept = [enh for enh in batch if enh is not None]
+            values = iter(_values(expr, schema, kept))
             for p, enh in zip(todo, batch):
-                memo[p.coords] = None if enh is None else (enh, expr(PointView(schema, enh).env))
+                memo[p.coords] = None if enh is None else (enh, next(values))
         return [entry and entry[1] for entry in (memo[p.coords] for p in points)]
 
     return probe, memo

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 
     from .expr import MetricExpr
     from .metrics import Evaluator, PointView
+    from .space import Point, Schema
 
 
 # how long the served model stalls when its failure rule fires; long
@@ -73,6 +74,9 @@ class ResourceModel:
         for metric in self.produces:
             if metric not in self.formulas:
                 raise ConfigError(f"model {self.name!r} lacks a formula for {metric!r}")
+        # the names the model reads
+        rules = [*self.formulas.values(), self.fail_if]
+        self.names = frozenset().union(*(r.names for r in rules if r is not None))
 
     def compute(self, env: Mapping[str, float]) -> list[float]:
         """The produced metrics' values, in ``produces`` order."""
@@ -83,20 +87,29 @@ class ResourceModel:
 
 
 def model_evaluator(model: ResourceModel, name: str | None = None) -> "Evaluator":
-    """In-process evaluator backed by a resource model."""
-    from .metrics import Evaluator
+    """In-process evaluator backed by a resource model; without latency
+    it has a column form."""
+    from .metrics import Evaluator, env_columns
+
+    def failed() -> EvalError:
+        return EvalError(EvalErrorKind.TIMEOUT, f"model {model.name!r} failure rule triggered")
 
     def func(view: "PointView") -> Sequence[float]:
         env = view.env
         if model.fails_on(env):
-            raise EvalError(
-                EvalErrorKind.TIMEOUT, f"model {model.name!r} failure rule triggered"
-            )
+            raise failed()
         if model.latency_s > 0:
             time.sleep(model.latency_s)
         return model.compute(env)
 
-    return Evaluator(name or model.name, model.produces, func)
+    def column_func(schema: "Schema", points: "Sequence[Point]") -> list[list[float]]:
+        env, n = env_columns(schema, points, model.names), len(points)
+        if model.fail_if is not None and True in model.fail_if.column(env, n):
+            raise failed()
+        return [model.formulas[metric].column(env, n) for metric in model.produces]
+
+    sleeps = model.latency_s > 0
+    return Evaluator(name or model.name, model.produces, func, None if sleeps else column_func)
 
 
 def model_from_dict(data: "Mapping | Reader", name: str = "model") -> ResourceModel:
@@ -149,12 +162,7 @@ def serve_once(model: ResourceModel, environ: Mapping[str, str] = os.environ) ->
     flat metric object on stdout, and return the exit code.
     """
     env: dict[str, float] = {}
-    needed = set()
-    for expr in model.formulas.values():
-        needed |= expr.names
-    if model.fail_if is not None:
-        needed |= model.fail_if.names
-    for name in sorted(needed):
+    for name in sorted(model.names):
         raw = environ.get(f"DSEX_{name.upper()}")
         if raw is None:
             print(f"missing parameter: DSEX_{name.upper()}", file=sys.stderr)

@@ -23,7 +23,8 @@ def subprocess_env(extra=None):
 
 
 def counting(evaluator: Evaluator):
-    """Wrap an evaluator so actual invocations are observable."""
+    """Wrap an evaluator so actual invocations are observable. The wrapper
+    has no column form, so every batch it is in runs point by point."""
     calls = []
 
     def func(view):

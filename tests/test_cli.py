@@ -808,3 +808,32 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}: line 3: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("1.0,2.0,3.0", "3 cells, the header has 2"),
+            ("1.0", "1 cells, the header has 2"),
+            ("1.0,x", "'m' must be a number, got 'x'"),
+            ("y,2.0", "'a' must be a number, got 'y'"),
+            ("1.0,2.0,", "3 cells, the header has 2"),
+        ],
+        ids=["extra_cell", "missing_cell", "text", "text_first", "trailing_comma"],
+    )
+    def test_bad_csv_row_exits_2_naming_file_and_line(self, tmp_path, capsys, line, reason):
+        from dsex.cli import main
+
+        path = tmp_path / "frame.csv"
+        path.write_text("a,m\n1.0,3.5\n\n" + line + "\n")
+        assert main(["report", "--frame", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line 4: {reason}\n"
+
+    def test_empty_csv_cell_is_a_missing_value(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        path = tmp_path / "frame.csv"
+        path.write_text("a,m\n1.0,\n2.0,3.5\n")
+        assert main(["report", "--frame", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3

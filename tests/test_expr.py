@@ -7,9 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsex import EvalError, ExprSyntaxError, parse_expr
+from dsex import (
+    Cache,
+    Evaluator,
+    EvalError,
+    ExprSyntaxError,
+    FailMode,
+    FailPolicy,
+    Linear,
+    ParamSpec,
+    Point,
+    PointView,
+    Schema,
+    expr_evaluator,
+    parse_expr,
+)
 from dsex.errors import EvalErrorKind
 from dsex.frame import render_2dp
+from dsex.metrics import enhance_points
+from dsex.strategy import _values
 
 
 class TestParsing:
@@ -289,3 +305,128 @@ _trees = st.one_of(
 @given(_trees)
 def test_render_parse_round_trip(tree):
     _check_against_reference(tree, {})
+
+
+_NAMES = [f"m{k}" for k in range(5)]
+
+
+def _outcome(expr, env):
+    """A row's value, or its error as (kind, detail)."""
+    try:
+        return expr(env)
+    except EvalError as err:
+        return err.kind, err.detail
+
+
+def _same(got, want):
+    # ==, and the same type: a float is never a bool, nor a bool a float
+    return type(got) is type(want) and (got == want or got != got and want != want)
+
+
+def _check_rows(tree, rows):
+    """Evaluate ``tree`` over rows (name -> value dicts, names missing
+    here and there) as one column, and through the batch entries, against
+    the rows evaluated one at a time."""
+    expr = parse_expr(_fold(tree, {})[0])
+    per_row = [_outcome(expr, env) for env in rows]
+    errors = [isinstance(v, tuple) for v in per_row]
+    n = len(rows)
+    env = {k: [row[k] for row in rows] for k in _NAMES if all(k in row for row in rows)}
+    try:
+        column = expr.column(env, n)
+        outcome = "column"
+    except EvalError:
+        # a column raises where a row does, or behind a short circuit
+        outcome = "errors" if any(errors) else "short_circuit"
+        assert any(errors) or "&&" in expr.source or "||" in expr.source, expr.source
+    else:
+        assert not any(errors), expr.source
+        assert len(column) == n and all(map(_same, column, per_row)), expr.source
+
+    # the batch entries, over points holding the rows as metrics
+    schema = Schema([ParamSpec("i", Linear(0, n - 1))], (), _NAMES)
+    points = [Point((i,), tuple(row.get(k) for k in _NAMES)) for i, row in enumerate(rows)]
+    if expr.is_predicate:
+        # a keep condition or sort key: the first failing row's own error
+        try:
+            values = _values(expr, schema, points)
+        except EvalError as err:
+            assert (err.kind, err.detail) == next(v for v in per_row if isinstance(v, tuple))
+        else:
+            assert not any(errors) and all(map(_same, values, per_row)), expr.source
+        return outcome
+    # a cost expression: each row's value or stored error, as point by point
+    stored = []
+    for columns in (True, False):
+        ev = expr_evaluator("e", "v", expr)
+        ev = ev if columns else Evaluator(ev.name, ev.produces, ev.func)
+        out_schema = Schema(schema.params, (), _NAMES + ["v"])
+        cache = Cache()
+        policy = FailPolicy(FailMode.ASSIGN_WORST, {"v": -1.0})
+        got = enhance_points(points, out_schema, [ev], cache, policy)
+        replayed = []
+        for p in points:
+            try:
+                replayed.append(cache.run(ev, PointView(out_schema, p)))
+            except EvalError as err:
+                replayed.append((err.kind, err.detail, err.coords))
+        stored.append((got, replayed, cache.counters()))
+    assert stored[0] == stored[1], expr.source
+    return outcome
+
+
+def _random_rows(rng: random.Random) -> list[dict]:
+    rows = []
+    for _ in range(rng.randint(1, 64)):
+        row = {}
+        for k in _NAMES:
+            roll = rng.random()
+            if roll < 0.05:
+                continue  # a missing name
+            row[k] = 0.0 if roll < 0.2 else round(rng.uniform(-20, 20), 3)
+        rows.append(row)
+    return rows
+
+
+def _guarded(rng: random.Random):
+    """A division by a name that a short circuit guards against zero."""
+    divisor = ("var", rng.choice(_NAMES))
+    ratio = (rng.choice(_COMPARISONS), ("/", _random_tree(rng, 2, False), divisor), 1.0)
+    if rng.random() < 0.5:
+        return ("||", ("==", divisor, 0.0), ratio)
+    return ("&&", ("!=", divisor, 0.0), ratio)
+
+
+def test_columns_match_rows_on_random_expressions():
+    rng = random.Random(20261019)
+    outcomes = collections.Counter()
+    for k in range(600):
+        if k % 4:
+            tree = _random_tree(rng, rng.randint(1, 5), rng.random() < 0.5)
+        else:
+            tree = _guarded(rng)
+        outcomes[_check_rows(tree, _random_rows(rng))] += 1
+    # the draw reaches every case: columns evaluated whole, rows that
+    # fail, and columns that fail only behind a short circuit
+    assert set(outcomes) == {"column", "errors", "short_circuit"}
+
+
+_names = st.sampled_from(_NAMES).map(lambda name: ("var", name))
+_leaves = st.one_of(_literals, _names)
+_row_trees = st.one_of(
+    st.recursive(_leaves, _numeric, max_leaves=10),
+    st.recursive(
+        st.tuples(st.sampled_from(_COMPARISONS), _leaves, _leaves), _logical, max_leaves=6
+    ),
+    st.recursive(_leaves, _any, max_leaves=12),
+)
+_values_or_zero = st.one_of(st.just(0.0), st.floats(-64.0, 64.0, allow_nan=False))
+_rows = st.lists(
+    st.dictionaries(st.sampled_from(_NAMES), _values_or_zero, min_size=3), min_size=1, max_size=64
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_trees, _rows)
+def test_columns_match_rows(tree, rows):
+    _check_rows(tree, rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import sys
 import threading
@@ -27,8 +28,12 @@ from dsex import (
     apply_transform,
     build_space,
     exhaustive_map,
+    exhaustive_prune,
+    exhaustive_sort,
     expr_evaluator,
     external_command,
+    gradient_sort,
+    quick_prune,
     run_pipeline,
 )
 from dsex import metrics
@@ -202,6 +207,18 @@ class TestCache:
             frozen = () if value is None else (("z", value),)
             cache.run(ev, PointView(Schema(params, frozen), point))
         assert (cache.misses, cache.hits) == (3, 1)
+
+    @pytest.mark.parametrize("columns", [True, False], ids=["column", "per_point"])
+    def test_key_includes_domain_values(self, columns):
+        # coords mean nothing without the domain they index
+        ev = expr_evaluator("m", "m", "a")
+        ev = ev if columns else dataclasses.replace(ev, column_func=None)
+        cache = Cache()
+        for lo in (0, 10, 0):
+            space = build_space(Schema([ParamSpec("a", Linear(lo, lo + 2))]))
+            out = apply_transform(space, ev, cache)
+            assert [p.metrics for p in out.points] == [(lo + 0.0,), (lo + 1.0,), (lo + 2.0,)]
+        assert cache.counters() == (3, 6)
 
     def test_a_racing_computation_keeps_the_first_write(self):
         # both lookups miss and compute; the one that stores first wins,
@@ -539,3 +556,102 @@ def test_eval_error_survives_pickling(error):
     fields = ("kind", "detail", "coords", "exit_code", "name", "args")
     assert [getattr(copy, f) for f in fields] == [getattr(error, f) for f in fields]
     assert str(copy) == str(error)
+
+
+def _per_point(evaluators):
+    """The same evaluators without their column forms."""
+    return [dataclasses.replace(ev, column_func=None) for ev in evaluators]
+
+
+# "s" never fails; "r" divides by a, so it fails on every point where a == 0
+_SECONDS = {"ok": "s + a", "fails": "s / a"}
+_POLICIES = {
+    "abort": FailPolicy(FailMode.ABORT),
+    "prune": FailPolicy(FailMode.PRUNE),
+    "assign_worst": FailPolicy(FailMode.ASSIGN_WORST, {"s": -1.0, "r": -2.0}),
+}
+
+
+def _chain(second):
+    return [expr_evaluator("sum", "s", "a + b"), expr_evaluator("ratio", "r", _SECONDS[second])]
+
+
+class TestColumnPath:
+    """A batch evaluated a column at a time yields what the per-point path
+    yields: the same points, errors, cache counters and step provenance."""
+
+    GRID = Schema([ParamSpec("a", Linear(0, 3)), ParamSpec("b", Pow2(0, 2))])
+
+    def batches(self, evaluators, batches, policy):
+        space = build_space(self.GRID)
+        schema = metrics.check_no_collision(space.schema, evaluators)
+        cache, out = Cache(), []
+        for batch in batches:
+            points = [space.points[i] for i in batch]
+            try:
+                got = metrics.enhance_points(points, schema, evaluators, cache, policy)
+            except EvalError as err:
+                got = (err.kind, err.detail, err.coords)
+            out.append((got, cache.counters()))
+        return out
+
+    @pytest.mark.parametrize("policy", list(_POLICIES))
+    @pytest.mark.parametrize("second", list(_SECONDS))
+    @pytest.mark.parametrize(
+        "warm",
+        [[], [4, 7, 9], [0, 4, 5]],
+        ids=["cold", "partly_warm", "warm_with_a_failure"],
+    )
+    def test_batches_match_the_per_point_path(self, monkeypatch, policy, second, warm):
+        # duplicate coords, a partly warm cache and a chain whose second
+        # evaluator fails; a replay of the whole batch last
+        batches = [warm, [3, 4, 0, 4, 8, 11, 3, 9, 1], list(range(12))]
+        lookups = []
+        run = Cache.run
+        monkeypatch.setattr(Cache, "run", lambda *a: lookups.append(1) or run(*a))
+        got = self.batches(_chain(second), batches, _POLICIES[policy])
+        through_columns = not lookups
+        expected = self.batches(_per_point(_chain(second)), batches, _POLICIES[policy])
+        assert got == expected
+        for points, _ in got:
+            if isinstance(points, list):
+                assert {type(v) for p in points if p is not None for v in p.metrics} <= {float}
+        # only a chain that fails somewhere leaves the column path
+        assert through_columns == (second == "ok")
+
+    @pytest.mark.parametrize("policy", list(_POLICIES))
+    @pytest.mark.parametrize("second", list(_SECONDS))
+    def test_step_provenance_matches_the_per_point_path(self, policy, second):
+        def outcome(evaluators):
+            first, ratio = evaluators
+            pipeline = Pipeline(
+                [
+                    exhaustive_map(first, name="map_sum"),
+                    exhaustive_prune("s >= 1", name="prune"),
+                    quick_prune([ratio], "r < 3", name="quick"),
+                    exhaustive_sort("s", name="sort"),
+                    gradient_sort(
+                        [expr_evaluator("twice", "t", "2 * s"), expr_evaluator("q", "q", "t / b")],
+                        "q",
+                        name="climb",
+                    ),
+                ],
+                fail_policy=_POLICIES[policy],
+            )
+            space = build_space(self.GRID)
+            cache = Cache()
+            try:
+                frame = run_pipeline(pipeline, space, cache)
+            except PipelineAborted as err:
+                return str(err), err.provenance.to_dict(), cache.counters()
+            return frame.rows, frame.provenance.to_dict(), cache.counters()
+
+        def timeless(result):
+            rows, provenance, counters = result
+            steps = [
+                {k: v for k, v in s.items() if k != "wall_time_s"} for s in provenance["steps"]
+            ]
+            return rows, steps, counters
+
+        got = outcome(_chain(second))
+        assert timeless(got) == timeless(outcome(_per_point(_chain(second))))
