@@ -27,8 +27,8 @@ from .config import (
     load_pipeline,
     load_schema,
 )
-from .errors import ConfigError, DsexError, PipelineAborted
-from .expr import numeric, predicate
+from .errors import ConfigError, DsexError, EvalError, PipelineAborted
+from .expr import MetricExpr, numeric, predicate
 from .frame import load_rows, render_rows_table, render_top_table
 from .metrics import Cache, render_raw
 from .space import build_space, project_space
@@ -144,19 +144,30 @@ def cmd_report(args) -> int:
         if args.keep:
             keep = predicate(args.keep, "--keep expression")
             _check_columns(keep.names, columns)
-            rows = [r for r in rows if set(keep.names) <= set(r) and keep(r)]
+            held, kept = _column(keep, rows)
+            rows = [r for r, value in zip(held, kept) if value]
         if args.sort:
             key = numeric(args.sort, "--sort expression")
             _check_columns(key.names, columns)
-            with_key = [r for r in rows if set(key.names) <= set(r)]
-            without = [r for r in rows if not set(key.names) <= set(r)]
-            with_key.sort(key=key, reverse=args.desc)
-            rows = with_key + without
+            held, keys = _column(key, rows)
+            order = sorted(range(len(held)), key=keys.__getitem__, reverse=args.desc)
+            rows = [held[i] for i in order] + [r for r in rows if not key.names <= r.keys()]
         print(render_rows_table(columns, rows, args.top))
         return 0
     except (DsexError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+
+
+def _column(expr: MetricExpr, rows: list[dict]) -> tuple[list[dict], list]:
+    """The rows holding every name ``expr`` reads, and its value on each,
+    as one column; when the column raises, row by row, so the error is
+    the first failing row's own."""
+    held = [r for r in rows if expr.names <= r.keys()]
+    try:
+        return held, expr.column({n: [r[n] for r in held] for n in expr.names}, len(held))
+    except EvalError:
+        return held, [expr(r) for r in held]
 
 
 def _check_columns(names, columns) -> None:

@@ -14,20 +14,21 @@ The parser compiles each expression once into nested column closures,
 ``fn(env, n) -> list``: ``env`` maps each name to a list of n values,
 one per row, and every node yields its n values, each row's float
 operations in the order a row-by-row evaluation makes them. ``&&`` and
-``||`` skip their right operand when no row needs it, so a column of
-one short-circuits exactly as a single evaluation does; over more rows
-a column may raise where no row on its own would, and the caller then
-evaluates row by row. Every subexpression's kind (number or boolean)
-is fixed by its syntax, so the kind checks are settled at parse time:
-a well-kinded expression evaluates with no check at all, and a mixed
-one compiles to a closure that evaluates its operands in order and
-then raises the type error.
+``||`` evaluate their right operand over only the rows whose left value
+needs it, so a column short-circuits row by row as single evaluations
+do, and raises only where some row on its own would; the caller then
+evaluates row by row to learn which row, and how. Every
+subexpression's kind (number or boolean) is fixed by its syntax, so
+the kind checks are settled at parse time: a well-kinded expression
+evaluates with no check at all, and a mixed one compiles to a closure
+that evaluates its operands in order and then raises the type error.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, and_, eq, ge, gt, le, lt, mul, ne, neg, not_, or_, sub, truediv
+from itertools import compress
+from operator import add, eq, ge, gt, le, lt, mul, ne, neg, not_, sub, truediv
 
 from .errors import ConfigError, EvalError, EvalErrorKind, ExprSyntaxError, text
 
@@ -87,17 +88,23 @@ def _rows(op):
     return lambda a, b: lambda env, n: list(map(op, a(env, n), b(env, n)))
 
 
-def _connective(op, skip: bool):
+def _connective(skip: bool):
     """The builder of ``&&`` (``skip`` False) or ``||`` (True): a row whose
     left value is ``skip`` keeps it, and the right operand is evaluated
-    only when some row needs it."""
+    over only the other rows, whose value it gives."""
 
     def build(a, b):
         def fn(env, n):
-            left = a(env, n)
-            if (not skip) not in left:
+            left = a(env, n)  # a list of its own, never one of env's
+            need = list(compress(range(n), map(not_, left) if skip else left))
+            if not need:
                 return left
-            return list(map(op, left, b(env, n)))
+            if len(need) == n:
+                return b(env, n)
+            rows = {name: list(map(column.__getitem__, need)) for name, column in env.items()}
+            for i, value in zip(need, b(rows, len(need))):
+                left[i] = value
+            return left
 
         return fn
 
@@ -116,8 +123,8 @@ _OPS = {
     ">=": _rows(ge),
     "==": _rows(eq),
     "!=": _rows(ne),
-    "&&": _connective(and_, False),
-    "||": _connective(or_, True),
+    "&&": _connective(False),
+    "||": _connective(True),
 }
 
 
@@ -279,8 +286,8 @@ class MetricExpr:
     def column(self, env: Mapping[str, list], n: int) -> list:
         """The expression's values over n rows, ``env`` mapping each name
         to its n values. A missing name raises as ``evaluate`` does. Any
-        other EvalError says only that some row may fail: evaluate the
-        rows one at a time to learn which, and how."""
+        other EvalError says that some row fails: evaluate the rows one
+        at a time to learn which, and how."""
         for name in self._sorted_names:
             if name not in env:
                 raise EvalError(

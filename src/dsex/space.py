@@ -182,6 +182,13 @@ class Schema:
     def cardinalities(self) -> tuple[int, ...]:
         return tuple(len(p.domain.values()) for p in self.params)
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Each axis's step in the grid's row-major order, the last axis
+        fastest: coords c sit at index sum(c[k] * strides[k])."""
+        cards = self.cardinalities
+        return tuple(math.prod(cards[k + 1:]) for k in range(len(cards)))
+
     def concern_tags(self) -> tuple[str, ...]:
         """All concern tags in first-appearance order."""
         seen: dict[str, None] = {}
@@ -294,9 +301,16 @@ class DesignSpace:
         return _space(self.schema if schema is None else schema, tuple(points))
 
     @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        # coords -> position of the point holding them
-        return {p.coords: i for i, p in enumerate(self.points)}
+    def _index(self) -> tuple[list[int], dict[int, int]]:
+        # each point's row-major index, and the position of each index's point
+        strides = self.schema.strides
+        rows = [sum(map(operator.mul, p.coords, strides)) for p in self.points]
+        return rows, dict(zip(rows, range(len(rows))))
+
+    @cached_property
+    def _rings(self) -> tuple[tuple[int, ...], dict[tuple, list[int]]]:
+        # each axis's last coordinate, and ``ring``'s offsets as it finds them
+        return tuple(n - 1 for n in self.schema.cardinalities), {}
 
     def raw_values(self, point: Point) -> tuple[int, ...]:
         """Raw (enumerated) parameter values of a point, in schema order."""
@@ -308,24 +322,52 @@ class DesignSpace:
         # the points hold distinct coords in range, so counting suffices
         return len(self.points) == math.prod(self.schema.cardinalities)
 
+    def position(self, coords: tuple[int, ...]) -> int:
+        """The position of the point holding ``coords``: their row-major
+        index looked up in the space's index. Coords off the grid are
+        refused, never taken for the point whose index they share."""
+        cards = self.schema.cardinalities
+        if len(coords) == len(cards) and all(0 <= c < n for c, n in zip(coords, cards)):
+            at = self._index[1].get(sum(map(operator.mul, coords, self.schema.strides)))
+            if at is not None:
+                return at
+        raise PointNotInSpace(f"point {coords} is not in the space")
+
     def neighbours(self, point: Point, norm: Norm) -> list[Point]:
         """Points at distance 1 of ``point`` in index space under ``norm``.
 
-        Returned in the space's enumeration order. The coords of the
-        ring are probed in the coords index, so the cost follows the
-        size of the ring, not of the space.
+        Returned in the space's enumeration order. The ring's indices
+        are worked out by stride arithmetic and looked up in the row-major
+        index, so the cost follows the size of the ring, not of the space.
         """
-        at, c = self._positions, point.coords
-        me = at.get(c)
-        if me is None:
-            raise PointNotInSpace(f"point {c} is not in the space")
-        spans = [range(max(x - 1, 0), min(x + 2, n)) for x, n in zip(c, self.schema.cardinalities)]
-        if norm is Norm.LINF:
-            ring = itertools.product(*spans)
-        else:  # one axis moved at a time, so c itself recurs once per axis
-            ring = [c[:k] + (x,) + c[k + 1:] for k, span in enumerate(spans) for x in span]
-        hits = map(at.get, ring)
-        return [self.points[i] for i in sorted(i for i in hits if i is not None and i != me)]
+        return list(map(self.points.__getitem__, self.ring(self.position(point.coords), norm)))
+
+    def ring(self, position: int, norm: Norm) -> list[int]:
+        """The positions of ``neighbours``' points, ascending, for the
+        point at ``position``."""
+        rows, slots = self._index
+        tops, offsets = self._rings
+        coords = self.points[position].coords
+        # the ring's index offsets depend only on the axes the point can
+        # step down and up along
+        downs, ups = tuple(map(bool, coords)), tuple(map(operator.lt, coords, tops))
+        key = (norm is Norm.LINF, downs, ups)
+        if key not in offsets:
+            ring = [0]
+            for down, up, stride in zip(downs, ups, self.schema.strides):
+                steps = [-stride] * down + [stride] * up
+                if norm is Norm.LINF:  # every index within one step on each axis
+                    ring += [i + d for d in steps for i in ring]
+                else:  # one axis moved at a time
+                    ring += steps
+            offsets[key] = sorted(ring[1:])
+        me = rows[position]
+        if self.is_full_grid():
+            hits = [slots[me + d] for d in offsets[key]]
+        else:  # some indices hold no point
+            hits = [slots[me + d] for d in offsets[key] if me + d in slots]
+        hits.sort()
+        return hits
 
     def diagonal(self) -> list[Point]:
         """The corner-to-corner diagonal of a full grid.
@@ -336,51 +378,48 @@ class DesignSpace:
         """
         if not self.is_full_grid():
             raise NotAFullGrid("diagonal requires every coords combination to be present")
-        cards = self.schema.cardinalities
+        cards, strides = self.schema.cardinalities, self.schema.strides
         span = max(c - 1 for c in cards)
         if span == 0:
             return [self.points[0]]
-        coords_list = []
-        for t in range(span + 1):
-            # round half up with exact integer arithmetic
-            coords_list.append(
-                tuple((2 * t * (c - 1) + span) // (2 * span) for c in cards)
-            )
-        return [self.points[self._positions[c]] for c in coords_list]
+        slots = self._index[1]
+        # round half up with exact integer arithmetic
+        at = [sum((2 * t * (c - 1) + span) // (2 * span) * s for c, s in zip(cards, strides))
+              for t in range(span + 1)]
+        return [self.points[slots[i]] for i in at]
 
 
 class Dominance:
-    """The coords of a full grid at or above (``UPWARD``) or at or below
-    (``DOWNWARD``) some coords added so far, componentwise in index space.
+    """The positions of a full grid's points at or above (``UPWARD``) or
+    at or below (``DOWNWARD``) the point at some position added so far,
+    componentwise in index space.
 
-    Holds one bit per coords of the grid's cardinalities, in row-major
-    order, so it needs every coords of the grid to be a point, which it
-    does not check. ``add`` closes the set by ORing it into itself
-    shifted one index along each axis in turn, cardinality - 1 times:
-    O(axes x cardinality) big-integer operations, however many points.
+    Holds one bit per row-major index of the grid, so it needs the space
+    to be a full grid, which it does not check. ``add`` closes the set by
+    ORing it into itself shifted one index along each axis in turn,
+    cardinality - 1 times: O(axes x cardinality) big-integer operations,
+    however many points.
     """
 
-    def __init__(self, cards: tuple[int, ...], side: KeepSide):
-        self.cards, self.up, self.bits = cards, side is KeepSide.UPWARD, 0
-        self.size = math.prod(cards)
-        self.strides = [math.prod(cards[k + 1:]) for k in range(len(cards))]
+    def __init__(self, space: DesignSpace, side: KeepSide):
+        self.cards, self.strides = space.schema.cardinalities, space.schema.strides
+        self.rows, self.slots = space._index
+        self.up, self.bits = side is KeepSide.UPWARD, 0
+        self.size = math.prod(self.cards)
         self.masks = []  # per axis, the bits a one-index step may land on
-        for n, stride in zip(cards, self.strides):
+        for n, stride in zip(self.cards, self.strides):
             inner = "1" * (stride * (n - 1))
             period = "0" * stride + inner if self.up else inner + "0" * stride
             # character i of the string is bit i
             self.masks.append(int((period * (self.size // (stride * n)))[::-1], 2))
 
-    def _bit(self, coords: tuple[int, ...]) -> int:
-        return 1 << sum(map(operator.mul, coords, self.strides))
+    def __contains__(self, position: int) -> bool:
+        return bool(self.bits >> self.rows[position] & 1)
 
-    def __contains__(self, coords: tuple[int, ...]) -> bool:
-        return bool(self.bits & self._bit(coords))
-
-    def add(self, coords: Iterable[tuple[int, ...]]) -> None:
+    def add(self, positions: Iterable[int]) -> None:
         bits = self.bits
-        for c in coords:
-            bits |= self._bit(c)
+        for i in positions:
+            bits |= 1 << self.rows[i]
         if bits == self.bits:
             return
         for n, stride, mask in zip(self.cards, self.strides, self.masks):
@@ -388,10 +427,10 @@ class Dominance:
                 bits |= (bits << stride if self.up else bits >> stride) & mask
         self.bits = bits
 
-    def coords(self) -> set[tuple[int, ...]]:
+    def positions(self) -> list[int]:
+        """The positions in the set, in row-major order."""
         flags = format(self.bits, f"0{self.size}b")[::-1]
-        grid = itertools.product(*map(range, self.cards))
-        return {c for c, flag in zip(grid, flags) if flag == "1"}
+        return [self.slots[i] for i, flag in enumerate(flags) if flag == "1"]
 
 
 def order_masks(coords: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
@@ -447,9 +486,9 @@ def project_space(space: DesignSpace, concern: str, project_to_min: bool = True)
 
 def project_images(
     space: DesignSpace, concern: str, project_to_min: bool = True
-) -> tuple[DesignSpace, list[tuple[int, ...]]]:
-    """``project_space``'s projection, plus the coords of each input
-    point's image, aligned with ``space.points``."""
+) -> tuple[DesignSpace, Sequence[int]]:
+    """``project_space``'s projection, plus the position in it of each
+    input point's image, aligned with ``space.points``."""
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
     schema = space.schema
@@ -458,7 +497,7 @@ def project_images(
         # equivalently, every dimension would be removed
         raise NoSuchConcern(f"no parameter carries concern {concern!r}")
     if len(keep) == len(schema):
-        return space, [p.coords for p in space.points]
+        return space, range(len(space))
     pick = min if project_to_min else max
     frozen = schema.frozen + tuple(
         (p.name, float(pick(p.domain.values())))
@@ -466,11 +505,14 @@ def project_images(
         if i not in keep
     )
     projected = Schema((schema.params[i] for i in keep), frozen, schema.metrics)
-    new_points: dict[tuple[int, ...], Point] = {}
-    images = []
+    image = operator.itemgetter(*keep)  # a tuple, or one int when one axis stays
+    at: dict = {}  # image -> its position
+    new_points, images = [], []
     for p in space.points:
-        coords = tuple(p.coords[i] for i in keep)
-        if coords not in new_points:
-            new_points[coords] = Point(coords, p.metrics, p.degraded)
-        images.append(new_points[coords].coords)  # one tuple per image
-    return DesignSpace(projected, new_points.values()), images
+        key = image(p.coords)
+        i = at.get(key)
+        if i is None:
+            i = at[key] = len(new_points)
+            new_points.append(_point(key if len(keep) > 1 else (key,), p.metrics, p.degraded))
+        images.append(i)
+    return _space(projected, tuple(new_points)), images

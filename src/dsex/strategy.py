@@ -18,8 +18,9 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter, gt, itemgetter, lt
-from typing import Callable, Sequence
+from itertools import chain
+from operator import gt, itemgetter, lt
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     ConfigError,
@@ -47,7 +48,6 @@ from .space import Dominance, _point, order_masks, project_images
 
 log = logging.getLogger(__name__)
 
-_coords = attrgetter("coords")
 
 # seeds quick_prune's audit sample, so the points a step probes follow
 # from its inputs alone
@@ -195,31 +195,33 @@ def _prober(
     expr: MetricExpr,
     ctx: StepContext,
     name: str,
-) -> tuple[Callable[[Sequence[Point]], list], dict[tuple, tuple[Point, object] | None]]:
+) -> tuple[Callable[..., list], dict]:
     """A step-local probe: ``expr`` on points enhanced through ``evaluators``.
 
-    ``probe(points)`` returns each point's ``expr`` value, or None when
-    the fail policy pruned the point. Points not yet probed in this step
-    go out as one ``enhance_points`` batch, in first-seen order, at the
-    step's parallelism. The memo returned with it maps each probed coords to
-    ``(enhanced point, value)``, or None for a pruned point, in probe
-    order; it is the step's only record of what was evaluated.
+    ``probe(points, keys)`` returns each point's ``expr`` value, or None
+    when the fail policy pruned the point; ``keys`` name the points, by
+    default their coords. Points whose keys were not yet probed in this
+    step go out as one ``enhance_points`` batch, in first-seen order, at
+    the step's parallelism. The memo returned with it maps each probed
+    key to ``(enhanced point, value)``, or None for a pruned point, in
+    probe order; it is the step's only record of what was evaluated.
     """
-    memo: dict[tuple, tuple[Point, object] | None] = {}
+    memo: dict = {}
 
-    def probe(points: Sequence[Point]) -> list:
-        todo = list({p.coords: p for p in points if p.coords not in memo}.values())
+    def probe(points: Sequence[Point], keys: Sequence | None = None) -> list:
+        keys = [p.coords for p in points] if keys is None else keys
+        todo = {key: p for key, p in zip(keys, points) if key not in memo}
         if todo:
             if log.isEnabledFor(logging.DEBUG):
                 log.debug("%s: probing a batch of %d points", name, len(todo))
             batch = enhance_points(
-                todo, schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
+                list(todo.values()), schema, evaluators, ctx.cache, ctx.policy, ctx.parallelism
             )
             kept = [enh for enh in batch if enh is not None]
             values = iter(_values(expr, schema, kept))
-            for p, enh in zip(todo, batch):
-                memo[p.coords] = None if enh is None else (enh, next(values))
-        return [entry and entry[1] for entry in (memo[p.coords] for p in points)]
+            for key, enh in zip(todo, batch):
+                memo[key] = None if enh is None else (enh, next(values))
+        return [entry and entry[1] for entry in map(memo.__getitem__, keys)]
 
     return probe, memo
 
@@ -348,86 +350,87 @@ def quick_prune(
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         schema = check_no_collision(space.schema, evaluators)
 
+        # the walk keys every work-grid point by its position in work.points
         if concern is not None:
             work, images = project_images(space, concern, True)
         else:
-            work, images = space, [p.coords for p in space.points]
+            work, images = space, range(len(space))
         work_schema = check_no_collision(work.schema, evaluators)
-        diag = work.diagonal()  # also enforces the full-grid precondition
+        grid = work.points
+        # diagonal() also enforces the full-grid precondition
+        diag = [work.position(p.coords) for p in work.diagonal()]
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
             # region, so the first kept diagonal point sits near it
-            diag = list(reversed(diag))
+            diag.reverse()
 
         real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
-        rings: dict[tuple, list[Point]] = {}
-        # each point's verdict: as probed (a pruned point fails), or inferred
-        verdicts: dict[tuple, bool] = {}
+        rings: list[list[int] | None] = [None] * len(grid)
+        # each point's verdict: as probed (a pruned point fails), inferred, or None
+        verdicts: list[bool | None] = [None] * len(grid)
         # the verdicts points probed, neither pruned nor degraded, imply
-        kept_by = Dominance(work_schema.cardinalities, side)
-        failed_by = Dominance(work_schema.cardinalities, away)
+        kept_by = Dominance(work, side)
+        failed_by = Dominance(work, away)
 
-        def ring(point: Point) -> list[Point]:
-            if point.coords not in rings:
-                rings[point.coords] = work.neighbours(point, Norm.LINF)
-            return rings[point.coords]
+        def ring(i: int) -> list[int]:
+            if rings[i] is None:
+                rings[i] = work.ring(i, Norm.LINF)
+            return rings[i]
 
-        def land(points: list[Point]) -> None:
+        def land(todo: list[int]) -> None:
             # probe points as one batch and record their verdicts
-            for p, value in zip(points, real_probe(points)):
-                verdicts[p.coords] = bool(value)
+            for i, value in zip(todo, real_probe([grid[i] for i in todo], todo)):
+                verdicts[i] = bool(value)
 
-        def implied(p: Point) -> bool:
+        def implied(i: int) -> bool:
             # infer the point's verdict where exactly one implication holds
-            if (kept := p.coords in kept_by) != (p.coords in failed_by):
-                verdicts[p.coords] = kept
+            if (kept := i in kept_by) != (i in failed_by):
+                verdicts[i] = kept
                 return True
             return False
 
-        def probe(points: Sequence[Point], infer: bool) -> None:
+        def probe(points: Iterable[int], infer: bool) -> None:
             # give every point a verdict, inferred where dominance settles it
-            todo = list({p.coords: p for p in points if p.coords not in verdicts}.values())
+            todo = [i for i in dict.fromkeys(points) if verdicts[i] is None]
             if not infer:
                 land(todo)
                 return
-            todo = [p for p in todo if not implied(p)]
+            todo = [i for i in todo if not implied(i)]
             # probe one antichain at a time, the points whose verdict
             # splits the batch most evenly first, and infer after each
-            below, above = order_masks([p.coords for p in todo])
+            below, above = order_masks([grid[i].coords for i in todo])
             rank = [-min(b.bit_count(), a.bit_count()) for b, a in zip(below, above)]
             ranked = sorted(range(len(todo)), key=rank.__getitem__)
             while ranked:
                 taken, batch = 0, []
-                for i in ranked:
-                    if not (below[i] | above[i]) & taken:
-                        taken |= 1 << i
-                        batch.append(todo[i])
+                for k in ranked:
+                    if not (below[k] | above[k]) & taken:
+                        taken |= 1 << k
+                        batch.append(todo[k])
                 land(batch)
-                bases = [(p.coords, memo[p.coords]) for p in batch]
-                bases = [(c, entry[1]) for c, entry in bases if entry and not entry[0].degraded]
-                kept_by.add(c for c, value in bases if value)
-                failed_by.add(c for c, value in bases if not value)
-                ranked = [i for i in ranked if not taken >> i & 1 and not implied(todo[i])]
+                bases = [(i, memo[i]) for i in batch]
+                bases = [(i, entry[1]) for i, entry in bases if entry and not entry[0].degraded]
+                kept_by.add(i for i, value in bases if value)
+                failed_by.add(i for i, value in bases if not value)
+                ranked = [k for k in ranked if not taken >> k & 1 and not implied(todo[k])]
 
-        def on_frontier(point: Point) -> bool:
+        def on_frontier(i: int) -> bool:
             # the point and its whole ring have a verdict
-            return verdicts.get(point.coords) and not all(
-                map(verdicts.get, map(_coords, ring(point)))
-            )
+            return verdicts[i] and not all(map(verdicts.__getitem__, ring(i)))
 
-        def closure(reached: dict[tuple, Point]) -> set[tuple]:
-            closed = Dominance(work_schema.cardinalities, side)
+        def closure(reached: dict[int, None]) -> set[int]:
+            closed = Dominance(work, side)
             closed.add(reached)
-            return closed.coords()
+            return set(closed.positions())
 
-        def walk(infer: bool) -> dict[tuple, Point]:
+        def walk(infer: bool) -> dict[int, None]:
             """The seed and the frontier points reached from it."""
             # Start: first kept point on the diagonal, nudged onto the frontier
             seed = None
-            for p in diag:
-                probe([p], infer)
-                if verdicts[p.coords]:
-                    seed = p
+            for i in diag:
+                probe([i], infer)
+                if verdicts[i]:
+                    seed = i
                     break
             if seed is not None:
                 probe(ring(seed), infer)
@@ -440,17 +443,16 @@ def quick_prune(
                             break
 
             # Frontier: breadth-wise Chebyshev expansion from the seed
-            reached: dict[tuple, Point] = {} if seed is None else {seed.coords: seed}
-            wave = list(reached.values())
+            reached = {} if seed is None else {seed: None}
+            wave = list(reached)
             while wave:
-                around = list(
-                    {q.coords: q for p in wave for q in ring(p) if q.coords not in reached}.values()
-                )
+                around = [q for q in dict.fromkeys(chain.from_iterable(map(ring, wave)))
+                          if q not in reached]
                 probe(around, infer)
-                candidates = [q for q in around if verdicts[q.coords]]
-                probe([r for q in candidates for r in ring(q)], infer)
+                candidates = [q for q in around if verdicts[q]]
+                probe(chain.from_iterable(map(ring, candidates)), infer)
                 wave = [q for q in candidates if on_frontier(q)]
-                reached.update((q.coords, q) for q in wave)
+                reached.update(dict.fromkeys(wave))
             return reached
 
         reached = walk(True)
@@ -459,21 +461,22 @@ def quick_prune(
         # Audit: probe a fixed-seed sample of the verdicts asserted
         # without a probe; a closure member nobody probed is asserted kept
         asserted = [
-            p for p in work.points
-            if p.coords not in memo and (p.coords in verdicts or p.coords in closed)
+            i for i in range(len(grid))
+            if i not in memo and (verdicts[i] is not None or i in closed)
         ]
         audit = random.Random(AUDIT_SEED).sample(asserted, math.ceil(math.sqrt(len(asserted))))
-        claims = [verdicts.get(p.coords) is not False for p in audit]
-        n_inferred = len(verdicts) - len(memo)
+        claims = [verdicts[i] is not False for i in audit]
+        n_inferred = len(grid) - verdicts.count(None) - len(memo)
         land(audit)
-        audit_failures = sum(verdicts[p.coords] != claim for p, claim in zip(audit, claims))
+        audit_failures = sum(verdicts[i] != claim for i, claim in zip(audit, claims))
         if audit_failures:
-            for c in verdicts.keys() - memo.keys():  # the inferred verdicts
-                del verdicts[c]
+            for i in range(len(grid)):
+                if i not in memo:  # drop the inferred verdicts
+                    verdicts[i] = None
             reached = walk(False)
             closed = closure(reached)
-        frontier = [c for c, p in reached.items() if on_frontier(p)]
-        failures_in_closure = sum(c in memo and not verdicts[c] for c in closed)
+        frontier = [grid[i].coords for i in reached if on_frontier(i)]
+        failures_in_closure = sum(i in memo and not verdicts[i] for i in closed)
 
         ctx.extra.update({
             "predicate_evaluations": len(memo),
@@ -482,7 +485,7 @@ def quick_prune(
             "audited": len(audit),
             "audit_failures": audit_failures,
             "fell_back": bool(audit_failures),
-            "unprobed_kept": sum(c not in memo and verdicts.get(c) is not False for c in closed),
+            "unprobed_kept": sum(i not in memo and verdicts[i] is not False for i in closed),
             "failures_in_closure": failures_in_closure,
             "frontier_size": len(frontier),
             "frontier": sorted(frontier),
@@ -506,12 +509,16 @@ def quick_prune(
         # hold None for them.
         known = len(space.schema.metrics)
         unprobed = (None,) * (len(schema.metrics) - known)
-        out = []
-        for p, coords in zip(space.points, images):
-            if coords in closed and verdicts.get(coords) is not False:
-                entry = memo.get(coords)
+        tails = [None] * len(grid)  # per retained image, its metrics and degraded flag
+        for i in closed:
+            if verdicts[i] is not False:
+                entry = memo.get(i)
                 enh = entry and entry[0]
-                tail, degraded = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)
+                tails[i] = (enh.metrics[known:], enh.degraded) if enh else (unprobed, False)
+        out = []
+        for p, i in zip(space.points, images):
+            if tails[i] is not None:
+                tail, degraded = tails[i]
                 out.append(_point(p.coords, p.metrics + tail, p.degraded or degraded))
         return space.derive(out, schema)
 

@@ -830,6 +830,40 @@ class TestReportCommand:
         assert captured.out == ""
         assert captured.err == f"error: {path}: line 4: {reason}\n"
 
+    @pytest.mark.parametrize(
+        "flag, text",
+        [("--keep", "m / a > 1"), ("--sort", "m / a"), ("--sort", "m / (a - 2)")],
+        ids=["keep", "sort", "sort_later_row"],
+    )
+    def test_zero_divisor_row_reports_the_first_failing_row(self, tmp_path, capsys, flag, text):
+        # the column fails; the error is the one the first failing row
+        # raises on its own, and a row missing a name is never evaluated
+        from dsex import parse_expr
+        from dsex.cli import main
+        from dsex.errors import EvalError
+
+        path = tmp_path / "frame.csv"
+        path.write_text("a,m\n1.0,3.0\n,2.0\n0.0,0.0\n2.0,1.0\n0.0,5.0\n")
+        rows = [{"a": 1.0, "m": 3.0}, {"a": 0.0, "m": 0.0}, {"a": 2.0, "m": 1.0}]
+        with pytest.raises(EvalError) as first:
+            for row in rows:
+                parse_expr(text)(row)
+        assert main(["report", "--frame", str(path), flag, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {first.value}\n"
+
+    def test_guarded_zero_divisor_stays_a_column(self, tmp_path, capsys):
+        from dsex.cli import main
+
+        path = tmp_path / "frame.csv"
+        path.write_text("a,m\n1.0,3.0\n,2.0\n0.0,0.0\n4.0,1.0\n0.0,5.0\n")
+        assert main([
+            "report", "--frame", str(path), "--keep", "a == 0 || m / a > 1", "--sort", "m",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("|")[1].strip() for line in lines[1:]] == ["0.00", "1.00", "0.00"]
+
     def test_empty_csv_cell_is_a_missing_value(self, tmp_path, capsys):
         from dsex.cli import main
 

@@ -107,6 +107,17 @@ class TestEvaluation:
     def test_short_circuit_guards_division(self):
         assert parse_expr("a == 0 || b / a > 1")({"a": 0.0, "b": 3.0}) is True
 
+    def test_short_circuit_guards_division_in_a_column(self):
+        # the right operands see only the rows their left values leave open
+        env = {"a": [0.0, 2.0, 0.0, 1.0], "b": [3.0, 3.0, 1.0, 0.5]}
+        guard = parse_expr("a == 0 || b / a > 1")
+        assert guard.column(env, 4) == [True, True, True, False]
+        both = parse_expr("a != 0 && b / a > 1 && (a > 1 || b / (a - 1) > 0)")
+        assert both.column(env, 4) == [False, True, False, False]
+        with pytest.raises(EvalError) as err:
+            parse_expr("a != 1 && b / a > 1").column(env, 4)
+        assert err.value.kind is EvalErrorKind.DIV_BY_ZERO
+
     def test_division_by_zero(self):
         with pytest.raises(EvalError) as err:
             parse_expr("1 / x")({"x": 0.0})
@@ -336,9 +347,9 @@ def _check_rows(tree, rows):
         column = expr.column(env, n)
         outcome = "column"
     except EvalError:
-        # a column raises where a row does, or behind a short circuit
-        outcome = "errors" if any(errors) else "short_circuit"
-        assert any(errors) or "&&" in expr.source or "||" in expr.source, expr.source
+        # a column raises only where some row does, short circuits included
+        outcome = "errors"
+        assert any(errors), expr.source
     else:
         assert not any(errors), expr.source
         assert len(column) == n and all(map(_same, column, per_row)), expr.source
@@ -389,12 +400,14 @@ def _random_rows(rng: random.Random) -> list[dict]:
 
 
 def _guarded(rng: random.Random):
-    """A division by a name that a short circuit guards against zero."""
-    divisor = ("var", rng.choice(_NAMES))
+    """A division by a name that a short circuit guards against zero, and
+    the name."""
+    name = rng.choice(_NAMES)
+    divisor = ("var", name)
     ratio = (rng.choice(_COMPARISONS), ("/", _random_tree(rng, 2, False), divisor), 1.0)
     if rng.random() < 0.5:
-        return ("||", ("==", divisor, 0.0), ratio)
-    return ("&&", ("!=", divisor, 0.0), ratio)
+        return ("||", ("==", divisor, 0.0), ratio), name
+    return ("&&", ("!=", divisor, 0.0), ratio), name
 
 
 def test_columns_match_rows_on_random_expressions():
@@ -403,12 +416,16 @@ def test_columns_match_rows_on_random_expressions():
     for k in range(600):
         if k % 4:
             tree = _random_tree(rng, rng.randint(1, 5), rng.random() < 0.5)
+            outcomes[_check_rows(tree, _random_rows(rng))] += 1
         else:
-            tree = _guarded(rng)
-        outcomes[_check_rows(tree, _random_rows(rng))] += 1
-    # the draw reaches every case: columns evaluated whole, rows that
-    # fail, and columns that fail only behind a short circuit
-    assert set(outcomes) == {"column", "errors", "short_circuit"}
+            tree, divisor = _guarded(rng)
+            rows = _random_rows(rng)
+            outcome = _check_rows(tree, rows)
+            guarded = any(row.get(divisor) == 0.0 for row in rows)
+            outcomes[f"guarded_{outcome}" if guarded else outcome] += 1
+    # the draw reaches every case: columns evaluated whole, rows that fail,
+    # and columns whose short circuit guards some rows' zero divisor
+    assert set(outcomes) >= {"column", "errors", "guarded_column"}
 
 
 _names = st.sampled_from(_NAMES).map(lambda name: ("var", name))

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,19 @@ class TestNeighbours:
         with pytest.raises(PointNotInSpace):
             space.neighbours(Point((3, 1)), Norm.LINF)
 
+    @pytest.mark.parametrize("norm", list(Norm))
+    @pytest.mark.parametrize("sparse", [False, True], ids=["full", "sparse"])
+    @pytest.mark.parametrize("coords", [(0, 5), (1, -1), (3, 0), (-1, 1), (0, -1), (0,), (0, 0, 0)])
+    def test_coords_off_the_grid_are_not_aliased(self, norm, sparse, coords):
+        # on a 3x2 grid (0, 5) has the row-major index of (2, 1) and (1, -1)
+        # that of (0, 1): the index must refuse them, not answer for another
+        space = grid(3, 2)
+        assert space.schema.strides == (2, 1)
+        if sparse:
+            space = DesignSpace(space.schema, space.points[::-1][:4])
+        with pytest.raises(PointNotInSpace):
+            space.neighbours(Point(coords), norm)
+
     @settings(max_examples=60, deadline=None)
     @given(
         dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
@@ -334,6 +348,16 @@ class TestDiagonal:
         with pytest.raises(NotAFullGrid):
             partial.diagonal()
 
+    def test_permuted_full_grid(self):
+        # the diagonal is a walk through the grid, whatever the points' order
+        space = grid(3, 5)
+        points = list(space.points)
+        random.Random(0).shuffle(points)
+        permuted = DesignSpace(space.schema, points)
+        diag = permuted.diagonal()
+        assert [p.coords for p in diag] == [p.coords for p in space.diagonal()]
+        assert all(any(p is q for q in points) for p in diag)
+
     @settings(max_examples=60, deadline=None)
     @given(dims=st.lists(st.integers(1, 9), min_size=1, max_size=4))
     def test_endpoints_and_steps(self, dims):
@@ -347,9 +371,10 @@ class TestDiagonal:
 
 
 def closure_of(space, frontier, side):
-    closure = Dominance(space.schema.cardinalities, side)
-    closure.add(frontier)
-    return closure.coords()
+    # the closure of the frontier's coords, as coords
+    closure = Dominance(space, side)
+    closure.add(map(space.position, frontier))
+    return {space.points[i].coords for i in closure.positions()}
 
 
 class TestDominanceClosure:
@@ -363,19 +388,21 @@ class TestDominanceClosure:
         data=st.data(),
     )
     def test_matches_all_pairs(self, dims, side, data):
-        space = grid(*dims)
+        # on the grid's points in any order: the closure takes and gives positions
+        full = grid(*dims)
+        space = DesignSpace(full.schema, data.draw(st.permutations(full.points)))
         coords = [p.coords for p in space.points]
         frontier = data.draw(st.lists(st.sampled_from(coords), max_size=5))
         beyond = operator.ge if side is KeepSide.UPWARD else operator.le
         expected = {c for c in coords if any(all(map(beyond, c, f)) for f in frontier)}
         assert closure_of(space, frontier, side) == expected
         # adding the frontier in two parts closes the same set
-        closure = Dominance(space.schema.cardinalities, side)
+        closure = Dominance(space, side)
         split = data.draw(st.integers(0, len(frontier)))
-        closure.add(frontier[:split])
-        closure.add(frontier[split:])
-        assert closure.coords() == expected
-        assert all((c in closure) == (c in expected) for c in coords)
+        closure.add(map(space.position, frontier[:split]))
+        closure.add(map(space.position, frontier[split:]))
+        assert {coords[i] for i in closure.positions()} == expected
+        assert all((i in closure) == (c in expected) for i, c in enumerate(coords))
 
     @pytest.mark.parametrize("side", list(KeepSide))
     def test_empty_frontier_closes_nothing(self, side):

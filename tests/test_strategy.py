@@ -599,6 +599,103 @@ BATCH_CASES = {
 }
 
 
+def _permuted(case, shuffle):
+    space, *rest = BATCH_CASES[case]
+    points = list(space.points)
+    shuffle(points)
+    return (DesignSpace(space.schema, points), *rest)
+
+
+# the same grids with their points out of row-major order: quick_prune
+# walks positions, so its probe order must follow the grid, not the order
+PERMUTED_CASES = {
+    "2d_up_reversed": _permuted("2d_up", list.reverse),
+    "concern_3d_up_shuffled": _permuted("concern_3d_up", random.Random(0).shuffle),
+}
+
+# the coords each case probes at parallelism 1, in probe order (on the
+# projected grid where the case has a concern)
+PROBE_SEQUENCES = {
+    "2d_up": [
+        (0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (3, 3), (4, 2), (3, 4), (5, 2), (2, 4),
+        (6, 2), (1, 5), (6, 1), (1, 4), (7, 1), (0, 5), (8, 1), (8, 0), (7, 4), (8, 6),
+        (8, 3), (5, 3), (0, 6), (3, 6),
+    ],
+    "2d_down": [
+        (8, 6), (7, 5), (6, 5), (5, 4), (4, 3), (3, 2), (2, 3), (4, 1), (3, 3), (4, 2),
+        (2, 4), (5, 0), (3, 4), (1, 5), (2, 5), (1, 6), (2, 6), (2, 0), (2, 1), (0, 1),
+        (1, 1), (3, 1),
+    ],
+    "2d_seed_nudge": [
+        (0, 0), (3, 4), (3, 6), (0, 3), (2, 3), (4, 5), (4, 4), (3, 5), (0, 1), (1, 0),
+        (1, 1), (0, 2), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (0, 4), (1, 4), (3, 0),
+        (3, 1), (0, 5), (1, 5), (4, 0), (4, 1), (0, 6), (1, 6), (2, 4), (2, 5), (2, 6),
+        (5, 0), (5, 1), (6, 0), (6, 1), (4, 2), (5, 2), (6, 2), (4, 6), (5, 3), (6, 3),
+        (5, 5), (5, 6), (5, 4), (6, 4), (6, 5), (6, 6),
+    ],
+    "3d_up": [
+        (0, 0, 0), (1, 1, 1), (2, 1, 2), (2, 2, 3), (1, 2, 3), (1, 1, 4), (1, 3, 2),
+        (2, 1, 3), (2, 2, 2), (3, 1, 2), (1, 2, 4), (1, 3, 3), (2, 1, 4), (2, 3, 2),
+        (3, 1, 3), (3, 2, 2), (2, 0, 5), (3, 0, 4), (4, 0, 3), (0, 2, 5), (0, 3, 4),
+        (3, 3, 1), (4, 2, 1), (1, 1, 5), (4, 1, 2), (0, 1, 5), (0, 2, 4), (0, 3, 3),
+        (1, 0, 5), (2, 0, 4), (3, 0, 3), (2, 3, 1), (3, 2, 1), (4, 0, 2), (4, 1, 1),
+        (3, 3, 0), (4, 2, 0), (4, 3, 0), (4, 2, 4), (2, 2, 4), (4, 1, 0), (4, 3, 1),
+        (2, 3, 0), (0, 1, 3), (1, 3, 4), (3, 0, 5),
+    ],
+    "3d_down": [
+        (4, 3, 5), (3, 2, 4), (2, 2, 3), (2, 1, 2), (3, 1, 2), (1, 1, 3), (1, 2, 2),
+        (2, 0, 3), (2, 2, 1), (2, 1, 3), (2, 2, 2), (3, 0, 3), (3, 2, 1), (1, 2, 3),
+        (3, 1, 3), (3, 2, 2), (1, 1, 4), (1, 3, 1), (0, 3, 3), (3, 0, 4), (3, 3, 0),
+        (4, 1, 1), (4, 0, 3), (0, 2, 4), (4, 2, 0), (1, 3, 2), (2, 3, 1), (2, 1, 4),
+        (4, 1, 2), (1, 2, 4), (4, 0, 4), (4, 2, 1), (0, 3, 2), (2, 3, 0), (3, 1, 4),
+        (4, 1, 3), (2, 0, 5), (0, 1, 5), (1, 1, 5), (3, 0, 5), (0, 2, 5), (2, 1, 5),
+        (4, 0, 5), (3, 0, 2), (3, 2, 0), (0, 0, 5), (1, 3, 4), (4, 2, 2), (4, 1, 0),
+        (3, 1, 1), (2, 0, 4), (4, 0, 2),
+    ],
+    "concern_3d_up": [
+        (0, 0, 0), (1, 1, 1), (2, 2, 1), (2, 3, 2), (1, 3, 2), (1, 2, 3), (1, 4, 1),
+        (2, 2, 2), (2, 3, 1), (3, 2, 1), (1, 2, 2), (1, 3, 1), (0, 4, 2), (1, 5, 0),
+        (2, 4, 0), (3, 1, 2), (3, 3, 0), (4, 2, 0), (0, 3, 3), (2, 1, 3), (0, 5, 1),
+        (4, 1, 1), (0, 2, 3), (1, 1, 3), (0, 4, 1), (0, 5, 0), (1, 4, 0), (3, 1, 1),
+        (3, 2, 0), (4, 1, 0), (0, 3, 2), (2, 1, 2), (2, 3, 0), (3, 0, 3), (4, 0, 2),
+        (2, 0, 3), (3, 0, 2), (4, 0, 1), (3, 5, 0), (4, 0, 0), (0, 3, 1), (2, 5, 1),
+        (4, 4, 1), (4, 3, 2), (3, 5, 2), (3, 1, 0), (4, 3, 1),
+    ],
+    "concern_2d_down": [
+        (6, 5), (5, 4), (4, 3), (3, 3), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4),
+        (4, 1), (2, 4), (4, 0), (1, 5), (5, 0), (2, 5), (3, 4), (5, 1), (1, 0), (0, 0),
+    ],
+    "dummy_3d_down": [
+        (16, 8, 2), (15, 8, 2), (14, 7, 2), (13, 7, 2), (12, 6, 2), (11, 7, 2),
+        (12, 7, 1), (13, 5, 2), (13, 6, 1), (11, 7, 1), (10, 7, 1), (11, 7, 0),
+        (14, 4, 1), (14, 5, 0), (13, 6, 0), (14, 4, 2), (14, 5, 1), (10, 7, 0),
+        (14, 5, 2), (15, 4, 1), (15, 5, 0), (15, 3, 2), (9, 7, 1), (15, 4, 2),
+        (9, 7, 0), (16, 3, 1), (16, 4, 0), (16, 2, 2), (8, 7, 1), (16, 2, 1),
+        (16, 3, 0), (8, 7, 2), (16, 2, 0), (7, 8, 1), (8, 8, 0), (16, 1, 1), (7, 8, 0),
+        (16, 1, 0), (6, 8, 1), (16, 0, 1), (6, 8, 0), (16, 0, 0), (5, 8, 1), (5, 8, 0),
+        (4, 8, 1), (4, 8, 0), (3, 8, 1), (3, 8, 0), (2, 8, 1), (2, 8, 0), (1, 8, 1),
+        (1, 8, 0), (0, 8, 1), (0, 8, 2), (7, 7, 1), (8, 5, 0), (0, 6, 2), (5, 2, 1),
+        (10, 4, 0), (9, 8, 2), (8, 2, 1), (6, 1, 2), (9, 6, 2), (7, 2, 2), (12, 2, 0),
+        (4, 3, 2), (10, 3, 0), (2, 7, 0), (5, 6, 1), (1, 7, 2), (13, 0, 2), (5, 1, 0),
+        (11, 0, 1), (15, 4, 0),
+    ],
+    "2d_up_reversed": [
+        (0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (5, 2), (3, 4), (3, 3), (6, 2), (2, 5),
+        (2, 4), (1, 5), (7, 1), (1, 4), (8, 1), (0, 6), (0, 5), (8, 0), (4, 2), (0, 4),
+        (2, 3), (6, 4), (8, 5), (7, 3),
+    ],
+    "concern_3d_up_shuffled": [
+        (0, 0, 0), (1, 1, 1), (2, 2, 1), (2, 3, 2), (1, 3, 2), (1, 2, 3), (2, 3, 1),
+        (2, 2, 2), (1, 4, 1), (3, 2, 1), (1, 2, 2), (1, 3, 1), (3, 1, 2), (2, 4, 0),
+        (3, 3, 0), (1, 5, 0), (0, 4, 2), (4, 2, 0), (2, 1, 3), (0, 3, 3), (0, 5, 1),
+        (4, 1, 1), (1, 1, 3), (0, 2, 3), (1, 4, 0), (3, 2, 0), (3, 1, 1), (0, 5, 0),
+        (0, 4, 1), (4, 1, 0), (2, 1, 2), (2, 3, 0), (0, 3, 2), (4, 0, 2), (3, 0, 3),
+        (2, 0, 3), (3, 0, 2), (4, 0, 1), (2, 2, 0), (2, 1, 0), (4, 0, 3), (2, 4, 3),
+        (4, 4, 1), (2, 0, 1), (4, 4, 0), (3, 4, 0), (3, 1, 0),
+    ],
+}
+
+
 class TestQuickPruneBatches:
     @pytest.mark.parametrize("case", BATCH_CASES, ids=str)
     def test_evaluations_do_not_depend_on_parallelism(self, case):
@@ -618,6 +715,14 @@ class TestQuickPruneBatches:
             )
         assert runs[1] == runs[4]
         assert runs[1][1] == pinned
+
+    @pytest.mark.parametrize("case", PROBE_SEQUENCES, ids=str)
+    def test_probe_sequence_is_pinned(self, case):
+        space, expression, keep, side, concern, pinned = {**BATCH_CASES, **PERMUTED_CASES}[case]
+        ev, calls = counting(expr_evaluator("e", "m", expression))
+        quick_prune([ev], keep, side=side, concern=concern).apply(space, ctx())
+        assert calls == PROBE_SEQUENCES[case]
+        assert len(calls) == pinned
 
     def test_parallelism_reaches_the_probes(self):
         space = grid(5, 5)
