@@ -69,8 +69,8 @@ class Provenance:
 
     def write_json(self, path: str | Path) -> None:
         with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+            # one write: json.dump writes each token on its own
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 # the JSON text json.dumps gives the values whose repr is not JSON

@@ -5,11 +5,12 @@ fails with an EvalError); an in-process one may also turn a whole batch
 of points into columns of them. All evaluator invocations are routed
 through a write-once cache keyed by (evaluator name, frozen params,
 domain values, coords); stored failures are replayed on later lookups
-so expensive timeouts are never retried. A batch whose chain has
-column forms is evaluated a column at a time on the calling thread;
-any other batch, or one where some point fails, point by point,
-optionally in parallel, with results always reassembled in point-index
-order so output never depends on completion timing.
+so expensive timeouts are never retried. A batch whose cached results
+leave only column forms to run is evaluated a column at a time on the
+calling thread, so a fully cached batch costs one lookup per
+evaluator; any other batch, or one where some point fails, point by
+point, optionally in parallel, with results always reassembled in
+point-index order so output never depends on completion timing.
 """
 
 from __future__ import annotations
@@ -250,28 +251,33 @@ class Cache:
     def run_columns(
         self, evaluators: Sequence[Evaluator], schema: Schema, points: Sequence[Point]
     ) -> list[Point] | None:
-        """The chain's enhanced points for a batch, through the column forms.
+        """The chain's enhanced points for a batch, one lookup per evaluator.
 
-        Per evaluator, the batch is looked up in one table and the
-        distinct coords it lacks are evaluated as one column. Returns
-        None, having stored and counted nothing, unless every evaluator
-        yields finite values of its arity for every point and no stored
-        failure is met; the per-point path then raises, applies the fail
-        policy and counts exactly as it does for any other batch. On
-        success the counts are those of the per-point path run in order.
+        Per evaluator, the batch is looked up in one table. When an
+        evaluator with no column form lacks a result, or a stored failure
+        is met, it returns None before it evaluates anything. Otherwise
+        each evaluator evaluates the distinct coords it lacks as one
+        column, and it returns None, having stored and counted nothing,
+        unless every column holds finite values of its evaluator's arity.
+        On None the per-point path raises, applies the fail policy and
+        counts exactly as it does for any other batch. On success the
+        counts are those of the per-point path run in order.
         """
         coords = list(map(_coords, points))
+        keys = [(ev.name, schema.frozen, schema.floats) for ev in evaluators]
+        founds = [list(map(self._tables.get(key, {}).get, coords)) for key in keys]
+        for ev, found in zip(evaluators, founds):
+            kinds = set(map(type, found))
+            # a stored failure, or a miss only the per-point path can fill
+            if kinds - {tuple, type(None)} or (ev.column_func is None and type(None) in kinds):
+                return None
         current = list(points)
         staged, hits = [], 0
-        for ev in evaluators:
-            key = (ev.name, schema.frozen, schema.floats)
-            found = list(map(self._tables.get(key, {}).get, coords))
+        for ev, key, found in zip(evaluators, keys, founds):
             todo: dict[tuple, Point] = {}  # each missing coords' first point
             for c, p, stored in zip(coords, current, found):
                 if stored is None:
                     todo.setdefault(c, p)
-                elif type(stored) is not tuple:  # a stored failure
-                    return None
             hits += len(coords) - len(todo)
             new: dict[tuple, tuple[float, ...]] = {}
             if todo:
@@ -285,7 +291,7 @@ class Cache:
                 ):
                     return None
                 new = dict(zip(todo, zip(*columns)))
-            staged.append((key, new))
+                staged.append((key, new))
             current = [
                 _point(c, p.metrics + (stored or new[c]), p.degraded)
                 for c, p, stored in zip(coords, current, found)
@@ -350,14 +356,15 @@ def enhance_points(
 ) -> list[Point | None]:
     """Batch form of enhance_point; output is aligned with the input.
 
-    When every evaluator has a column form, the batch first goes to
-    ``Cache.run_columns`` on the calling thread. Otherwise, or when that
-    declines, only points with an evaluation missing from the cache go
-    to the thread pool; the others resolve on the calling thread. Under
-    ABORT with parallel execution the error surfaced is the one of the
-    earliest failing point in index order, never the first to complete.
+    The batch first goes to ``Cache.run_columns`` on the calling thread,
+    so a fully cached batch resolves with one lookup per evaluator,
+    whatever its kind. When that declines, only points with an
+    evaluation missing from the cache go to the thread pool; the others
+    resolve on the calling thread. Under ABORT with parallel execution
+    the error surfaced is the one of the earliest failing point in index
+    order, never the first to complete.
     """
-    if points and all(ev.column_func is not None for ev in evaluators):
+    if points:
         done = cache.run_columns(evaluators, schema, points)
         if done is not None:
             return done

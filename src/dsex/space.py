@@ -389,6 +389,20 @@ class DesignSpace:
         return [self.points[slots[i]] for i in at]
 
 
+def _landing(schema: Schema, up: bool) -> list[int]:
+    """Per axis, the row-major bits of a full grid that a one-index step
+    up (``up``) or down along it may land on: all but the axis's first
+    (last) coordinate."""
+    size = math.prod(schema.cardinalities)
+    masks = []
+    for n, stride in zip(schema.cardinalities, schema.strides):
+        inner = "1" * (stride * (n - 1))
+        period = "0" * stride + inner if up else inner + "0" * stride
+        # character i of the string is bit i
+        masks.append(int((period * (size // (stride * n)))[::-1], 2))
+    return masks
+
+
 class Dominance:
     """The positions of a full grid's points at or above (``UPWARD``) or
     at or below (``DOWNWARD``) the point at some position added so far,
@@ -406,12 +420,7 @@ class Dominance:
         self.rows, self.slots = space._index
         self.up, self.bits = side is KeepSide.UPWARD, 0
         self.size = math.prod(self.cards)
-        self.masks = []  # per axis, the bits a one-index step may land on
-        for n, stride in zip(self.cards, self.strides):
-            inner = "1" * (stride * (n - 1))
-            period = "0" * stride + inner if self.up else inner + "0" * stride
-            # character i of the string is bit i
-            self.masks.append(int((period * (self.size // (stride * n)))[::-1], 2))
+        self.masks = _landing(space.schema, self.up)
 
     def __contains__(self, position: int) -> bool:
         return bool(self.bits >> self.rows[position] & 1)
@@ -431,6 +440,47 @@ class Dominance:
         """The positions in the set, in row-major order."""
         flags = format(self.bits, f"0{self.size}b")[::-1]
         return [self.slots[i] for i, flag in enumerate(flags) if flag == "1"]
+
+
+class Rings:
+    """A full grid's Chebyshev rings, as bitsets over row-major indices.
+
+    ``rings[position]`` holds the bits of ``ring(position, Norm.LINF)``:
+    the point's bit ORed into itself shifted one index down and up along
+    each axis in turn, under ``Dominance``'s landing masks, less its own
+    bit. Each ring is built once, in O(axes) big-integer operations.
+    Like ``Dominance``, it needs the space to be a full grid, which it
+    does not check.
+    """
+
+    def __init__(self, space: DesignSpace):
+        schema = space.schema
+        self.rows, self.slots = space._index
+        self.axes = list(zip(schema.strides, _landing(schema, True), _landing(schema, False)))
+        self.memo: list[int | None] = [None] * len(space)
+
+    def __getitem__(self, position: int) -> int:
+        ring = self.memo[position]
+        if ring is None:
+            me = bits = 1 << self.rows[position]
+            for stride, up, down in self.axes:
+                bits |= bits << stride & up | bits >> stride & down
+            ring = self.memo[position] = bits ^ me
+        return ring
+
+    def bits(self, positions: Iterable[int]) -> int:
+        """The bits of the points at ``positions``."""
+        return sum({1 << self.rows[i] for i in positions})  # distinct bits: sum is OR
+
+    def positions(self, bits: int) -> list[int]:
+        """The positions of the points in ``bits``, ascending."""
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self.slots[low.bit_length() - 1])
+            bits ^= low
+        out.sort()  # a no-op on a grid in row-major order
+        return out
 
 
 def order_masks(coords: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:

@@ -18,7 +18,6 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, Sequence
 
@@ -44,9 +43,12 @@ from .metrics import (
     env_columns,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, project_space
-from .space import Dominance, _point, order_masks, project_images
+from .space import Dominance, Rings, _point, order_masks, project_images
 
 log = logging.getLogger(__name__)
+# quick_prune's kept points that no probe checked, on a logger of their
+# own, so they can be shown or silenced apart from the probe batches
+unprobed_log = log.getChild("unprobed")
 
 
 # seeds quick_prune's audit sample, so the points a step probes follow
@@ -341,7 +343,8 @@ def quick_prune(
     the kept work-grid points nobody probed (``unprobed_kept``) and the
     probed closure members that failed or were pruned
     (``failures_in_closure``). A fallback or such a failure logs a
-    warning.
+    warning; the ``dsex.strategy.unprobed`` debug log names the coords
+    of the work-grid points kept without a probe.
     """
     keep_expr = predicate(keep, "keep condition")
     evaluators = _chain(evaluators)
@@ -365,27 +368,30 @@ def quick_prune(
             diag.reverse()
 
         real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
-        rings: list[list[int] | None] = [None] * len(grid)
+        rings = Rings(work)
+        members = rings.positions
         # each point's verdict: as probed (a pruned point fails), inferred, or None
         verdicts: list[bool | None] = [None] * len(grid)
+        kept_bits = 0  # the points whose verdict is True, as bits like the rings
         # the verdicts points probed, neither pruned nor degraded, imply
         kept_by = Dominance(work, side)
         failed_by = Dominance(work, away)
 
-        def ring(i: int) -> list[int]:
-            if rings[i] is None:
-                rings[i] = work.ring(i, Norm.LINF)
-            return rings[i]
+        def decide(i: int, kept: bool) -> None:
+            nonlocal kept_bits
+            verdicts[i] = kept
+            if kept:
+                kept_bits |= 1 << rings.rows[i]
 
         def land(todo: list[int]) -> None:
             # probe points as one batch and record their verdicts
             for i, value in zip(todo, real_probe([grid[i] for i in todo], todo)):
-                verdicts[i] = bool(value)
+                decide(i, bool(value))
 
         def implied(i: int) -> bool:
             # infer the point's verdict where exactly one implication holds
             if (kept := i in kept_by) != (i in failed_by):
-                verdicts[i] = kept
+                decide(i, kept)
                 return True
             return False
 
@@ -415,16 +421,27 @@ def quick_prune(
                 ranked = [k for k in ranked if not taken >> k & 1 and not implied(todo[k])]
 
         def on_frontier(i: int) -> bool:
-            # the point and its whole ring have a verdict
-            return verdicts[i] and not all(map(verdicts.__getitem__, ring(i)))
+            # the point is kept and some point of its ring is not
+            return bool(verdicts[i] and rings[i] & ~kept_bits)
 
-        def closure(reached: dict[int, None]) -> set[int]:
+        def spread(points: Iterable[int], seen: int) -> list[int]:
+            # the points' rings less ``seen``: each ring ascending, in
+            # the points' order, every point at its first occurrence
+            out = []
+            for i in points:
+                new = rings[i] & ~seen
+                if new:
+                    seen |= new
+                    out += members(new)
+            return out
+
+        def closure(reached: int) -> set[int]:
             closed = Dominance(work, side)
-            closed.add(reached)
+            closed.add(members(reached))
             return set(closed.positions())
 
-        def walk(infer: bool) -> dict[int, None]:
-            """The seed and the frontier points reached from it."""
+        def walk(infer: bool) -> int:
+            """The bits of the seed and the frontier points reached from it."""
             # Start: first kept point on the diagonal, nudged onto the frontier
             seed = None
             for i in diag:
@@ -433,26 +450,27 @@ def quick_prune(
                     seed = i
                     break
             if seed is not None:
-                probe(ring(seed), infer)
+                around = members(rings[seed])
+                probe(around, infer)
                 if not on_frontier(seed):
                     # interior: move to the first ring member on the frontier, if any
-                    for q in ring(seed):
-                        probe(ring(q), infer)
+                    for q in around:
+                        probe(members(rings[q]), infer)
                         if on_frontier(q):
                             seed = q
                             break
 
             # Frontier: breadth-wise Chebyshev expansion from the seed
-            reached = {} if seed is None else {seed: None}
-            wave = list(reached)
+            wave = [] if seed is None else [seed]
+            reached = rings.bits(wave)
             while wave:
-                around = [q for q in dict.fromkeys(chain.from_iterable(map(ring, wave)))
-                          if q not in reached]
+                around = spread(wave, reached)
                 probe(around, infer)
                 candidates = [q for q in around if verdicts[q]]
-                probe(chain.from_iterable(map(ring, candidates)), infer)
+                # the kept points of these rings already have their verdict
+                probe(spread(candidates, kept_bits), infer)
                 wave = [q for q in candidates if on_frontier(q)]
-                reached.update(dict.fromkeys(wave))
+                reached |= rings.bits(wave)
             return reached
 
         reached = walk(True)
@@ -473,10 +491,14 @@ def quick_prune(
             for i in range(len(grid)):
                 if i not in memo:  # drop the inferred verdicts
                     verdicts[i] = None
+            kept_bits = rings.bits(i for i in memo if verdicts[i])
             reached = walk(False)
             closed = closure(reached)
-        frontier = [grid[i].coords for i in reached if on_frontier(i)]
+        frontier = [grid[i].coords for i in members(reached) if on_frontier(i)]
         failures_in_closure = sum(i in memo and not verdicts[i] for i in closed)
+
+        def unprobed_kept(i: int) -> bool:
+            return i not in memo and verdicts[i] is not False
 
         ctx.extra.update({
             "predicate_evaluations": len(memo),
@@ -485,11 +507,16 @@ def quick_prune(
             "audited": len(audit),
             "audit_failures": audit_failures,
             "fell_back": bool(audit_failures),
-            "unprobed_kept": sum(i not in memo and verdicts[i] is not False for i in closed),
+            "unprobed_kept": sum(map(unprobed_kept, closed)),
             "failures_in_closure": failures_in_closure,
             "frontier_size": len(frontier),
             "frontier": sorted(frontier),
         })
+        if unprobed_log.isEnabledFor(logging.DEBUG):
+            unchecked = sorted(grid[i].coords for i in filter(unprobed_kept, closed))
+            unprobed_log.debug(
+                "%s: kept %d points nobody probed: %s", name, len(unchecked), unchecked
+            )
         if audit_failures or failures_in_closure:
             log.warning(
                 "%s: keep is not monotone on this grid: the audit contradicted %d of %d "

@@ -24,7 +24,8 @@ def subprocess_env(extra=None):
 
 def counting(evaluator: Evaluator):
     """Wrap an evaluator so actual invocations are observable. The wrapper
-    has no column form, so every batch it is in runs point by point."""
+    has no column form, so a batch it misses points of runs point by
+    point; a batch it holds every result of resolves by lookup."""
     calls = []
 
     def func(view):

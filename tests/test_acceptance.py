@@ -432,3 +432,10 @@ def test_criterion_11_cache_idempotence():
         assert rerun.provenance.total_invocations == 0, bundle
         assert elapsed < 10.0, bundle
         assert rerun.rows == warm.rows
+        # every step looks up what it evaluated or looked up cold
+        for cold, hot in zip(warm.provenance.steps, rerun.provenance.steps, strict=True):
+            assert hot.evaluator_invocations == 0, (bundle, hot.step)
+            assert hot.cache_hits == cold.evaluator_invocations + cold.cache_hits, (
+                bundle,
+                hot.step,
+            )

@@ -582,14 +582,16 @@ class TestColumnPath:
 
     GRID = Schema([ParamSpec("a", Linear(0, 3)), ParamSpec("b", Pow2(0, 2))])
 
-    def batches(self, evaluators, batches, policy):
+    def batches(self, evaluators, batches, policy, parallelism=1):
         space = build_space(self.GRID)
         schema = metrics.check_no_collision(space.schema, evaluators)
         cache, out = Cache(), []
         for batch in batches:
             points = [space.points[i] for i in batch]
             try:
-                got = metrics.enhance_points(points, schema, evaluators, cache, policy)
+                got = metrics.enhance_points(
+                    points, schema, evaluators, cache, policy, parallelism
+                )
             except EvalError as err:
                 got = (err.kind, err.detail, err.coords)
             out.append((got, cache.counters()))
@@ -655,3 +657,90 @@ class TestColumnPath:
 
         got = outcome(_chain(second))
         assert timeless(got) == timeless(outcome(_per_point(_chain(second))))
+
+    # a chain holding an evaluator with no column form (the counting
+    # wrapper): its warm batches resolve by lookup, and its misses and
+    # stored failures leave it on the per-point path
+
+    @staticmethod
+    def counted(second, at):
+        chain = _chain(second)
+        chain[at], calls = counting(chain[at])
+        return chain, calls
+
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+    def test_a_warm_batch_resolves_by_lookup(self, monkeypatch, parallelism, at):
+        chain, calls = self.counted("ok", at)
+        space = build_space(self.GRID)
+        schema = metrics.check_no_collision(space.schema, chain)
+        cache = Cache()
+        cold = metrics.enhance_points(space.points, schema, chain, cache)
+        assert len(calls) == 12 and cache.counters() == (0, 24)
+        # neither the evaluator, Cache.run nor a thread may run now
+        monkeypatch.setattr(Cache, "run", None)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", None)
+        batch = [3, 4, 0, 4, 8, 11, 3, 9, 1]
+        warm = metrics.enhance_points(
+            [space.points[i] for i in batch], schema, chain, cache, parallelism=parallelism
+        )
+        assert warm == [cold[i] for i in batch]
+        assert len(calls) == 12 and cache.counters() == (2 * len(batch), 24)
+
+    @pytest.mark.parametrize("policy", list(_POLICIES))
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    @pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize(
+        "second, warm, batch",
+        [
+            ("ok", [i for i in range(12) if i != 5], [3, 4, 0, 4, 8, 5, 3, 9]),
+            ("fails", [3, 4, 6, 7, 8, 9, 10, 11, 0], [3, 4, 0, 4, 8, 11, 3, 9]),
+        ],
+        ids=["one_miss", "stored_failure"],
+    )
+    def test_a_batch_it_cannot_look_up_runs_point_by_point(
+        self, monkeypatch, policy, parallelism, at, second, warm, batch
+    ):
+        # the per-point path is the one a chain like this took before
+        # warm batches were looked up: Cache.run_columns declining
+        batches = [warm, batch, list(range(12))]
+        chain, calls = self.counted(second, at)
+        got = self.batches(chain, batches, _POLICIES[policy], parallelism)
+        got_calls = sorted(calls)
+        monkeypatch.setattr(Cache, "run_columns", lambda *a: None)
+        chain, calls = self.counted(second, at)
+        assert got == self.batches(chain, batches, _POLICIES[policy], parallelism)
+        assert got_calls == sorted(calls)
+
+    @pytest.mark.parametrize("policy", list(_POLICIES))
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_step_counts_match_the_per_point_path(self, monkeypatch, policy, parallelism):
+        def outcome():
+            first, ratio = (counting(ev)[0] for ev in _chain("fails"))
+            twice = counting(expr_evaluator("twice", "t", "2 * s"))[0]
+            pipeline = Pipeline(
+                [
+                    exhaustive_map(first, name="map_sum"),
+                    quick_prune([ratio], "r < 3", name="quick"),
+                    gradient_sort([twice, expr_evaluator("q", "q", "t / b")], "q", name="climb"),
+                ],
+                parallelism=parallelism,
+                fail_policy=_POLICIES[policy],
+            )
+            cache, runs = Cache(), []
+            for _ in range(2):  # cold, then warm
+                try:
+                    frame = run_pipeline(pipeline, build_space(self.GRID), cache)
+                    result, provenance = frame.rows, frame.provenance
+                except PipelineAborted as err:
+                    result, provenance = str(err), err.provenance
+                counts = [
+                    (s.step, s.points_out, s.evaluator_invocations, s.cache_hits)
+                    for s in provenance.steps
+                ]
+                runs.append((result, counts, cache.counters()))
+            return runs
+
+        got = outcome()
+        monkeypatch.setattr(Cache, "run_columns", lambda *a: None)
+        assert got == outcome()

@@ -24,7 +24,7 @@ from dsex import (
     build_space,
     project_space,
 )
-from dsex.space import Dominance, order_masks
+from dsex.space import Dominance, Rings, order_masks
 
 
 def grid(*dims):
@@ -426,6 +426,27 @@ def test_order_masks_match_all_pairs(coords):
     for i, c in enumerate(coords):
         assert below[i] == sum(1 << j for j, o in enumerate(coords) if all(map(operator.le, o, c)))
         assert above[i] == sum(1 << j for j, o in enumerate(coords) if all(map(operator.ge, o, c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    order=st.sampled_from(["row-major", "reversed", "shuffled"]),
+    data=st.data(),
+)
+def test_ring_bits_match_ring(dims, order, data):
+    full = grid(*dims)
+    points = list(full.points)
+    if order == "reversed":
+        points.reverse()
+    elif order == "shuffled":
+        points = data.draw(st.permutations(points))
+    space = DesignSpace(full.schema, points)
+    rings = Rings(space)
+    for i in range(len(space)):
+        ring = space.ring(i, Norm.LINF)
+        assert rings.positions(rings[i]) == ring
+        assert rings[i] == rings.bits(ring)
 
 
 def _schema(domains) -> Schema:

@@ -810,6 +810,33 @@ class TestQuickPruneBatches:
         assert not [r for r in caplog.records if r.name == "dsex.strategy"]
 
 
+    @pytest.mark.parametrize("case", ["3d_up", "2d_down", "concern_3d_up"])
+    def test_debug_log_names_the_points_kept_unprobed(self, caplog, case):
+        # on a monotone grid: the named points are the closure members
+        # nobody probed whose verdict is not a failure, which are the
+        # kept work-grid points outside the probed ones
+        space, expression, keep, side, concern, _ = BATCH_CASES[case]
+
+        def run(level):
+            ev, calls = counting(expr_evaluator("e", "m", expression))
+            context = ctx()
+            caplog.clear()
+            caplog.set_level(level, logger="dsex")
+            out = quick_prune([ev], keep, side=side, concern=concern).apply(space, context)
+            named = [r.args[-1] for r in caplog.records if r.name == "dsex.strategy.unprobed"]
+            return out, context.extra, calls, named
+
+        out, extra, calls, named = run(logging.DEBUG)
+        assert not extra["fell_back"]
+        kept = {p.coords for p in (project_space(out, concern) if concern else out).points}
+        assert len(named) == 1
+        assert named[0] == sorted(kept - set(calls))
+        assert len(named[0]) == extra["unprobed_kept"] > 0
+        # naming them changes neither the output nor the provenance
+        quiet, quiet_extra, _, not_named = run(logging.WARNING)
+        assert (quiet.points, quiet_extra, not_named) == (out.points, extra, [])
+
+
 # (space, evaluator expression, maximize, moves, output coords); the
 # output is the evaluated set, best first, as the per-ring walk before the
 # shared probe produced it
