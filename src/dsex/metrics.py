@@ -28,23 +28,9 @@ from functools import cached_property
 from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Collection, Mapping, Sequence
 
-from .errors import ConfigError, EvalError, EvalErrorKind, MetricCollision, finite
+from .errors import ConfigError, DsexError, EvalError, EvalErrorKind, MetricCollision, finite
 from .expr import MetricExpr, numeric
 from .space import DesignSpace, Point, Schema, _point, check_name
-
-
-class _unlocked_cached_property(cached_property):
-    """``cached_property`` without the lock Python 3.10 and 3.11 take on
-    each first access (3.12 dropped it). A view is made per evaluation,
-    so every view paid for that lock; two threads racing on one view
-    would only compute the same env twice."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = self.func(instance)
-        instance.__dict__[self.attrname] = value
-        return value
 
 
 @dataclass(frozen=True)
@@ -62,16 +48,10 @@ class PointView:
     schema: Schema
     point: Point
 
-    def __init__(self, schema: Schema, point: Point):
-        # a view per evaluation: skip the frozen dataclass's object.__setattr__
-        fields = self.__dict__
-        fields["schema"] = schema
-        fields["point"] = point
-
-    @_unlocked_cached_property
+    @cached_property
     def env(self) -> dict[str, float]:
         schema = self.schema
-        env = dict(map(getitem, schema.env_items, self.point.coords))
+        env = dict(zip(schema.names, map(getitem, schema.floats, self.point.coords)))
         env.update(schema.frozen_env)
         for name, value in zip(schema.metrics, self.point.metrics):
             if value is not None:
@@ -208,13 +188,8 @@ class Cache:
         """
         schema = view.schema
         coords, key = view.point.coords, (evaluator.name, schema.frozen, schema.floats)
-        # acquire/release: a `with` block costs about twice as much per entry
-        lock = self._lock
-        lock.acquire()
-        try:
-            table = self._tables.get(key)
-            if table is None:
-                table = self._tables[key] = {}
+        with self._lock:
+            table = self._tables.setdefault(key, {})
             cached = table.get(coords)  # a stored entry is never None
             if cached is not None:
                 self.hits += 1
@@ -222,8 +197,6 @@ class Cache:
                     raise cached
                 return cached
             self.misses += 1
-        finally:
-            lock.release()
         try:
             values = tuple(map(float, evaluator.func(view)))
             if len(values) != len(evaluator.produces):
@@ -239,11 +212,8 @@ class Cache:
                 )
         except EvalError as err:
             values = err.at(coords) if err.coords is None else err
-        lock.acquire()  # first write wins; a racing computation is discarded
-        try:
+        with self._lock:  # first write wins; a racing computation is discarded
             stored = table.setdefault(coords, values)
-        finally:
-            lock.release()
         if isinstance(stored, EvalError):
             raise stored
         return stored
@@ -360,9 +330,10 @@ def enhance_points(
     so a fully cached batch resolves with one lookup per evaluator,
     whatever its kind. When that declines, only points with an
     evaluation missing from the cache go to the thread pool; the others
-    resolve on the calling thread. Under ABORT with parallel execution
-    the error surfaced is the one of the earliest failing point in index
-    order, never the first to complete.
+    resolve on the calling thread. With parallel execution the error
+    surfaced, an EvalError under ABORT or a ConfigError such as a wrong
+    arity under any policy, is the one of the earliest failing point in
+    index order, never the first to complete.
     """
     if points:
         done = cache.run_columns(evaluators, schema, points)
@@ -372,7 +343,7 @@ def enhance_points(
     def one(point: Point):
         try:
             return enhance_point(point, schema, evaluators, cache, policy)
-        except EvalError as err:
+        except DsexError as err:
             return err
 
     cold = []
@@ -389,7 +360,7 @@ def enhance_points(
             futures[i].result() if i in futures else one(p) for i, p in enumerate(points)
         ]
     for r in results:
-        if isinstance(r, EvalError):
+        if isinstance(r, DsexError):
             raise r
     return results
 

@@ -168,12 +168,6 @@ class Schema:
         return tuple(tuple(map(float, p.domain.values())) for p in self.params)
 
     @cached_property
-    def env_items(self) -> tuple[tuple[tuple[str, float], ...], ...]:
-        """Each parameter's (name, value) pairs over ``floats``, so an env
-        is one ``dict`` of a pair per parameter."""
-        return tuple(tuple((n, v) for v in fl) for n, fl in zip(self.names, self.floats))
-
-    @cached_property
     def frozen_env(self) -> dict[str, float]:
         """The frozen params by name; read it, never change it."""
         return dict(self.frozen)
@@ -307,11 +301,6 @@ class DesignSpace:
         rows = [sum(map(operator.mul, p.coords, strides)) for p in self.points]
         return rows, dict(zip(rows, range(len(rows))))
 
-    @cached_property
-    def _rings(self) -> tuple[tuple[int, ...], dict[tuple, list[int]]]:
-        # each axis's last coordinate, and ``ring``'s offsets as it finds them
-        return tuple(n - 1 for n in self.schema.cardinalities), {}
-
     def raw_values(self, point: Point) -> tuple[int, ...]:
         """Raw (enumerated) parameter values of a point, in schema order."""
         return tuple(
@@ -346,28 +335,15 @@ class DesignSpace:
         """The positions of ``neighbours``' points, ascending, for the
         point at ``position``."""
         rows, slots = self._index
-        tops, offsets = self._rings
-        coords = self.points[position].coords
-        # the ring's index offsets depend only on the axes the point can
-        # step down and up along
-        downs, ups = tuple(map(bool, coords)), tuple(map(operator.lt, coords, tops))
-        key = (norm is Norm.LINF, downs, ups)
-        if key not in offsets:
-            ring = [0]
-            for down, up, stride in zip(downs, ups, self.schema.strides):
-                steps = [-stride] * down + [stride] * up
-                if norm is Norm.LINF:  # every index within one step on each axis
-                    ring += [i + d for d in steps for i in ring]
-                else:  # one axis moved at a time
-                    ring += steps
-            offsets[key] = sorted(ring[1:])
-        me = rows[position]
-        if self.is_full_grid():
-            hits = [slots[me + d] for d in offsets[key]]
-        else:  # some indices hold no point
-            hits = [slots[me + d] for d in offsets[key] if me + d in slots]
-        hits.sort()
-        return hits
+        cards, strides = self.schema.cardinalities, self.schema.strides
+        ring = [rows[position]]  # the point's own index first
+        for c, n, stride in zip(self.points[position].coords, cards, strides):
+            steps = [-stride] * (c > 0) + [stride] * (c < n - 1)
+            if norm is Norm.LINF:  # every index within one step on each axis
+                ring += [i + d for d in steps for i in ring]
+            else:  # one axis moved at a time
+                ring += [ring[0] + d for d in steps]
+        return sorted(slots[i] for i in ring[1:] if i in slots)  # some may hold no point
 
     def diagonal(self) -> list[Point]:
         """The corner-to-corner diagonal of a full grid.

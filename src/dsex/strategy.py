@@ -91,7 +91,10 @@ class Pipeline:
     parallelism bound caps how many point evaluations of one batch run
     at once: every point of a map, sort or prune, each ring of a
     gradient walk, each antichain of a quick prune's probe batches.
-    Results, and the points evaluated, never depend on it. Steps
+    Results, and the points evaluated, never depend on it, with one
+    exception under ABORT: a batch run in parallel is finished before
+    its earliest error is raised, so an aborted run may have evaluated
+    more points than at parallelism 1. The error is the same. Steps
     themselves never run concurrently with each other.
     """
 

@@ -414,7 +414,10 @@ def test_criterion_10_external_tool_protocol(dummy_schema, tmp_path):
 
 
 @pytest.mark.slow
-def test_criterion_11_cache_idempotence():
+def test_criterion_11_cache_idempotence(monkeypatch):
+    def per_point(*args, **kwargs):
+        raise AssertionError("a warm rerun took the per-point path")
+
     for bundle in ("dsp-pipeline", "gradient-synth", "blackscholes"):
         manifest = load_manifest(PIPELINES / bundle / "manifest.yaml")
         schema = load_schema(manifest.schema)
@@ -427,7 +430,10 @@ def test_criterion_11_cache_idempotence():
         warm = run_pipeline(pipeline, space, cache)
         assert warm.provenance.total_invocations > 0
         start = time.perf_counter()
-        rerun = run_pipeline(pipeline, space, cache)
+        with monkeypatch.context() as m:  # every warm batch resolves by lookup
+            m.setattr(Cache, "run", per_point)
+            m.setattr(PointView, "__init__", per_point)
+            rerun = run_pipeline(pipeline, space, cache)
         elapsed = time.perf_counter() - start
         assert rerun.provenance.total_invocations == 0, bundle
         assert elapsed < 10.0, bundle

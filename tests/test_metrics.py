@@ -92,6 +92,40 @@ class TestApplyTransform:
             assert err.value.coords == (0, 0)
             assert err.value.exit_code == 3
 
+    @pytest.mark.parametrize("mode", list(FailMode))
+    def test_the_earliest_error_surfaces_at_any_parallelism(self, mode):
+        # an EvalError at a == 0 and a wrong arity at a == 3: the policy
+        # handles the first unless it is ABORT, never the second
+        def func(view):
+            a = view.point.coords[0]
+            if a == 0:
+                raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
+            return (1.0, 2.0) if a == 3 else (1.0,)
+
+        space = build_space(Schema([ParamSpec("a", Linear(0, 3))]))
+        policy = FailPolicy(mode, {"m": -1.0})
+        raised = []
+        for parallelism in (1, 2, 3):
+            with pytest.raises((EvalError, ConfigError)) as err:
+                apply_transform(space, Evaluator("e", ("m",), func), Cache(), policy, parallelism)
+            raised.append((type(err.value), str(err.value), getattr(err.value, "coords", None)))
+        assert raised == [raised[0]] * 3
+        assert raised[0][0] is (EvalError if mode is FailMode.ABORT else ConfigError)
+
+    def test_an_aborting_parallel_batch_is_finished_first(self):
+        # the one way the parallelism shows: the pool finishes its batch
+        # before it raises, the same error the sequential path stops at
+        space = build_space(Schema([ParamSpec("a", Linear(0, 9))]))
+        raised = []
+        for parallelism in (1, 2):
+            cache = Cache()
+            with pytest.raises(EvalError) as err:
+                apply_transform(space, failing_on_first_axis(), cache, parallelism=parallelism)
+            raised.append((str(err.value), err.value.coords, err.value.exit_code))
+            if parallelism == 1:
+                assert cache.counters() == (0, 1)
+        assert raised == [("tool_failure: boom", (0,), 3)] * 2
+
     def test_sequential_abort_stops_at_first_failure(self, grid_17x9):
         ev, calls = counting(failing_on_first_axis())
         with pytest.raises(EvalError):
