@@ -102,8 +102,9 @@ class Evaluator:
     form: given a schema and n points on it, the produced metrics'
     columns of n floats each, in ``produces`` order, which must equal
     what ``func`` returns point by point. When it raises EvalError, or
-    returns a wrong arity or a non-finite value, the batch is evaluated
-    through ``func`` instead.
+    returns a wrong arity, a non-number or a non-finite value, the batch
+    is evaluated through ``func`` instead. A ``func`` that returns a
+    non-number or a wrong arity is a ConfigError.
     """
 
     name: str
@@ -182,9 +183,10 @@ class Cache:
     def run(self, evaluator: Evaluator, view: PointView) -> tuple[float, ...]:
         """Return the evaluator's metrics for the point, memoized.
 
-        NaN or infinite values fail with a NON_FINITE EvalError. Stored
-        EvalErrors are re-raised on later lookups without re-invoking
-        the evaluator.
+        NaN or infinite values fail with a NON_FINITE EvalError; values
+        that are not numbers, or not of the declared arity, are a
+        ConfigError. Stored EvalErrors are re-raised on later lookups
+        without re-invoking the evaluator.
         """
         schema = view.schema
         coords, key = view.point.coords, (evaluator.name, schema.frozen, schema.floats)
@@ -198,7 +200,13 @@ class Cache:
                 return cached
             self.misses += 1
         try:
-            values = tuple(map(float, evaluator.func(view)))
+            returned = evaluator.func(view)
+            try:
+                values = tuple(map(float, returned))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"evaluator {evaluator.name!r} returned {returned!r}, not numbers"
+                ) from None
             if len(values) != len(evaluator.produces):
                 raise ConfigError(
                     f"evaluator {evaluator.name!r} returned {len(values)} values, "
@@ -227,8 +235,9 @@ class Cache:
         evaluator with no column form lacks a result, or a stored failure
         is met, it returns None before it evaluates anything. Otherwise
         each evaluator evaluates the distinct coords it lacks as one
-        column, and it returns None, having stored and counted nothing,
-        unless every column holds finite values of its evaluator's arity.
+        column, converting each value with ``float``, and it returns None,
+        having stored and counted nothing, unless every column holds
+        finite numbers of its evaluator's arity.
         On None the per-point path raises, applies the fail policy and
         counts exactly as it does for any other batch. On success the
         counts are those of the per-point path run in order.
@@ -255,6 +264,10 @@ class Cache:
                 try:
                     columns = ev.column_func(schema, first)
                 except EvalError:
+                    return None
+                try:
+                    columns = [list(map(float, col)) for col in columns]
+                except (TypeError, ValueError):  # a column holds a non-number
                     return None
                 if len(columns) != len(ev.produces) or not all(
                     len(col) == len(first) and all(map(math.isfinite, col)) for col in columns

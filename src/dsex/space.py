@@ -365,84 +365,27 @@ class DesignSpace:
         return [self.points[slots[i]] for i in at]
 
 
-def _landing(schema: Schema, up: bool) -> list[int]:
-    """Per axis, the row-major bits of a full grid that a one-index step
-    up (``up``) or down along it may land on: all but the axis's first
-    (last) coordinate."""
-    size = math.prod(schema.cardinalities)
-    masks = []
-    for n, stride in zip(schema.cardinalities, schema.strides):
-        inner = "1" * (stride * (n - 1))
-        period = "0" * stride + inner if up else inner + "0" * stride
-        # character i of the string is bit i
-        masks.append(int((period * (size // (stride * n)))[::-1], 2))
-    return masks
+class Grid:
+    """A full grid's points as bitsets: bit i stands for the point whose
+    row-major index is i.
 
-
-class Dominance:
-    """The positions of a full grid's points at or above (``UPWARD``) or
-    at or below (``DOWNWARD``) the point at some position added so far,
-    componentwise in index space.
-
-    Holds one bit per row-major index of the grid, so it needs the space
-    to be a full grid, which it does not check. ``add`` closes the set by
-    ORing it into itself shifted one index along each axis in turn,
-    cardinality - 1 times: O(axes x cardinality) big-integer operations,
-    however many points.
-    """
-
-    def __init__(self, space: DesignSpace, side: KeepSide):
-        self.cards, self.strides = space.schema.cardinalities, space.schema.strides
-        self.rows, self.slots = space._index
-        self.up, self.bits = side is KeepSide.UPWARD, 0
-        self.size = math.prod(self.cards)
-        self.masks = _landing(space.schema, self.up)
-
-    def __contains__(self, position: int) -> bool:
-        return bool(self.bits >> self.rows[position] & 1)
-
-    def add(self, positions: Iterable[int]) -> None:
-        bits = self.bits
-        for i in positions:
-            bits |= 1 << self.rows[i]
-        if bits == self.bits:
-            return
-        for n, stride, mask in zip(self.cards, self.strides, self.masks):
-            for _ in range(n - 1):
-                bits |= (bits << stride if self.up else bits >> stride) & mask
-        self.bits = bits
-
-    def positions(self) -> list[int]:
-        """The positions in the set, in row-major order."""
-        flags = format(self.bits, f"0{self.size}b")[::-1]
-        return [self.slots[i] for i, flag in enumerate(flags) if flag == "1"]
-
-
-class Rings:
-    """A full grid's Chebyshev rings, as bitsets over row-major indices.
-
-    ``rings[position]`` holds the bits of ``ring(position, Norm.LINF)``:
-    the point's bit ORed into itself shifted one index down and up along
-    each axis in turn, under ``Dominance``'s landing masks, less its own
-    bit. Each ring is built once, in O(axes) big-integer operations.
-    Like ``Dominance``, it needs the space to be a full grid, which it
-    does not check.
+    Needs the space to be a full grid, which it does not check. Per axis
+    it holds the bits a one-index step up (down) along the axis may land
+    on: all but the axis's first (last) coordinate. ``ring`` and
+    ``close`` shift a bitset along each axis under those masks, in
+    O(axes) and O(axes x cardinality) big-integer operations, however
+    many points.
     """
 
     def __init__(self, space: DesignSpace):
-        schema = space.schema
         self.rows, self.slots = space._index
-        self.axes = list(zip(schema.strides, _landing(schema, True), _landing(schema, False)))
+        self.axes = []  # per axis: cardinality, stride, up mask, down mask
+        for n, stride in zip(space.schema.cardinalities, space.schema.strides):
+            inner, repeat = "1" * (stride * (n - 1)), len(space) // (stride * n)
+            # character i of each string is bit i
+            up, down = ("0" * stride + inner) * repeat, (inner + "0" * stride) * repeat
+            self.axes.append((n, stride, int(up[::-1], 2), int(down[::-1], 2)))
         self.memo: list[int | None] = [None] * len(space)
-
-    def __getitem__(self, position: int) -> int:
-        ring = self.memo[position]
-        if ring is None:
-            me = bits = 1 << self.rows[position]
-            for stride, up, down in self.axes:
-                bits |= bits << stride & up | bits >> stride & down
-            ring = self.memo[position] = bits ^ me
-        return ring
 
     def bits(self, positions: Iterable[int]) -> int:
         """The bits of the points at ``positions``."""
@@ -450,13 +393,43 @@ class Rings:
 
     def positions(self, bits: int) -> list[int]:
         """The positions of the points in ``bits``, ascending."""
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(self.slots[low.bit_length() - 1])
-            bits ^= low
+        if not bits:
+            return []
+        # one scan of the bits from the lowest one set, where taking them
+        # off one at a time would cost an operation as wide as the grid each
+        low = (bits & -bits).bit_length() - 1
+        flags, out, slots = bin(bits >> low), [], self.slots
+        j, top = len(flags), low + len(flags) - 1  # character j is bit top - j
+        while (j := flags.rfind("1", 0, j)) >= 0:
+            out.append(slots[top - j])
         out.sort()  # a no-op on a grid in row-major order
         return out
+
+    def has(self, bits: int, position: int) -> bool:
+        """Whether ``bits`` holds the point at ``position``."""
+        return bool(bits >> self.rows[position] & 1)
+
+    def ring(self, position: int) -> int:
+        """The bits of ``DesignSpace.ring(position, Norm.LINF)``: the
+        point's bit shifted one index down and up along each axis in
+        turn, less its own bit. Each ring is built once."""
+        ring = self.memo[position]
+        if ring is None:
+            me = bits = 1 << self.rows[position]
+            for _, stride, up, down in self.axes:
+                bits |= bits << stride & up | bits >> stride & down
+            ring = self.memo[position] = bits ^ me
+        return ring
+
+    def close(self, bits: int, side: KeepSide) -> int:
+        """``bits`` and every point at or above (``UPWARD``) or at or
+        below (``DOWNWARD``) one of them, componentwise in index space:
+        each axis in turn shifts the set into itself cardinality - 1 times."""
+        upward = side is KeepSide.UPWARD
+        for n, stride, up, down in self.axes:
+            for _ in range(n - 1):
+                bits |= bits << stride & up if upward else bits >> stride & down
+        return bits
 
 
 def order_masks(coords: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:

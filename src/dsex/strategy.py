@@ -8,7 +8,7 @@ expensive metrics: a hill-climbing sort that only evaluates the L1
 ring (``neighbours`` at distance 1) around the incumbent until no
 neighbor improves, and a quick prune that traces the boundary of the
 kept region through Chebyshev rings, then keeps everything on the
-chosen side of that frontier by a ``Dominance`` closure in index space.
+chosen side of that frontier by a ``Grid.close`` closure in index space.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .metrics import (
     env_columns,
 )
 from .space import DesignSpace, KeepSide, Norm, Point, Schema, project_space
-from .space import Dominance, Rings, _point, order_masks, project_images
+from .space import Grid, _point, order_masks, project_images
 
 log = logging.getLogger(__name__)
 # quick_prune's kept points that no probe checked, on a logger of their
@@ -305,7 +305,7 @@ def quick_prune(
     mirror case). Walks the grid diagonal for a first kept point, grows
     the frontier through Chebyshev-distance-1 expansion, then keeps the
     points dominating (or dominated by, per ``side``) the seed or a
-    frontier point in index space (a ``Dominance`` closure), except any
+    frontier point in index space (a ``Grid.close`` closure), except any
     point whose verdict is that it fails ``keep``: probed and seen to
     fail, pruned under the fail policy, or inferred to fail. With
     ``concern`` the decision runs on the concern-projected grid, and an
@@ -371,35 +371,39 @@ def quick_prune(
             diag.reverse()
 
         real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
-        rings = Rings(work)
-        members = rings.positions
+        bitgrid = Grid(work)
+        members = bitgrid.positions
         # each point's verdict: as probed (a pruned point fails), inferred, or None
         verdicts: list[bool | None] = [None] * len(grid)
         kept_bits = 0  # the points whose verdict is True, as bits like the rings
-        # the verdicts points probed, neither pruned nor degraded, imply
-        kept_by = Dominance(work, side)
-        failed_by = Dominance(work, away)
-
-        def decide(i: int, kept: bool) -> None:
-            nonlocal kept_bits
-            verdicts[i] = kept
-            if kept:
-                kept_bits |= 1 << rings.rows[i]
+        # the verdicts that points probed, neither pruned nor degraded, imply, as closed bits
+        kept_by = failed_by = 0
 
         def land(todo: list[int]) -> None:
             # probe points as one batch and record their verdicts
-            for i, value in zip(todo, real_probe([grid[i] for i in todo], todo)):
-                decide(i, bool(value))
+            nonlocal kept_bits
+            values = real_probe([grid[i] for i in todo], todo)
+            for i, value in zip(todo, values):
+                verdicts[i] = bool(value)
+            kept_bits |= bitgrid.bits(i for i, value in zip(todo, values) if value)
 
         def implied(i: int) -> bool:
             # infer the point's verdict where exactly one implication holds
-            if (kept := i in kept_by) != (i in failed_by):
-                decide(i, kept)
+            nonlocal kept_bits
+            if (kept := bitgrid.has(kept_by, i)) != bitgrid.has(failed_by, i):
+                verdicts[i] = kept
+                kept_bits |= bitgrid.bits([i]) if kept else 0
                 return True
             return False
 
+        def grow(closed: int, positions: list[int], toward: KeepSide) -> int:
+            # close again only when some point lies outside the closed set
+            bits = bitgrid.bits(positions)
+            return closed if bits & ~closed == 0 else bitgrid.close(closed | bits, toward)
+
         def probe(points: Iterable[int], infer: bool) -> None:
             # give every point a verdict, inferred where dominance settles it
+            nonlocal kept_by, failed_by
             todo = [i for i in dict.fromkeys(points) if verdicts[i] is None]
             if not infer:
                 land(todo)
@@ -419,29 +423,27 @@ def quick_prune(
                 land(batch)
                 bases = [(i, memo[i]) for i in batch]
                 bases = [(i, entry[1]) for i, entry in bases if entry and not entry[0].degraded]
-                kept_by.add(i for i, value in bases if value)
-                failed_by.add(i for i, value in bases if not value)
+                kept_by = grow(kept_by, [i for i, value in bases if value], side)
+                failed_by = grow(failed_by, [i for i, value in bases if not value], away)
                 ranked = [k for k in ranked if not taken >> k & 1 and not implied(todo[k])]
 
         def on_frontier(i: int) -> bool:
             # the point is kept and some point of its ring is not
-            return bool(verdicts[i] and rings[i] & ~kept_bits)
+            return bool(verdicts[i] and bitgrid.ring(i) & ~kept_bits)
 
         def spread(points: Iterable[int], seen: int) -> list[int]:
             # the points' rings less ``seen``: each ring ascending, in
             # the points' order, every point at its first occurrence
             out = []
             for i in points:
-                new = rings[i] & ~seen
+                new = bitgrid.ring(i) & ~seen
                 if new:
                     seen |= new
                     out += members(new)
             return out
 
         def closure(reached: int) -> set[int]:
-            closed = Dominance(work, side)
-            closed.add(members(reached))
-            return set(closed.positions())
+            return set(members(bitgrid.close(reached, side)))
 
         def walk(infer: bool) -> int:
             """The bits of the seed and the frontier points reached from it."""
@@ -453,19 +455,19 @@ def quick_prune(
                     seed = i
                     break
             if seed is not None:
-                around = members(rings[seed])
+                around = members(bitgrid.ring(seed))
                 probe(around, infer)
                 if not on_frontier(seed):
                     # interior: move to the first ring member on the frontier, if any
                     for q in around:
-                        probe(members(rings[q]), infer)
+                        probe(members(bitgrid.ring(q)), infer)
                         if on_frontier(q):
                             seed = q
                             break
 
             # Frontier: breadth-wise Chebyshev expansion from the seed
             wave = [] if seed is None else [seed]
-            reached = rings.bits(wave)
+            reached = bitgrid.bits(wave)
             while wave:
                 around = spread(wave, reached)
                 probe(around, infer)
@@ -473,7 +475,7 @@ def quick_prune(
                 # the kept points of these rings already have their verdict
                 probe(spread(candidates, kept_bits), infer)
                 wave = [q for q in candidates if on_frontier(q)]
-                reached |= rings.bits(wave)
+                reached |= bitgrid.bits(wave)
             return reached
 
         reached = walk(True)
@@ -494,7 +496,7 @@ def quick_prune(
             for i in range(len(grid)):
                 if i not in memo:  # drop the inferred verdicts
                     verdicts[i] = None
-            kept_bits = rings.bits(i for i in memo if verdicts[i])
+            kept_bits = bitgrid.bits(i for i in memo if verdicts[i])
             reached = walk(False)
             closed = closure(reached)
         frontier = [grid[i].coords for i in members(reached) if on_frontier(i)]

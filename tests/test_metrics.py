@@ -112,6 +112,32 @@ class TestApplyTransform:
         assert raised == [raised[0]] * 3
         assert raised[0][0] is (EvalError if mode is FailMode.ABORT else ConfigError)
 
+    @pytest.mark.parametrize(
+        "returned", [("x",), (None,), None], ids=["string", "none_value", "none"]
+    )
+    @pytest.mark.parametrize("mode", list(FailMode))
+    def test_a_non_number_from_func_is_a_config_error(self, mode, returned):
+        # an EvalError at a == 0 and a non-number at a == 3: the policy
+        # handles the first unless it is ABORT, never the second
+        def func(view):
+            a = view.point.coords[0]
+            if a == 0:
+                raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
+            return returned if a == 3 else (1.0,)
+
+        space = build_space(Schema([ParamSpec("a", Linear(0, 3))]))
+        policy = FailPolicy(mode, {"m": -1.0})
+        raised = []
+        for parallelism in (1, 2, 3):
+            with pytest.raises((EvalError, ConfigError)) as err:
+                apply_transform(space, Evaluator("e", ("m",), func), Cache(), policy, parallelism)
+            raised.append((type(err.value), str(err.value)))
+        if mode is FailMode.ABORT:
+            assert raised == [(EvalError, "tool_failure: boom")] * 3
+        else:
+            message = f"evaluator 'e' returned {returned!r}, not numbers"
+            assert raised == [(ConfigError, message)] * 3
+
     def test_an_aborting_parallel_batch_is_finished_first(self):
         # the one way the parallelism shows: the pool finishes its batch
         # before it raises, the same error the sequential path stops at
@@ -654,6 +680,24 @@ class TestColumnPath:
                 assert {type(v) for p in points if p is not None for v in p.metrics} <= {float}
         # only a chain that fails somewhere leaves the column path
         assert through_columns == (second == "ok")
+
+    @pytest.mark.parametrize("value", [1, "x", None])
+    def test_a_column_is_converted_or_declined(self, monkeypatch, tmp_path, value):
+        # func returns the int 1 and the column form ``value`` for every
+        # point: a column of ints is stored as floats, a non-number declines
+        ev = Evaluator("one", ("m",), lambda view: (1,), lambda s, points: [[value] * len(points)])
+        batches = [[0, 4, 5], [3, 4, 0, 4, 8, 11, 3, 9, 1], list(range(12))]
+        lookups = []
+        run = Cache.run
+        monkeypatch.setattr(Cache, "run", lambda *a: lookups.append(1) or run(*a))
+        got = self.batches([ev], batches, _POLICIES["abort"])
+        assert bool(lookups) == (value != 1)
+        assert got == self.batches(_per_point([ev]), batches, _POLICIES["abort"])
+        assert {type(v) for points, _ in got for p in points for v in p.metrics} == {float}
+        for name, chain in ("column", [ev]), ("per_point", _per_point([ev])):
+            frame = run_pipeline(Pipeline([exhaustive_map(chain[0])]), build_space(self.GRID))
+            frame.to_jsonl(tmp_path / name)
+        assert (tmp_path / "column").read_bytes() == (tmp_path / "per_point").read_bytes()
 
     @pytest.mark.parametrize("policy", list(_POLICIES))
     @pytest.mark.parametrize("second", list(_SECONDS))

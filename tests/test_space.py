@@ -24,7 +24,7 @@ from dsex import (
     build_space,
     project_space,
 )
-from dsex.space import Dominance, Rings, order_masks
+from dsex.space import Grid, order_masks
 
 
 def grid(*dims):
@@ -372,12 +372,12 @@ class TestDiagonal:
 
 def closure_of(space, frontier, side):
     # the closure of the frontier's coords, as coords
-    closure = Dominance(space, side)
-    closure.add(map(space.position, frontier))
-    return {space.points[i].coords for i in closure.positions()}
+    bitgrid = Grid(space)
+    closed = bitgrid.close(bitgrid.bits(map(space.position, frontier)), side)
+    return {space.points[i].coords for i in bitgrid.positions(closed)}
 
 
-class TestDominanceClosure:
+class TestGridClosure:
     """The closure against its all-pairs definition: a point is closed when
     it sits at or beyond some frontier coords on every axis."""
 
@@ -396,13 +396,13 @@ class TestDominanceClosure:
         beyond = operator.ge if side is KeepSide.UPWARD else operator.le
         expected = {c for c in coords if any(all(map(beyond, c, f)) for f in frontier)}
         assert closure_of(space, frontier, side) == expected
-        # adding the frontier in two parts closes the same set
-        closure = Dominance(space, side)
+        # closing the frontier in two parts closes the same set
+        bitgrid = Grid(space)
         split = data.draw(st.integers(0, len(frontier)))
-        closure.add(map(space.position, frontier[:split]))
-        closure.add(map(space.position, frontier[split:]))
-        assert {coords[i] for i in closure.positions()} == expected
-        assert all((i in closure) == (c in expected) for i, c in enumerate(coords))
+        closed = bitgrid.close(bitgrid.bits(map(space.position, frontier[:split])), side)
+        closed = bitgrid.close(closed | bitgrid.bits(map(space.position, frontier[split:])), side)
+        assert {coords[i] for i in bitgrid.positions(closed)} == expected
+        assert all(bitgrid.has(closed, i) == (c in expected) for i, c in enumerate(coords))
 
     @pytest.mark.parametrize("side", list(KeepSide))
     def test_empty_frontier_closes_nothing(self, side):
@@ -442,11 +442,11 @@ def test_ring_bits_match_ring(dims, order, data):
     elif order == "shuffled":
         points = data.draw(st.permutations(points))
     space = DesignSpace(full.schema, points)
-    rings = Rings(space)
+    bitgrid = Grid(space)
     for i in range(len(space)):
         ring = space.ring(i, Norm.LINF)
-        assert rings.positions(rings[i]) == ring
-        assert rings[i] == rings.bits(ring)
+        assert bitgrid.positions(bitgrid.ring(i)) == ring
+        assert bitgrid.ring(i) == bitgrid.bits(ring)
 
 
 def _schema(domains) -> Schema:
