@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import ConfigError, DsexError, EvalError, EvalErrorKind, MetricCollision, finite
@@ -51,12 +51,8 @@ class PointView:
     @cached_property
     def env(self) -> dict[str, float]:
         schema = self.schema
-        env = dict(zip(schema.names, map(getitem, schema.floats, self.point.coords)))
-        env.update(schema.frozen_env)
-        for name, value in zip(schema.metrics, self.point.metrics):
-            if value is not None:
-                env[name] = value
-        return env
+        names = {*schema.names, *schema.frozen_env, *schema.metrics}
+        return {name: col[0] for name, col in env_columns(schema, [self.point], names).items()}
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -104,7 +100,8 @@ class Evaluator:
     what ``func`` returns point by point. When it raises EvalError, or
     returns a wrong arity, a non-number or a non-finite value, the batch
     is evaluated through ``func`` instead. A ``func`` that returns a
-    non-number or a wrong arity is a ConfigError.
+    non-number or a wrong arity is a ConfigError. The built-in in-process
+    kinds derive ``func`` from ``column_func``, as its columns over one point.
     """
 
     name: str
@@ -188,10 +185,9 @@ class Cache:
         ConfigError. Stored EvalErrors are re-raised on later lookups
         without re-invoking the evaluator.
         """
-        schema = view.schema
-        coords, key = view.point.coords, (evaluator.name, schema.frozen, schema.floats)
+        coords = view.point.coords
         with self._lock:
-            table = self._tables.setdefault(key, {})
+            table = self._table(evaluator, view.schema)
             cached = table.get(coords)  # a stored entry is never None
             if cached is not None:
                 self.hits += 1
@@ -243,8 +239,9 @@ class Cache:
         counts are those of the per-point path run in order.
         """
         coords = list(map(_coords, points))
-        keys = [(ev.name, schema.frozen, schema.floats) for ev in evaluators]
-        founds = [list(map(self._tables.get(key, {}).get, coords)) for key in keys]
+        with self._lock:
+            tables = [self._table(ev, schema) for ev in evaluators]
+        founds = [list(map(table.get, coords)) for table in tables]
         for ev, found in zip(evaluators, founds):
             kinds = set(map(type, found))
             # a stored failure, or a miss only the per-point path can fill
@@ -252,7 +249,7 @@ class Cache:
                 return None
         current = list(points)
         staged, hits = [], 0
-        for ev, key, found in zip(evaluators, keys, founds):
+        for ev, table, found in zip(evaluators, tables, founds):
             todo: dict[tuple, Point] = {}  # each missing coords' first point
             for c, p, stored in zip(coords, current, found):
                 if stored is None:
@@ -274,25 +271,23 @@ class Cache:
                 ):
                     return None
                 new = dict(zip(todo, zip(*columns)))
-                staged.append((key, new))
+                staged.append((table, new))
             current = [
                 _point(c, p.metrics + (stored or new[c]), p.degraded)
                 for c, p, stored in zip(coords, current, found)
             ]
         with self._lock:
-            for key, new in staged:
-                table = self._tables.setdefault(key, new)
-                if table is not new:
-                    for c, values in new.items():
-                        table.setdefault(c, values)
+            for table, new in staged:
                 self.misses += len(new)
+                for c in new.keys() & table.keys():  # a racing first write wins
+                    del new[c]
+                table.update(new)
             self.hits += hits
         return current
 
-    def holds(self, evaluators: Sequence[Evaluator], schema: Schema, point: Point) -> bool:
-        """Whether every evaluator's result (or failure) for the point is stored."""
-        key = (schema.frozen, schema.floats)
-        return all(point.coords in self._tables.get((ev.name, *key), ()) for ev in evaluators)
+    def _table(self, evaluator: Evaluator, schema: Schema) -> dict[tuple[int, ...], object]:
+        """The evaluator's table for the schema; call it with the lock held."""
+        return self._tables.setdefault((evaluator.name, schema.frozen, schema.floats), {})
 
     def counters(self) -> tuple[int, int]:
         with self._lock:
@@ -341,17 +336,20 @@ def enhance_points(
 
     The batch first goes to ``Cache.run_columns`` on the calling thread,
     so a fully cached batch resolves with one lookup per evaluator,
-    whatever its kind. When that declines, only points with an
-    evaluation missing from the cache go to the thread pool; the others
-    resolve on the calling thread. With parallel execution the error
-    surfaced, an EvalError under ABORT or a ConfigError such as a wrong
-    arity under any policy, is the one of the earliest failing point in
-    index order, never the first to complete.
+    whatever its kind. When that declines, the batch runs point by
+    point: at parallelism 1, or for a batch of one point, in order on
+    the calling thread, stopping at its first failure; above that, the
+    whole batch goes to the thread pool and is finished before the
+    error of its earliest failing point in index order is raised (an
+    EvalError under ABORT, or a ConfigError such as a wrong arity under
+    any policy), never that of the first to complete.
     """
     if points:
         done = cache.run_columns(evaluators, schema, points)
         if done is not None:
             return done
+    if parallelism <= 1 or len(points) <= 1:
+        return [enhance_point(p, schema, evaluators, cache, policy) for p in points]
 
     def one(point: Point):
         try:
@@ -359,19 +357,8 @@ def enhance_points(
         except DsexError as err:
             return err
 
-    cold = []
-    if parallelism > 1:
-        # a point whose every evaluation is cached is not worth a thread
-        cold = [i for i, p in enumerate(points) if not cache.holds(evaluators, schema, p)]
-    if len(cold) <= 1:
-        # sequential: stop at the first failure instead of finishing the batch
-        return [enhance_point(p, schema, evaluators, cache, policy) for p in points]
-
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = {i: pool.submit(one, points[i]) for i in cold}
-        results = [
-            futures[i].result() if i in futures else one(p) for i, p in enumerate(points)
-        ]
+        results = list(pool.map(one, points))
     for r in results:
         if isinstance(r, DsexError):
             raise r
@@ -409,14 +396,11 @@ def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Ev
     """Evaluator computing one metric from a cost expression."""
     expr = numeric(expression, f"cost expression for {produces!r}")
 
-    def func(view: PointView) -> Sequence[float]:
-        value = expr(view.env)
-        return (float(value),)
-
     def column_func(schema: Schema, points: Sequence[Point]) -> list[list[float]]:
         return [expr.column(env_columns(schema, points, expr.names), len(points))]
 
-    return Evaluator(name, (produces,), func, column_func)
+    # the one column over one point is the point's one value
+    return Evaluator(name, (produces,), lambda v: column_func(v.schema, [v.point])[0], column_func)
 
 
 def render_raw(value: float) -> str:

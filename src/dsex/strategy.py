@@ -90,12 +90,15 @@ class Pipeline:
     Steps consume the previous step's output in listed order. The
     parallelism bound caps how many point evaluations of one batch run
     at once: every point of a map, sort or prune, each ring of a
-    gradient walk, each antichain of a quick prune's probe batches.
-    Results, and the points evaluated, never depend on it, with one
-    exception under ABORT: a batch run in parallel is finished before
-    its earliest error is raised, so an aborted run may have evaluated
-    more points than at parallelism 1. The error is the same. Steps
-    themselves never run concurrently with each other.
+    gradient walk, each antichain of a quick prune's probe batches. A
+    batch the cache's lookup does not resolve runs in order at
+    parallelism 1 and stops at its first failure; above 1 (and for more
+    than one point) the whole batch goes to the pool and is finished
+    before its earliest error is raised. Results, and the points
+    evaluated, never depend on it, with one exception under ABORT: an
+    aborted run may have evaluated more points than at parallelism 1.
+    The error is the same. Steps themselves never run concurrently with
+    each other.
     """
 
     steps: tuple[Step, ...]

@@ -88,25 +88,21 @@ class ResourceModel:
 
 def model_evaluator(model: ResourceModel, name: str | None = None) -> "Evaluator":
     """In-process evaluator backed by a resource model; without latency
-    it has a column form."""
+    it has a column form. Each point is its columns over that point, and
+    with latency it sleeps after them."""
     from .metrics import Evaluator, env_columns
-
-    def failed() -> EvalError:
-        return EvalError(EvalErrorKind.TIMEOUT, f"model {model.name!r} failure rule triggered")
-
-    def func(view: "PointView") -> Sequence[float]:
-        env = view.env
-        if model.fails_on(env):
-            raise failed()
-        if model.latency_s > 0:
-            time.sleep(model.latency_s)
-        return model.compute(env)
 
     def column_func(schema: "Schema", points: "Sequence[Point]") -> list[list[float]]:
         env, n = env_columns(schema, points, model.names), len(points)
         if model.fail_if is not None and True in model.fail_if.column(env, n):
-            raise failed()
+            raise EvalError(EvalErrorKind.TIMEOUT, f"model {model.name!r} failure rule triggered")
         return [model.formulas[metric].column(env, n) for metric in model.produces]
+
+    def func(view: "PointView") -> Sequence[float]:
+        values = [column[0] for column in column_func(view.schema, [view.point])]
+        if model.latency_s > 0:
+            time.sleep(model.latency_s)
+        return values
 
     sleeps = model.latency_s > 0
     return Evaluator(name or model.name, model.produces, func, None if sleeps else column_func)

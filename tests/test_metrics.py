@@ -199,7 +199,7 @@ class TestApplyTransform:
         par = apply_transform(grid_17x9, ev, Cache(), parallelism=8)
         assert seq.points == par.points
 
-    def test_cached_points_take_no_thread(self, grid_17x9, monkeypatch):
+    def test_a_fully_cached_batch_takes_no_thread(self, grid_17x9, monkeypatch):
         ev, calls = counting(expr_evaluator("s", "s", "a * 10 + b"))
         cache = Cache()
         half = DesignSpace(grid_17x9.schema, grid_17x9.points[::2])
@@ -220,6 +220,25 @@ class TestApplyTransform:
         with pytest.raises(EvalError) as err:
             apply_transform(grid_17x9, ev, cache, parallelism=4)
         assert err.value.coords == (0, 0)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_declined_batch_with_one_uncached_point(self, parallelism):
+        # the stored failure at a == 0 declines the lookup, and only a == 3
+        # is uncached: the pool takes the whole batch and finishes it before
+        # it raises, the sequential path stops at the stored failure
+        ev, calls = counting(failing_on_first_axis())
+        space = build_space(Schema([ParamSpec("a", Linear(0, 3))]))
+        cache = Cache()
+        warm = DesignSpace(space.schema, space.points[:3])
+        apply_transform(warm, ev, cache, FailPolicy(FailMode.PRUNE))
+        assert calls == [(0,), (1,), (2,)] and cache.counters() == (0, 3)
+        with pytest.raises(EvalError) as err:
+            apply_transform(space, ev, cache, parallelism=parallelism)
+        assert (str(err.value), err.value.coords) == ("tool_failure: boom", (0,))
+        if parallelism == 1:
+            assert calls == [(0,), (1,), (2,)] and cache.counters() == (1, 3)
+        else:
+            assert calls == [(0,), (1,), (2,), (3,)] and cache.counters() == (3, 4)
 
     def test_composition_equals_fused(self, grid_17x9):
         f = expr_evaluator("f", "f_m", "a + 1")
@@ -319,6 +338,23 @@ class TestCache:
         assert cache.run(ev, view) == (1.0,)
         assert cache.counters() == (1, 2)
 
+    def test_a_racing_column_keeps_the_first_write(self):
+        # a result stored while the column is computed wins over the
+        # column's own value for that point; both computations count
+        space = build_space(Schema([ParamSpec("a", Linear(0, 1))]))
+        cache = Cache()
+        racer = Evaluator("e", ("m",), lambda view: (7.0,))
+
+        def column_func(schema, points):
+            cache.run(racer, PointView(schema, points[0]))
+            return [[float(p.coords[0]) for p in points]]
+
+        ev = Evaluator("e", ("m",), lambda view: (-1.0,), column_func)
+        assert cache.run_columns([ev], space.schema, space.points) is not None
+        views = [PointView(space.schema, p) for p in space.points]
+        assert [cache.run(ev, view) for view in views] == [(7.0,), (1.0,)]
+        assert cache.counters() == (2, 3)
+
 
 def _oracle_evaluators():
     # "sum" never fails; "flaky" fails wherever a == 0
@@ -398,9 +434,18 @@ class TestCacheOracle:
             schema = data.draw(st.sampled_from(schemas))
             point = data.draw(st.sampled_from(points))
             if data.draw(st.booleans()):
+                # a one-point batch through the chain lookup: the wrappers have
+                # no column form, so it resolves exactly when every result of
+                # the chain is stored and none is a failure
                 chain = data.draw(st.lists(st.sampled_from(evaluators), max_size=2))
-                expected = all((ev.name, point.coords, schema.frozen) in reference for ev in chain)
-                assert cache.holds(chain, schema, point) == expected
+                stored = [reference.get((ev.name, point.coords, schema.frozen)) for ev in chain]
+                got = cache.run_columns(chain, schema, [point])
+                if all(v is not None and not isinstance(v[0], EvalErrorKind) for v in stored):
+                    hits += len(chain)
+                    assert got == [Point(point.coords, sum(stored, ()))]
+                else:
+                    assert got is None
+                assert cache.counters() == (hits, misses)
                 continue
             ev = data.draw(st.sampled_from(evaluators))
             key = (ev.name, point.coords, schema.frozen)

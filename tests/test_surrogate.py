@@ -8,7 +8,10 @@ import pytest
 from dsex import (
     Cache,
     CommandSpec,
+    DesignSpace,
     EvalError,
+    FailMode,
+    FailPolicy,
     Linear,
     ParamSpec,
     Pow2,
@@ -84,6 +87,36 @@ class TestModelEvaluator:
         start = time.perf_counter()
         apply_transform(core_space(), model_evaluator(model), Cache())
         assert time.perf_counter() - start >= 0.08
+
+    def test_a_failing_point_times_out_without_sleeping(self):
+        model = core_model(latency_s=5, fail_if=parse_expr("nbCore >= 64"))
+        start = time.perf_counter()
+        with pytest.raises(EvalError) as err:
+            apply_transform(core_space(), model_evaluator(model), Cache())
+        assert time.perf_counter() - start < 1.0
+        assert err.value.kind is EvalErrorKind.TIMEOUT
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_latency_changes_no_point_and_no_count(self, parallelism):
+        # a latency model runs point by point, its twin a column at a time
+        # where no point fails: both give the same points and counts, cold
+        # and warm, with the failing point pruned
+        def model(latency_s):
+            formulas = {"dsp": parse_expr("nbCore * 2"), "lut": parse_expr("nbCore + 1 / nbCore")}
+            return ResourceModel(
+                "m", ("dsp", "lut"), formulas, latency_s, parse_expr("nbCore == 5")
+            )
+
+        full, policy, runs = core_space(1, 8), FailPolicy(FailMode.PRUNE), []
+        head = DesignSpace(full.schema, full.points[:4])
+        for latency_s in (0.0, 0.001):
+            ev, cache = model_evaluator(model(latency_s)), Cache()
+            for space in (head, full, full):
+                out = apply_transform(space, ev, cache, policy, parallelism)
+                runs.append((out.points, cache.counters()))
+        assert runs[:3] == runs[3:]
+        assert [len(points) for points, _ in runs[:3]] == [4, 7, 7]
+        assert runs[2][1] == (12, 8)
 
     def test_model_file_refuses_unknown_keys_but_a_note(self, tmp_path):
         # the shipped gemm_synth.json carries a note, which nothing reads
