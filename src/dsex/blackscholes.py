@@ -394,5 +394,5 @@ def latency_evaluator(overhead: int = 0, name: str = "latency") -> Evaluator:
         cycles = -(-nb_iteration // nb_core) * nb_euler + overhead
         return (float(cycles),)
 
-    return Evaluator(name, ("latency_cycles",), func)
+    return Evaluator(name, ("latency_cycles",), func, reads={"nbIteration", "nbEuler", "nbCore"})
 

@@ -3,7 +3,8 @@
 An evaluator turns a point into a fixed list of new named metrics (or
 fails with an EvalError); an in-process one may also turn a whole batch
 of points into columns of them. All evaluator invocations are routed
-through a write-once cache keyed by (evaluator name, frozen params,
+through a write-once cache keyed by what the evaluator reads (by
+default the whole point: evaluator name, parameter names, frozen params,
 domain values, coords); stored failures are replayed on later lookups
 so expensive timeouts are never retried. A batch whose cached results
 leave only column forms to run is evaluated a column at a time on the
@@ -102,16 +103,21 @@ class Evaluator:
     is evaluated through ``func`` instead. A ``func`` that returns a
     non-number or a wrong arity is a ConfigError. The built-in in-process
     kinds derive ``func`` from ``column_func``, as its columns over one point.
+    ``reads`` names what the results depend on, None meaning the whole
+    point: points that agree on those names share one cached result.
     """
 
     name: str
     produces: tuple[str, ...]
     func: Callable[[PointView], Sequence[float]]
     column_func: Callable[[Schema, Sequence[Point]], Sequence[list[float]]] | None = None
+    reads: frozenset[str] | None = None
 
     def __post_init__(self):
         check_name(self.name)
         object.__setattr__(self, "produces", tuple(self.produces))
+        if self.reads is not None:
+            object.__setattr__(self, "reads", frozenset(self.reads))
         if not self.produces:
             raise ConfigError(f"evaluator {self.name!r} must produce at least one metric")
         for n in self.produces:
@@ -162,13 +168,18 @@ ABORT = FailPolicy(FailMode.ABORT)
 class Cache:
     """Write-once memo of evaluator results, including stored failures.
 
-    One table per (evaluator name, the schema's frozen params, its
-    parameters' raw values) holds the results by the coords tuple the
-    point already carries, so schemas that differ in frozen values or
-    in domains share no entry and an entry needs no key of its own.
+    A result is keyed by what its evaluator ``reads``. When it reads no
+    metric of the schema and leaves some parameter axis unread, one
+    table per (evaluator name, the frozen params it reads, the names and
+    raw values of the axes it reads) holds the results by the point's
+    coords on those axes, so points that differ only in names it does
+    not read share an entry. Otherwise one table per (evaluator name,
+    the schema's parameter names, its frozen params, its parameters' raw
+    values) holds them by the coords tuple the point already carries.
     Hit/miss counters are exposed; a miss is counted per evaluator
-    invocation. Safe under concurrent read/write; on a race the first
-    stored result wins and later computations are discarded.
+    invocation. Safe under concurrent read/write: a lookup that misses
+    claims its key, and a concurrent lookup of that key waits for the
+    claimed result; a column racing a stored result loses to it.
     """
 
     def __init__(self):
@@ -183,18 +194,25 @@ class Cache:
         NaN or infinite values fail with a NON_FINITE EvalError; values
         that are not numbers, or not of the declared arity, are a
         ConfigError. Stored EvalErrors are re-raised on later lookups
-        without re-invoking the evaluator.
+        without re-invoking the evaluator, naming the point looked up
+        unless the evaluator named coords itself.
         """
         coords = view.point.coords
-        with self._lock:
-            table = self._table(evaluator, view.schema)
-            cached = table.get(coords)  # a stored entry is never None
-            if cached is not None:
-                self.hits += 1
-                if isinstance(cached, EvalError):
-                    raise cached
-                return cached
-            self.misses += 1
+        while True:
+            with self._lock:
+                table, key = self._table(evaluator, view.schema)
+                row = key(coords)
+                cached = table.get(row)  # a stored entry is never None
+                if cached is None:
+                    table[row] = claim = threading.Event()
+                    self.misses += 1
+                    break
+                if not isinstance(cached, threading.Event):
+                    self.hits += 1
+                    if isinstance(cached, EvalError):
+                        raise cached if cached.coords is not None else cached.at(coords)
+                    return cached
+            cached.wait()  # another lookup claimed the key: take its result
         try:
             returned = evaluator.func(view)
             try:
@@ -215,33 +233,42 @@ class Cache:
                     f"{dict(zip(evaluator.produces, values))}",
                 )
         except EvalError as err:
-            values = err.at(coords) if err.coords is None else err
-        with self._lock:  # first write wins; a racing computation is discarded
-            stored = table.setdefault(coords, values)
-        if isinstance(stored, EvalError):
-            raise stored
-        return stored
+            values = err
+        except BaseException:
+            with self._lock:
+                del table[row]
+            claim.set()  # a waiting lookup claims the key again
+            raise
+        with self._lock:
+            table[row] = values
+        claim.set()
+        if isinstance(values, EvalError):
+            raise values if values.coords is not None else values.at(coords)
+        return values
 
     def run_columns(
         self, evaluators: Sequence[Evaluator], schema: Schema, points: Sequence[Point]
     ) -> list[Point] | None:
         """The chain's enhanced points for a batch, one lookup per evaluator.
 
-        Per evaluator, the batch is looked up in one table. When an
-        evaluator with no column form lacks a result, or a stored failure
-        is met, it returns None before it evaluates anything. Otherwise
-        each evaluator evaluates the distinct coords it lacks as one
-        column, converting each value with ``float``, and it returns None,
-        having stored and counted nothing, unless every column holds
-        finite numbers of its evaluator's arity.
-        On None the per-point path raises, applies the fail policy and
-        counts exactly as it does for any other batch. On success the
-        counts are those of the per-point path run in order.
+        Per evaluator, the batch is looked up in one table, by its own
+        row keys. When an evaluator with no column form lacks a result,
+        or a stored failure or a claimed key is met, it returns None
+        before it evaluates anything. Otherwise each evaluator evaluates
+        the first point of each key it lacks, as one column, converting
+        each value with ``float``, and gives that point's result to every
+        point with the key; it returns None, having stored and counted
+        nothing, unless every column holds finite numbers of its
+        evaluator's arity. On None the per-point path raises, applies
+        the fail policy and counts exactly as it does for any other
+        batch. On success the counts are those of the per-point path run
+        in order: a miss per evaluated key, a hit for every other point.
         """
         coords = list(map(_coords, points))
         with self._lock:
             tables = [self._table(ev, schema) for ev in evaluators]
-        founds = [list(map(table.get, coords)) for table in tables]
+        rows = [list(map(key, coords)) for _, key in tables]
+        founds = [list(map(table.get, keys)) for (table, _), keys in zip(tables, rows)]
         for ev, found in zip(evaluators, founds):
             kinds = set(map(type, found))
             # a stored failure, or a miss only the per-point path can fill
@@ -249,11 +276,11 @@ class Cache:
                 return None
         current = list(points)
         staged, hits = [], 0
-        for ev, table, found in zip(evaluators, tables, founds):
-            todo: dict[tuple, Point] = {}  # each missing coords' first point
-            for c, p, stored in zip(coords, current, found):
+        for ev, (table, _), keys, found in zip(evaluators, tables, rows, founds):
+            todo: dict[tuple, Point] = {}  # each missing key's first point
+            for k, p, stored in zip(keys, current, found):
                 if stored is None:
-                    todo.setdefault(c, p)
+                    todo.setdefault(k, p)
             hits += len(coords) - len(todo)
             new: dict[tuple, tuple[float, ...]] = {}
             if todo:
@@ -273,21 +300,32 @@ class Cache:
                 new = dict(zip(todo, zip(*columns)))
                 staged.append((table, new))
             current = [
-                _point(c, p.metrics + (stored or new[c]), p.degraded)
-                for c, p, stored in zip(coords, current, found)
+                _point(c, p.metrics + (stored or new[k]), p.degraded)
+                for c, k, p, stored in zip(coords, keys, current, found)
             ]
         with self._lock:
             for table, new in staged:
                 self.misses += len(new)
-                for c in new.keys() & table.keys():  # a racing first write wins
-                    del new[c]
+                for k in new.keys() & table.keys():  # a racing first write wins
+                    del new[k]
                 table.update(new)
             self.hits += hits
         return current
 
-    def _table(self, evaluator: Evaluator, schema: Schema) -> dict[tuple[int, ...], object]:
-        """The evaluator's table for the schema; call it with the lock held."""
-        return self._tables.setdefault((evaluator.name, schema.frozen, schema.floats), {})
+    def _table(self, evaluator: Evaluator, schema: Schema) -> tuple[dict, Callable]:
+        """The evaluator's table for the schema, and the function from a
+        point's coords to its row key; call it with the lock held."""
+        reads, names = evaluator.reads, schema.names
+        if reads is None or not reads.isdisjoint(schema.metrics) or reads.issuperset(names):
+            key = (evaluator.name, names, schema.frozen, schema.floats)
+            return self._tables.setdefault(key, {}), tuple  # a tuple of a tuple is itself
+        axes = [k for k, name in enumerate(names) if name in reads]
+        key = (
+            evaluator.name,
+            tuple(pair for pair in schema.frozen if pair[0] in reads),
+            tuple((names[k], schema.floats[k]) for k in axes),
+        )
+        return self._tables.setdefault(key, {}), lambda c: tuple(map(c.__getitem__, axes))
 
     def counters(self) -> tuple[int, int]:
         with self._lock:
@@ -400,7 +438,9 @@ def expr_evaluator(name: str, produces: str, expression: str | MetricExpr) -> Ev
         return [expr.column(env_columns(schema, points, expr.names), len(points))]
 
     # the one column over one point is the point's one value
-    return Evaluator(name, (produces,), lambda v: column_func(v.schema, [v.point])[0], column_func)
+    return Evaluator(
+        name, (produces,), lambda v: column_func(v.schema, [v.point])[0], column_func, expr.names
+    )
 
 
 def render_raw(value: float) -> str:

@@ -89,7 +89,9 @@ class ResourceModel:
 def model_evaluator(model: ResourceModel, name: str | None = None) -> "Evaluator":
     """In-process evaluator backed by a resource model; without latency
     it has a column form. Each point is its columns over that point, and
-    with latency it sleeps after them."""
+    with latency it sleeps after them. It declares no ``reads``: like its
+    served twin, which receives every parameter, it is cached and counted
+    per point."""
     from .metrics import Evaluator, env_columns
 
     def column_func(schema: "Schema", points: "Sequence[Point]") -> list[list[float]]:

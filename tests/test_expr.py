@@ -370,7 +370,7 @@ def _check_rows(tree, rows):
     stored = []
     for columns in (True, False):
         ev = expr_evaluator("e", "v", expr)
-        ev = ev if columns else Evaluator(ev.name, ev.produces, ev.func)
+        ev = ev if columns else Evaluator(ev.name, ev.produces, ev.func, reads=ev.reads)
         out_schema = Schema(schema.params, (), _NAMES + ["v"])
         cache = Cache()
         policy = FailPolicy(FailMode.ASSIGN_WORST, {"v": -1.0})

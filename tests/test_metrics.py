@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -92,25 +93,36 @@ class TestApplyTransform:
             assert err.value.coords == (0, 0)
             assert err.value.exit_code == 3
 
+    @pytest.mark.parametrize("reads", [None, {"a"}], ids=["whole_point", "narrowed"])
     @pytest.mark.parametrize("mode", list(FailMode))
-    def test_the_earliest_error_surfaces_at_any_parallelism(self, mode):
+    def test_the_earliest_error_surfaces_at_any_parallelism(self, mode, reads):
         # an EvalError at a == 0 and a wrong arity at a == 3: the policy
         # handles the first unless it is ABORT, never the second
         def func(view):
-            a = view.point.coords[0]
+            a = view.env["a"]
             if a == 0:
                 raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
             return (1.0, 2.0) if a == 3 else (1.0,)
 
-        space = build_space(Schema([ParamSpec("a", Linear(0, 3))]))
+        ev = Evaluator("e", ("m",), func, reads=reads)
+        params = [ParamSpec("a", Linear(0, 3))] + [ParamSpec("b", Linear(0, 1))] * bool(reads)
+        space = build_space(Schema(params))
         policy = FailPolicy(mode, {"m": -1.0})
         raised = []
         for parallelism in (1, 2, 3):
+            cache = Cache()
+            if reads:
+                # point (0, 1) stores the failure that point (0, 0) then shares
+                schema = metrics.check_no_collision(space.schema, [ev])
+                with pytest.raises(EvalError):
+                    cache.run(ev, PointView(schema, space.points[1]))
             with pytest.raises((EvalError, ConfigError)) as err:
-                apply_transform(space, Evaluator("e", ("m",), func), Cache(), policy, parallelism)
+                apply_transform(space, ev, cache, policy, parallelism)
             raised.append((type(err.value), str(err.value), getattr(err.value, "coords", None)))
         assert raised == [raised[0]] * 3
         assert raised[0][0] is (EvalError if mode is FailMode.ABORT else ConfigError)
+        if mode is FailMode.ABORT:  # the raising point's own coords
+            assert raised[0][2] == space.points[0].coords
 
     @pytest.mark.parametrize(
         "returned", [("x",), (None,), None], ids=["string", "none_value", "none"]
@@ -277,14 +289,18 @@ class TestCache:
         assert len(calls) == len(grid_17x9)
 
     def test_key_includes_frozen_params(self):
-        # schemas that differ only in frozen values never share an entry
+        # schemas that differ only in the value of a frozen param the
+        # evaluator reads never share an entry
         params = [ParamSpec("a", Linear(0, 1))]
         point = build_space(Schema(params)).points[0]
-        ev = expr_evaluator("c", "m", "1.0")
+        ev = expr_evaluator("c", "m", "z + 1")
         cache = Cache()
         for value in (None, 4.0, 5.0, 4.0):
             frozen = () if value is None else (("z", value),)
-            cache.run(ev, PointView(Schema(params, frozen), point))
+            try:
+                cache.run(ev, PointView(Schema(params, frozen), point))
+            except EvalError as err:  # without z, the expression cannot resolve
+                assert value is None and err.kind is EvalErrorKind.NAME_NOT_FOUND
         assert (cache.misses, cache.hits) == (3, 1)
 
     @pytest.mark.parametrize("columns", [True, False], ids=["column", "per_point"])
@@ -299,44 +315,162 @@ class TestCache:
             assert [p.metrics for p in out.points] == [(lo + 0.0,), (lo + 1.0,), (lo + 2.0,)]
         assert cache.counters() == (3, 6)
 
-    def test_a_racing_computation_keeps_the_first_write(self):
-        # both lookups miss and compute; the one that stores first wins,
-        # and the other caller gets the stored value, not its own
-        entered, finished = [], []
-        lock, both_in = threading.Lock(), threading.Barrier(2, timeout=5)
-        returned = threading.Event()  # set once a cache.run call has returned
+    @staticmethod
+    def _claimed(raises):
+        """Two lookups of one point, the second started while the first
+        computes; returns each one's outcome in start order, the
+        evaluator's calls and the counters. The first computation
+        returns 1.0, or raises ``raises`` unless it is None."""
+        entered, release = threading.Event(), threading.Event()
+        calls = []
 
         def func(view):
-            with lock:
-                mine = len(entered)
-                entered.append(mine)
-            both_in.wait()
-            if mine == 0:
-                # only the second computation's run can have returned, so it stored first
-                assert returned.wait(timeout=5)
-            finished.append(mine)
-            return (float(mine),)
+            calls.append(len(calls))
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=5)
+                if raises is not None:
+                    raise raises
+            return (float(len(calls)),)
 
-        ev = Evaluator("race", ("m",), func)
         space = build_space(Schema([ParamSpec("a", Linear(0, 0))]))
         view = PointView(space.schema, space.points[0])
         cache = Cache()
-        got = []
+        got = [None, None]
 
-        def lookup():
-            got.append(cache.run(ev, view))
-            returned.set()
+        def lookup(k):
+            try:
+                got[k] = cache.run(Evaluator("claim", ("m",), func), view)
+            except Exception as err:
+                got[k] = err
 
-        threads = [threading.Thread(target=lookup) for _ in range(2)]
-        for t in threads:
-            t.start()
+        threads = [threading.Thread(target=lookup, args=(k,)) for k in range(2)]
+        threads[0].start()
+        assert entered.wait(timeout=5)
+        threads[1].start()
+        threads[1].join(timeout=0.2)
+        assert threads[1].is_alive()  # waiting on the first lookup's claim
+        release.set()
         for t in threads:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
-        assert finished == [1, 0]
+        return got, calls, cache.counters()
+
+    def test_a_concurrent_lookup_waits_for_the_claimed_result(self):
+        # the second lookup never computes: it hits the claimed result
+        got, calls, counters = self._claimed(None)
         assert got == [(1.0,), (1.0,)]
-        assert cache.run(ev, view) == (1.0,)
-        assert cache.counters() == (1, 2)
+        assert calls == [0] and counters == (1, 1)
+
+    def test_a_failed_claim_passes_to_a_waiting_lookup(self):
+        # the first computation raises no EvalError, so nothing is stored
+        # and the waiting lookup claims the key and computes it itself
+        boom = RuntimeError("boom")
+        got, calls, counters = self._claimed(boom)
+        assert got == [boom, (2.0,)]
+        assert calls == [0, 1] and counters == (0, 2)
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_a_shared_key_is_evaluated_once_at_any_parallelism(self, parallelism):
+        # a slow evaluator that reads a alone, over a 2x4 grid: the
+        # pooled points of one key wait for its one computation
+        ev, calls = counting(
+            Evaluator("slow", ("m",), lambda view: time.sleep(0.05) or (view.env["a"],))
+        )
+        ev = dataclasses.replace(ev, reads={"a"})
+        space = build_space(Schema([ParamSpec("a", Linear(0, 1)), ParamSpec("b", Linear(0, 3))]))
+        cache = Cache()
+        out = apply_transform(space, ev, cache, parallelism=parallelism)
+        assert [p.metrics for p in out.points] == [(0.0,)] * 4 + [(1.0,)] * 4
+        assert sorted(calls) == [(0, 0), (1, 0)] and cache.counters() == (6, 2)
+
+    def test_claims_hold_under_contention(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows, over 100 keys of 4 consecutive points each: a key
+        # claimed twice would count a second miss
+        def func(view):
+            sum(range(2000))  # long enough for other threads to look up the key
+            return (view.env["a"],)
+
+        ev, calls = counting(Evaluator("busy", ("m",), func))
+        ev = dataclasses.replace(ev, reads={"a"})
+        space = build_space(Schema([ParamSpec("a", Linear(0, 99)), ParamSpec("b", Linear(0, 3))]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                cache, calls[:] = Cache(), []
+                out = apply_transform(space, ev, cache, parallelism=8)
+                assert [p.metrics for p in out.points] == [(p.coords[0] + 0.0,) for p in out.points]
+                assert len(calls) == 100 and cache.counters() == (300, 100)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_an_unread_frozen_param_or_axis_shares_an_entry(self):
+        # "a + 1" reads a alone: z's value and the other axis change nothing
+        ev, calls = counting(expr_evaluator("inc", "m", "a + 1"))
+        ev = dataclasses.replace(ev, reads={"a"})
+        a = ParamSpec("a", Linear(0, 2))
+        cache = Cache()
+        for schema in (
+            Schema([a, ParamSpec("b", Linear(0, 1))]),
+            Schema([a, ParamSpec("b", Linear(0, 1))], (("z", 1.0),)),
+            Schema([a, ParamSpec("c", Linear(0, 4))], (("z", 2.0), ("b", 0.0))),
+            Schema([ParamSpec("b", Enumerated([7, 9])), a]),
+        ):
+            out = apply_transform(build_space(schema), ev, cache)
+            assert [p.metrics for p in out.points] == [
+                (PointView(out.schema, p).env["a"] + 1,) for p in out.points
+            ]
+        assert sorted(calls) == [(0, 0), (1, 0), (2, 0)]
+        assert cache.counters() == (3 + 6 + 15 + 6, 3)
+
+    @pytest.mark.parametrize(
+        "params, frozen",
+        [
+            ([("a", Linear(0, 1)), ("b", Linear(0, 1))], (("z", 2.0),)),
+            ([("a", Linear(5, 6)), ("b", Linear(0, 1))], (("z", 1.0),)),
+            ([("b", Linear(0, 1))], (("z", 1.0), ("a", 0.0))),
+        ],
+        ids=["frozen_value", "axis_values", "axis_frozen"],
+    )
+    def test_a_read_frozen_param_or_axis_never_shares(self, params, frozen):
+        # "a + z" reads a and z: a schema that changes either computes anew
+        ev = expr_evaluator("sum", "m", "a + z")
+        cache = Cache()
+        ab = [ParamSpec("a", Linear(0, 1)), ParamSpec("b", Linear(0, 1))]
+        apply_transform(build_space(Schema(ab, (("z", 1.0),))), ev, cache)
+        assert cache.counters() == (2, 2)
+        out = apply_transform(build_space(Schema([ParamSpec(*p) for p in params], frozen)), ev, cache)
+        envs = [PointView(out.schema, p).env for p in out.points]
+        assert [p.metrics for p in out.points] == [(env["a"] + env["z"],) for env in envs]
+        misses = len({env["a"] for env in envs})
+        assert cache.counters() == (2 + len(out) - misses, 2 + misses)
+
+    def test_an_expr_reading_a_metric_keeps_the_full_key(self):
+        # "m + 1" reads no axis but the metric m: every point is its own entry
+        space = build_space(Schema([ParamSpec("a", Linear(0, 2)), ParamSpec("b", Linear(0, 1))]))
+        cache = Cache()
+        space = apply_transform(space, expr_evaluator("m", "m", "10 * a + b"), cache)
+        assert cache.counters() == (0, 6)
+        out = apply_transform(space, expr_evaluator("inc", "n", "m + 1"), cache)
+        assert [p.metrics for p in out.points] == [
+            (m, m + 1) for m in (0.0, 1.0, 10.0, 11.0, 20.0, 21.0)
+        ]
+        assert cache.counters() == (0, 12)
+
+    @pytest.mark.parametrize("reads", ["declared", "whole_point"])
+    def test_renamed_parameters_share_no_entry(self, reads):
+        # the same grid with its parameter renamed: "a + 10" no longer resolves
+        ev = expr_evaluator("e", "m", "a + 10")
+        ev = ev if reads == "declared" else Evaluator(ev.name, ev.produces, ev.func, ev.column_func)
+        cache = Cache()
+        out = apply_transform(build_space(Schema([ParamSpec("a", Linear(0, 2))])), ev, cache)
+        assert [p.metrics for p in out.points] == [(10.0,), (11.0,), (12.0,)]
+        with pytest.raises(EvalError) as err:
+            apply_transform(build_space(Schema([ParamSpec("b", Linear(0, 2))])), ev, cache)
+        assert err.value.kind is EvalErrorKind.NAME_NOT_FOUND
+        assert cache.hits == 0
 
     def test_a_racing_column_keeps_the_first_write(self):
         # a result stored while the column is computed wins over the
@@ -357,7 +491,8 @@ class TestCache:
 
 
 def _oracle_evaluators():
-    # "sum" never fails; "flaky" fails wherever a == 0
+    # "sum" never fails; "flaky" fails wherever a == 0; "flaky_a" is
+    # "flaky" declaring what it reads, and "by_b" reads b alone
     def flaky(view):
         if view.env["a"] == 0:
             raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
@@ -366,7 +501,22 @@ def _oracle_evaluators():
     return [
         Evaluator("sum", ("s",), lambda view: (view.env["a"] + view.env["b"] + view.env["z"],)),
         Evaluator("flaky", ("f",), flaky),
+        Evaluator("flaky_a", ("f",), flaky, reads={"a", "z"}),
+        Evaluator("by_b", ("g",), lambda view: (10 * view.env["b"],), reads={"b"}),
     ]
+
+
+def _reference_key(ev, schema, point):
+    """The flat reference's key: the evaluator name with the coords and
+    frozen params, or with the raw values of the axes and the frozen
+    params it declares it reads."""
+    if ev.reads is None:
+        return (ev.name, point.coords, schema.frozen)
+    axes = tuple(
+        (p.name, p.domain.values()[c]) for p, c in zip(schema.params, point.coords)
+        if p.name in ev.reads
+    )
+    return (ev.name, axes, tuple(pair for pair in schema.frozen if pair[0] in ev.reads))
 
 
 @st.composite
@@ -418,7 +568,9 @@ class TestPointView:
 
 class TestCacheOracle:
     """The per-(evaluator, frozen params) tables against one flat dict keyed
-    by (evaluator name, coords, frozen params)."""
+    by (evaluator name, coords, frozen params), or for an evaluator that
+    declares what it reads by (evaluator name, the read axes' values, the
+    read frozen params). A replayed failure names the point looked up."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -428,7 +580,10 @@ class TestCacheOracle:
         schemas = [Schema(params, (("z", z),)) for z in (1.0, 2.0)]
         points = build_space(Schema(params)).points
         counted = [counting(ev) for ev in _oracle_evaluators()]
-        evaluators = [ev for ev, _ in counted]
+        evaluators = [
+            dataclasses.replace(wrapper, reads=ev.reads)
+            for ev, (wrapper, _) in zip(_oracle_evaluators(), counted)
+        ]
         cache, reference, hits, misses = Cache(), {}, 0, 0
         for _ in range(data.draw(st.integers(1, 60))):
             schema = data.draw(st.sampled_from(schemas))
@@ -438,7 +593,7 @@ class TestCacheOracle:
                 # no column form, so it resolves exactly when every result of
                 # the chain is stored and none is a failure
                 chain = data.draw(st.lists(st.sampled_from(evaluators), max_size=2))
-                stored = [reference.get((ev.name, point.coords, schema.frozen)) for ev in chain]
+                stored = [reference.get(_reference_key(ev, schema, point)) for ev in chain]
                 got = cache.run_columns(chain, schema, [point])
                 if all(v is not None and not isinstance(v[0], EvalErrorKind) for v in stored):
                     hits += len(chain)
@@ -448,7 +603,7 @@ class TestCacheOracle:
                 assert cache.counters() == (hits, misses)
                 continue
             ev = data.draw(st.sampled_from(evaluators))
-            key = (ev.name, point.coords, schema.frozen)
+            key = _reference_key(ev, schema, point)
             view = PointView(schema, point)
             if key in reference:
                 hits += 1
@@ -462,7 +617,10 @@ class TestCacheOracle:
                 got = cache.run(ev, PointView(schema, point))
             except EvalError as err:
                 got = (err.kind, err.coords)
-            assert got == reference[key], key
+            expected = reference[key]
+            if isinstance(expected[0], EvalErrorKind):  # stored by any point of the key
+                expected = (expected[0], point.coords)
+            assert got == expected, key
             assert cache.counters() == (hits, misses)
         # every result or failure was computed once: the reference's own call
         # plus the cache's, and replays never reach the evaluator
