@@ -82,28 +82,12 @@ class Taus88:
         s3 = _splitmix64(s2)
         # state minima avoid degenerate cycles
         self.state = [(s & _U32) | 16 for s in (s1, s2, s3)]
-        self._spare = None
         for _ in range(6):
             self.next_u32()
 
     def next_u32(self) -> int:
         self.state = s1, s2, s3 = _advance(self.state, _KEEP, _U32)
         return s1 ^ s2 ^ s3
-
-    def uniform(self) -> float:
-        # in (0, 1), safe for log()
-        return (self.next_u32() + 0.5) * 2.0**-32
-
-    def gauss(self) -> float:
-        """Standard normal via Box-Muller; pairs are generated together."""
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        r = math.sqrt(-2.0 * math.log(self.uniform()))
-        theta = 2.0 * math.pi * self.uniform()
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
 
 
 def _pack(values: Sequence[int]) -> int:
@@ -290,7 +274,7 @@ def euler_estimate(cfg: BsConfig) -> EulerResult:
     limit_q = limit * inv
     paths = [s0_scaled] * cfg.nb_iteration
     draws = _draws(cfg.seed, cfg.nb_iteration, cfg.nb_euler)
-    # Box-Muller, as Taus88.gauss: the cosine, then the sine
+    # Box-Muller: each pair of draws gives two normals, the cosine's first
     for u1s, u2s in zip(draws, draws):
         rs = [sqrt(-2.0 * log((u + 0.5) * 2.0**-32)) for u in u1s]
         thetas = [two_pi * ((u + 0.5) * 2.0**-32) for u in u2s]
@@ -316,26 +300,6 @@ def euler_estimate(cfg: BsConfig) -> EulerResult:
     mean = total / cfg.nb_iteration
     estimate, sat = quantize(mean, cfg.dynamic, cfg.precision)
     return EulerResult(estimate, saturations + (1 if sat else 0))
-
-
-def euler_estimate_unquantized(cfg: BsConfig) -> float:
-    """Double-precision reference run consuming the identical draw stream."""
-    m = cfg.model
-    dt = m.T / cfg.nb_euler
-    drift = (m.mu - 0.5 * m.sigma * m.sigma) * dt
-    vol = m.sigma * math.sqrt(dt)
-    rng = Taus88(cfg.seed)
-    total = 0.0
-    comp = 0.0
-    for _ in range(cfg.nb_iteration):
-        s = m.S0
-        for _ in range(cfg.nb_euler):
-            s = s * (1.0 + drift + vol * rng.gauss())
-        y = s - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / cfg.nb_iteration
 
 
 def _env_int(view: PointView, name: str) -> int:

@@ -4,12 +4,11 @@ An evaluator turns a point into a fixed list of new named metrics (or
 fails with an EvalError); an in-process one may also turn a whole batch
 of points into columns of them. All evaluator invocations are routed
 through a write-once cache keyed by what the evaluator reads (by
-default the whole point: evaluator name, parameter names, frozen params,
-domain values, coords); stored failures are replayed on later lookups
-so expensive timeouts are never retried. A batch whose cached results
-leave only column forms to run is evaluated a column at a time on the
-calling thread, so a fully cached batch costs one lookup per
-evaluator; any other batch, or one where some point fails, point by
+default every parameter and frozen param); stored failures are replayed
+on later lookups so expensive timeouts are never retried. A batch whose
+cached results leave only column forms to run is evaluated a column at
+a time on the calling thread, so a fully cached batch costs one lookup
+per evaluator; any other batch, or one where some point fails, point by
 point, optionally in parallel, with results always reassembled in
 point-index order so output never depends on completion timing.
 """
@@ -103,8 +102,10 @@ class Evaluator:
     is evaluated through ``func`` instead. A ``func`` that returns a
     non-number or a wrong arity is a ConfigError. The built-in in-process
     kinds derive ``func`` from ``column_func``, as its columns over one point.
-    ``reads`` names what the results depend on, None meaning the whole
-    point: points that agree on those names share one cached result.
+    ``reads`` names what the results depend on, None meaning every
+    parameter and frozen param: points that agree on those names share
+    one cached result. A ``reads`` that names a metric counts as None:
+    no metric value is in the key, and a metric may follow from any name.
     """
 
     name: str
@@ -168,14 +169,12 @@ ABORT = FailPolicy(FailMode.ABORT)
 class Cache:
     """Write-once memo of evaluator results, including stored failures.
 
-    A result is keyed by what its evaluator ``reads``. When it reads no
-    metric of the schema and leaves some parameter axis unread, one
-    table per (evaluator name, the frozen params it reads, the names and
-    raw values of the axes it reads) holds the results by the point's
-    coords on those axes, so points that differ only in names it does
-    not read share an entry. Otherwise one table per (evaluator name,
-    the schema's parameter names, its frozen params, its parameters' raw
-    values) holds them by the coords tuple the point already carries.
+    A result is keyed by what its evaluator ``reads``: one table per
+    (evaluator name, the frozen params it reads, the name and raw values
+    of each axis it reads) holds the results by the point's coords on
+    those axes, so points that differ only in names it does not read
+    share an entry. An evaluator whose ``reads`` is None or names a
+    metric of the schema reads every parameter and every frozen param.
     Hit/miss counters are exposed; a miss is counted per evaluator
     invocation. Safe under concurrent read/write: a lookup that misses
     claims its key, and a concurrent lookup of that key waits for the
@@ -315,17 +314,16 @@ class Cache:
     def _table(self, evaluator: Evaluator, schema: Schema) -> tuple[dict, Callable]:
         """The evaluator's table for the schema, and the function from a
         point's coords to its row key; call it with the lock held."""
-        reads, names = evaluator.reads, schema.names
-        if reads is None or not reads.isdisjoint(schema.metrics) or reads.issuperset(names):
-            key = (evaluator.name, names, schema.frozen, schema.floats)
-            return self._tables.setdefault(key, {}), tuple  # a tuple of a tuple is itself
-        axes = [k for k, name in enumerate(names) if name in reads]
-        key = (
-            evaluator.name,
-            tuple(pair for pair in schema.frozen if pair[0] in reads),
-            tuple((names[k], schema.floats[k]) for k in axes),
-        )
-        return self._tables.setdefault(key, {}), lambda c: tuple(map(c.__getitem__, axes))
+        reads, names, frozen = evaluator.reads, schema.names, schema.frozen
+        axes = tuple(zip(names, schema.floats))
+        if reads is not None and reads.isdisjoint(schema.metrics):
+            frozen = tuple(pair for pair in frozen if pair[0] in reads)
+            axes = tuple(pair for pair in axes if pair[0] in reads)
+        table = self._tables.setdefault((evaluator.name, frozen, axes), {})
+        if len(axes) == len(names):
+            return table, tuple  # a tuple of a tuple is itself
+        read = [k for k, name in enumerate(names) if name in reads]
+        return table, lambda c: tuple(map(c.__getitem__, read))
 
     def counters(self) -> tuple[int, int]:
         with self._lock:

@@ -18,7 +18,6 @@ from dsex.blackscholes import (
     _draws,
     closed_form,
     euler_estimate,
-    euler_estimate_unquantized,
     latency_evaluator,
     mix_seed,
     qos_evaluator,
@@ -135,13 +134,14 @@ class TestEulerEstimate:
 
 class TestGenerator:
     def test_uniforms_strictly_inside_unit_interval(self):
-        rng = Taus88(123)
-        values = [rng.uniform() for _ in range(5000)]
+        # the kernel's uniforms: (u + 0.5) * 2^-32 of each of its u32 draws
+        values = [(u + 0.5) * 2.0**-32 for column in _draws(123, 100, 50) for u in column]
+        assert len(values) == 5000
         assert all(0.0 < u < 1.0 for u in values)
         assert abs(statistics.fmean(values) - 0.5) < 0.02
 
     def test_gauss_moments(self):
-        rng = Taus88(7)
+        rng = ReferenceTaus88(7)
         values = [rng.gauss() for _ in range(20000)]
         assert abs(statistics.fmean(values)) < 0.03
         assert abs(statistics.stdev(values) - 1.0) < 0.03
@@ -157,14 +157,58 @@ class TestGenerator:
         assert mix_seed((1, 2), 0) != mix_seed((1, 2), 1)
 
 
-def sequential_estimate(cfg):
-    """Reference kernel: the paths one after another, each draw through
-    Taus88.gauss, with every clamp and float operation spelled out."""
+class ReferenceTaus88(Taus88):
+    """The kernel's generator drawn one value at a time: the uniforms and
+    normals that ``euler_estimate`` computes a column at a time."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self._spare = None
+
+    def uniform(self):
+        # in (0, 1), safe for log()
+        return (self.next_u32() + 0.5) * 2.0**-32
+
+    def gauss(self):
+        """Standard normal via Box-Muller; pairs are generated together."""
+        if self._spare is not None:
+            z = self._spare
+            self._spare = None
+            return z
+        r = math.sqrt(-2.0 * math.log(self.uniform()))
+        theta = 2.0 * math.pi * self.uniform()
+        self._spare = r * math.sin(theta)
+        return r * math.cos(theta)
+
+
+def euler_estimate_unquantized(cfg):
+    """Double-precision reference run consuming the identical draw stream."""
     m = cfg.model
     dt = m.T / cfg.nb_euler
     drift = (m.mu - 0.5 * m.sigma * m.sigma) * dt
     vol = m.sigma * math.sqrt(dt)
-    rng = Taus88(cfg.seed)
+    rng = ReferenceTaus88(cfg.seed)
+    total = 0.0
+    comp = 0.0
+    for _ in range(cfg.nb_iteration):
+        s = m.S0
+        for _ in range(cfg.nb_euler):
+            s = s * (1.0 + drift + vol * rng.gauss())
+        y = s - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total / cfg.nb_iteration
+
+
+def sequential_estimate(cfg):
+    """Reference kernel: the paths one after another, each draw through
+    ReferenceTaus88.gauss, with every clamp and float operation spelled out."""
+    m = cfg.model
+    dt = m.T / cfg.nb_euler
+    drift = (m.mu - 0.5 * m.sigma * m.sigma) * dt
+    vol = m.sigma * math.sqrt(dt)
+    rng = ReferenceTaus88(cfg.seed)
     scale = float(1 << cfg.precision)
     inv = 1.0 / scale
     limit = float((1 << (cfg.dynamic + cfg.precision)) - 1)

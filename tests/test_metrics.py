@@ -38,9 +38,12 @@ from dsex import (
     run_pipeline,
 )
 from dsex import metrics
+from dsex.blackscholes import latency_evaluator
 from dsex.errors import ConfigError, EvalErrorKind
+from dsex.expr import parse_expr
 
 from conftest import counting
+from test_expr import _NAMES, _fold, _row_trees
 
 
 def failing_on_first_axis(name="flaky"):
@@ -417,13 +420,15 @@ class TestCache:
             Schema([a, ParamSpec("b", Linear(0, 1))], (("z", 1.0),)),
             Schema([a, ParamSpec("c", Linear(0, 4))], (("z", 2.0), ("b", 0.0))),
             Schema([ParamSpec("b", Enumerated([7, 9])), a]),
+            Schema([a], (("z", 1.0),)),  # every axis read, the frozen z not
+            Schema([a], (("z", 2.0), ("b", 0.0))),
         ):
             out = apply_transform(build_space(schema), ev, cache)
             assert [p.metrics for p in out.points] == [
                 (PointView(out.schema, p).env["a"] + 1,) for p in out.points
             ]
         assert sorted(calls) == [(0, 0), (1, 0), (2, 0)]
-        assert cache.counters() == (3 + 6 + 15 + 6, 3)
+        assert cache.counters() == (3 + 6 + 15 + 6 + 3 + 3, 3)
 
     @pytest.mark.parametrize(
         "params, frozen",
@@ -492,7 +497,8 @@ class TestCache:
 
 def _oracle_evaluators():
     # "sum" never fails; "flaky" fails wherever a == 0; "flaky_a" is
-    # "flaky" declaring what it reads, and "by_b" reads b alone
+    # "flaky" declaring what it reads, "by_b" reads b alone, and "by_ab"
+    # reads every axis but not the frozen z
     def flaky(view):
         if view.env["a"] == 0:
             raise EvalError(EvalErrorKind.TOOL_FAILURE, "boom")
@@ -503,6 +509,9 @@ def _oracle_evaluators():
         Evaluator("flaky", ("f",), flaky),
         Evaluator("flaky_a", ("f",), flaky, reads={"a", "z"}),
         Evaluator("by_b", ("g",), lambda view: (10 * view.env["b"],), reads={"b"}),
+        Evaluator(
+            "by_ab", ("h",), lambda view: (view.env["a"] - view.env["b"],), reads={"a", "b"}
+        ),
     ]
 
 
@@ -625,6 +634,70 @@ class TestCacheOracle:
         # every result or failure was computed once: the reference's own call
         # plus the cache's, and replays never reach the evaluator
         assert sum(len(calls) for _, calls in counted) == 2 * len(reference)
+
+
+@st.composite
+def placed(draw, env):
+    """A point on a random schema on which every name of ``env`` resolves
+    to its integer value, each placed as an axis, a frozen param or a
+    metric, beside up to three other names placed the same way."""
+    extra = draw(st.lists(st.integers(-9, 9), max_size=3))
+    env = {**env, **{f"x{k}": v for k, v in enumerate(extra)}}
+    params, frozen, metrics, coords, held = [], [], [], [], []
+    for name in draw(st.permutations(list(env))):
+        value = env[name]
+        role = draw(st.sampled_from(["axis", "frozen", "metric"]))
+        if role == "axis":
+            others = st.integers(-50, 50).filter(lambda v: v != value)
+            values = draw(st.lists(others, max_size=3, unique=True))
+            k = draw(st.integers(0, len(values)))
+            params.append(ParamSpec(name, Enumerated([*values[:k], value, *values[k:]])))
+            coords.append(k)
+        elif role == "frozen":
+            frozen.append((name, value))
+        else:
+            metrics.append(name)
+            held.append(float(value))
+    return PointView(Schema(params, frozen, metrics), Point(tuple(coords), tuple(held)))
+
+
+_numeric_trees = _row_trees.filter(lambda tree: not parse_expr(_fold(tree, {})[0]).is_predicate)
+
+
+class TestDeclaredReads:
+    """Two points that agree on every name an evaluator declares it reads
+    get the same outcome from its ``func``, however their schemas place
+    those names and whatever else they hold: the cache shares one result
+    between them, so a ``reads`` missing a name would return wrong
+    metrics."""
+
+    @staticmethod
+    def _outcome(ev, view):
+        try:
+            return tuple(map(repr, ev.func(view)))
+        except EvalError as err:
+            return err.kind, err.detail
+
+    def _check(self, data, ev, names, values):
+        read = {name: data.draw(values, label=name) for name in ev.reads}
+        outcomes = []
+        for _ in range(2):
+            unread = st.sampled_from([name for name in names if name not in ev.reads])
+            unread = data.draw(st.dictionaries(unread, values))
+            outcomes.append(self._outcome(ev, data.draw(placed({**read, **unread}))))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_numeric_trees, data=st.data())
+    def test_an_expression_reads_its_free_names(self, tree, data):
+        ev = expr_evaluator("e", "v", _fold(tree, {})[0])
+        self._check(data, ev, _NAMES, st.integers(-20, 20))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_latency_reads_its_three_parameters(self, data):
+        names = ["nbIteration", "nbEuler", "nbCore", "dynamic", "precision"]
+        self._check(data, latency_evaluator(3), names, st.integers(1, 2048))
 
 
 def nan_on_first_axis():
