@@ -8,6 +8,7 @@ relocatable.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -255,9 +256,6 @@ class RunManifest:
         if self.parallelism < 1:
             raise ConfigError(f"'parallelism' must be at least 1, got {self.parallelism}")
 
-    def to_dict(self) -> dict:
-        return {k: str(v) if isinstance(v, Path) else v for k, v in asdict(self).items()}
-
 
 def load_manifest(path: str | Path) -> RunManifest:
     path = Path(path)
@@ -275,4 +273,9 @@ def load_manifest(path: str | Path) -> RunManifest:
 
 
 def echo_manifest(manifest: RunManifest, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(manifest.to_dict(), sort_keys=False))
+    """Write ``manifest`` to ``path`` as a manifest file, each path relative
+    to the file's own directory, so an echo reads the same on any checkout."""
+    home = Path(path).resolve().parent
+    doc = {k: os.path.relpath(v, home) if isinstance(v, Path) else v
+           for k, v in asdict(manifest).items()}
+    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))

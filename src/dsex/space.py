@@ -4,8 +4,9 @@ A design space is an ordered, finite collection of candidate
 implementations (points). Every point is addressed by integer indices
 into the enumeration of each parameter domain; searches that rely on
 neighborhoods (hill climbing, frontier tracing) step to the points at
-distance 1 in this index space, under the L1 or the Chebyshev norm,
-never in raw-value space, so that power-of-two domains step uniformly.
+distance 1 in this index space, never in raw-value space, so that
+power-of-two domains step uniformly: ``DesignSpace.neighbours`` gives a
+point's L1 ring and ``Grid.ring`` a full grid's Chebyshev ring.
 """
 
 from __future__ import annotations
@@ -241,8 +242,7 @@ def _space(schema: Schema, points: tuple[Point, ...]) -> "DesignSpace":
 
 
 class Norm(Enum):
-    L1 = "l1"  # Manhattan
-    LINF = "linf"  # Chebyshev
+    L1 = "l1"  # Manhattan; a full grid's Chebyshev ring is ``Grid.ring``
 
 
 class KeepSide(Enum):
@@ -323,27 +323,19 @@ class DesignSpace:
         raise PointNotInSpace(f"point {coords} is not in the space")
 
     def neighbours(self, point: Point, norm: Norm) -> list[Point]:
-        """Points at distance 1 of ``point`` in index space under ``norm``.
+        """Points at distance 1 of ``point`` in index space under ``norm``,
+        ``Norm.L1`` being the one norm: one axis moved one step.
 
         Returned in the space's enumeration order. The ring's indices
         are worked out by stride arithmetic and looked up in the row-major
         index, so the cost follows the size of the ring, not of the space.
         """
-        return list(map(self.points.__getitem__, self.ring(self.position(point.coords), norm)))
-
-    def ring(self, position: int, norm: Norm) -> list[int]:
-        """The positions of ``neighbours``' points, ascending, for the
-        point at ``position``."""
         rows, slots = self._index
-        cards, strides = self.schema.cardinalities, self.schema.strides
-        ring = [rows[position]]  # the point's own index first
-        for c, n, stride in zip(self.points[position].coords, cards, strides):
-            steps = [-stride] * (c > 0) + [stride] * (c < n - 1)
-            if norm is Norm.LINF:  # every index within one step on each axis
-                ring += [i + d for d in steps for i in ring]
-            else:  # one axis moved at a time
-                ring += [ring[0] + d for d in steps]
-        return sorted(slots[i] for i in ring[1:] if i in slots)  # some may hold no point
+        me, ring = rows[self.position(point.coords)], []
+        for c, n, stride in zip(point.coords, self.schema.cardinalities, self.schema.strides):
+            ring += [me - stride] * (c > 0) + [me + stride] * (c < n - 1)
+        # some indices may hold no point
+        return [self.points[i] for i in sorted(slots[i] for i in ring if i in slots)]
 
     def diagonal(self) -> list[Point]:
         """The corner-to-corner diagonal of a full grid.
@@ -355,8 +347,8 @@ class DesignSpace:
         if not self.is_full_grid():
             raise NotAFullGrid("diagonal requires every coords combination to be present")
         cards, strides = self.schema.cardinalities, self.schema.strides
-        span = max(c - 1 for c in cards)
-        if span == 0:
+        span = max((c - 1 for c in cards), default=0)
+        if span == 0:  # one point, with no parameter or every axis of one value
             return [self.points[0]]
         slots = self._index[1]
         # round half up with exact integer arithmetic
@@ -366,59 +358,55 @@ class DesignSpace:
 
 
 class Grid:
-    """A full grid's points as bitsets: bit i stands for the point whose
-    row-major index is i.
+    """A full grid as bitsets: bit i stands for the point whose row-major
+    index is i.
 
-    Needs the space to be a full grid, which it does not check. Per axis
-    it holds the bits a one-index step up (down) along the axis may land
-    on: all but the axis's first (last) coordinate. ``ring`` and
+    Built from the schema alone, so it sees no space and no order of
+    points; every set it takes or gives holds row-major indices. Per
+    axis it holds the bits a one-index step up (down) along the axis may
+    land on: all but the axis's first (last) coordinate. ``ring`` and
     ``close`` shift a bitset along each axis under those masks, in
     O(axes) and O(axes x cardinality) big-integer operations, however
     many points.
     """
 
-    def __init__(self, space: DesignSpace):
-        self.rows, self.slots = space._index
+    def __init__(self, schema: Schema):
+        size = math.prod(schema.cardinalities)
         self.axes = []  # per axis: cardinality, stride, up mask, down mask
-        for n, stride in zip(space.schema.cardinalities, space.schema.strides):
-            inner, repeat = "1" * (stride * (n - 1)), len(space) // (stride * n)
+        for n, stride in zip(schema.cardinalities, schema.strides):
+            inner, repeat = "1" * (stride * (n - 1)), size // (stride * n)
             # character i of each string is bit i
             up, down = ("0" * stride + inner) * repeat, (inner + "0" * stride) * repeat
             self.axes.append((n, stride, int(up[::-1], 2), int(down[::-1], 2)))
-        self.memo: list[int | None] = [None] * len(space)
+        self.memo: list[int | None] = [None] * size
 
-    def bits(self, positions: Iterable[int]) -> int:
-        """The bits of the points at ``positions``."""
-        return sum({1 << self.rows[i] for i in positions})  # distinct bits: sum is OR
+    def bits(self, indices: Iterable[int]) -> int:
+        """The bits of ``indices``."""
+        return sum({1 << i for i in indices})  # distinct bits: sum is OR
 
-    def positions(self, bits: int) -> list[int]:
-        """The positions of the points in ``bits``, ascending."""
+    def indices(self, bits: int) -> list[int]:
+        """The indices of the bits set in ``bits``, ascending."""
         if not bits:
             return []
         # one scan of the bits from the lowest one set, where taking them
         # off one at a time would cost an operation as wide as the grid each
         low = (bits & -bits).bit_length() - 1
-        flags, out, slots = bin(bits >> low), [], self.slots
+        flags, out = bin(bits >> low), []
         j, top = len(flags), low + len(flags) - 1  # character j is bit top - j
         while (j := flags.rfind("1", 0, j)) >= 0:
-            out.append(slots[top - j])
-        out.sort()  # a no-op on a grid in row-major order
+            out.append(top - j)
         return out
 
-    def has(self, bits: int, position: int) -> bool:
-        """Whether ``bits`` holds the point at ``position``."""
-        return bool(bits >> self.rows[position] & 1)
-
-    def ring(self, position: int) -> int:
-        """The bits of ``DesignSpace.ring(position, Norm.LINF)``: the
-        point's bit shifted one index down and up along each axis in
-        turn, less its own bit. Each ring is built once."""
-        ring = self.memo[position]
+    def ring(self, index: int) -> int:
+        """The Chebyshev ring of ``index``: the indices within one step of
+        it on every axis, less itself, as bits. Its bit shifted one stride
+        down and up along each axis in turn; each ring is built once."""
+        ring = self.memo[index]
         if ring is None:
-            me = bits = 1 << self.rows[position]
+            me = bits = 1 << index
             for _, stride, up, down in self.axes:
                 bits |= bits << stride & up | bits >> stride & down
-            ring = self.memo[position] = bits ^ me
+            ring = self.memo[index] = bits ^ me
         return ring
 
     def close(self, bits: int, side: KeepSide) -> int:
@@ -487,7 +475,8 @@ def project_images(
     space: DesignSpace, concern: str, project_to_min: bool = True
 ) -> tuple[DesignSpace, Sequence[int]]:
     """``project_space``'s projection, plus the position in it of each
-    input point's image, aligned with ``space.points``."""
+    input point's image, aligned with ``space.points``; quick_prune maps
+    each position to its row-major index in the projected grid."""
     if not space.points:
         raise EmptySpaceError("cannot project an empty space")
     schema = space.schema

@@ -315,7 +315,9 @@ def quick_prune(
     input point survives when its image, its coords on the axes
     ``project_space`` keeps, is retained. The recorded frontier holds
     exactly the kept points, by probed or inferred verdict, with a
-    Chebyshev-distance-1 neighbor that is not kept.
+    Chebyshev-distance-1 neighbor that is not kept. The walk keys each
+    point by its row-major index, a ``Grid`` bit, so the order of the
+    input sets only the order of the output, which follows it.
 
     The walk probes no point whose verdict the monotone assumption
     settles from a point probed earlier and neither pruned nor degraded;
@@ -359,23 +361,26 @@ def quick_prune(
     def apply_fn(space: DesignSpace, ctx: StepContext) -> DesignSpace:
         schema = check_no_collision(space.schema, evaluators)
 
-        # the walk keys every work-grid point by its position in work.points
         if concern is not None:
             work, images = project_images(space, concern, True)
         else:
             work, images = space, range(len(space))
         work_schema = check_no_collision(work.schema, evaluators)
-        grid = work.points
-        # diagonal() also enforces the full-grid precondition
-        diag = [work.position(p.coords) for p in work.diagonal()]
+        # diagonal() also enforces the full-grid precondition; from here
+        # on each work-grid point and image is its row-major index
+        diag = work.diagonal()
+        rows, slots = work._index
+        grid = [work.points[slots[i]] for i in range(len(work))]
+        diag = [rows[work.position(p.coords)] for p in diag]
+        images = [rows[i] for i in images]
         if side is KeepSide.DOWNWARD:
             # approach the frontier from the corner that closes the kept
             # region, so the first kept diagonal point sits near it
             diag.reverse()
 
         real_probe, memo = _prober(work_schema, evaluators, keep_expr, ctx, name)
-        bitgrid = Grid(work)
-        members = bitgrid.positions
+        bitgrid = Grid(work.schema)
+        members = bitgrid.indices
         # each point's verdict: as probed (a pruned point fails), inferred, or None
         verdicts: list[bool | None] = [None] * len(grid)
         kept_bits = 0  # the points whose verdict is True, as bits like the rings
@@ -393,15 +398,15 @@ def quick_prune(
         def implied(i: int) -> bool:
             # infer the point's verdict where exactly one implication holds
             nonlocal kept_bits
-            if (kept := bitgrid.has(kept_by, i)) != bitgrid.has(failed_by, i):
-                verdicts[i] = kept
-                kept_bits |= bitgrid.bits([i]) if kept else 0
+            if (kept := kept_by >> i & 1) != failed_by >> i & 1:
+                verdicts[i] = bool(kept)
+                kept_bits |= kept << i
                 return True
             return False
 
-        def grow(closed: int, positions: list[int], toward: KeepSide) -> int:
+        def grow(closed: int, indices: list[int], toward: KeepSide) -> int:
             # close again only when some point lies outside the closed set
-            bits = bitgrid.bits(positions)
+            bits = bitgrid.bits(indices)
             return closed if bits & ~closed == 0 else bitgrid.close(closed | bits, toward)
 
         def probe(points: Iterable[int], infer: bool) -> None:

@@ -35,6 +35,13 @@ def counting(evaluator: Evaluator):
     return Evaluator(evaluator.name, evaluator.produces, func), calls
 
 
+def chebyshev_ring(coords, grid):
+    """The coords of ``grid`` within one step of ``coords`` on every axis,
+    less ``coords`` itself, in ``grid``'s order: a Chebyshev ring by brute
+    force, the reference for ``Grid.ring``."""
+    return [c for c in grid if c != coords and all(abs(a - b) <= 1 for a, b in zip(coords, c))]
+
+
 @pytest.fixture
 def dummy_schema():
     from dsex import Enumerated, Linear, ParamSpec, Pow2, Schema

@@ -173,6 +173,22 @@ class TestRunCommand:
         )
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("keep, code, rows", [("m >= 1", 0, ["1.0,0.0"]), ("m < 1", 3, [])])
+    def test_schema_with_no_parameter_runs_quick_prune(self, tmp_path, keep, code, rows):
+        # the one point of the grid is its own diagonal
+        schema = tmp_path / "none.yaml"
+        schema.write_text("params: []\n")
+        evs = tmp_path / "evaluators.yaml"
+        evs.write_text("evaluators:\n  - {name: e, kind: expr, produces: m, expr: \"1\"}\n")
+        pipe = tmp_path / "pipeline.yaml"
+        pipe.write_text(f"steps:\n  - {{step: quick_prune, evaluators: [e], keep: \"{keep}\"}}\n")
+        proc = dsex(
+            "run", "--schema", schema, "--pipeline", pipe, "--evaluators", evs,
+            "--out", tmp_path / "out",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert (tmp_path / "out" / "frame.csv").read_text().splitlines() == ["m,degraded", *rows]
+
     def test_abort_failure_exits_1(self, tmp_path):
         evs = tmp_path / "evaluators.yaml"
         evs.write_text(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 
@@ -29,7 +30,7 @@ from dsex.metrics import FailMode
 from dsex.surrogate import load_model
 from dsex.strategy import run_pipeline
 
-from conftest import PIPELINES
+from conftest import PIPELINES, ROOT
 
 
 class TestSchemaFormat:
@@ -319,6 +320,22 @@ class TestManifest:
         assert data["parallelism"] == 1
         # the echo is itself a manifest, and loads back to the one that ran
         assert load_manifest(tmp_path / "echo.yaml") == manifest
+
+    def test_echo_does_not_depend_on_the_checkout(self, tmp_path):
+        # two copies of the bundles at different depths echo the same bytes,
+        # which are the committed echo of a bundle run into runs/
+        echoes = []
+        for root in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            shutil.copytree(PIPELINES, root / "pipelines")
+            out = root / "runs" / "blackscholes"
+            out.mkdir(parents=True)
+            manifest = load_manifest(root / "pipelines" / "blackscholes" / "manifest.yaml")
+            manifest = dataclasses.replace(manifest, out=out)
+            echo_manifest(manifest, out / "manifest.yaml")
+            assert load_manifest(out / "manifest.yaml") == manifest
+            echoes.append((out / "manifest.yaml").read_bytes())
+        assert echoes[0] == echoes[1]
+        assert echoes[0] == (ROOT / "runs" / "blackscholes" / "manifest.yaml").read_bytes()
 
 
 

@@ -47,7 +47,7 @@ from dsex import (
 )
 from dsex.errors import ConfigError, EvalErrorKind
 
-from conftest import counting
+from conftest import chebyshev_ring, counting
 
 
 def grid(*dims):
@@ -319,17 +319,9 @@ class TestGradientSort:
 
 
 def brute_force_frontier(space, keep):
-    frontier = set()
+    # the kept points with a Chebyshev neighbour that is not kept
     kept = {p.coords: keep(env_of(space, p)) for p in space.points}
-    from dsex import Norm
-
-    for p in space.points:
-        if not kept[p.coords]:
-            continue
-        ring = space.neighbours(p, Norm.LINF)
-        if any(not kept[q.coords] for q in ring):
-            frontier.add(p.coords)
-    return frontier
+    return {c for c in kept if kept[c] and not all(map(kept.get, chebyshev_ring(c, kept)))}
 
 
 class TestQuickPrune:
@@ -541,6 +533,16 @@ class TestQuickPrune:
         # the projection's frozen minima stay on the work grid
         assert out.schema.frozen == frozen
 
+    @pytest.mark.parametrize("keep, kept", [("m >= 1", 1), ("m < 1", 0)])
+    def test_a_schema_with_no_parameter_has_one_point(self, keep, kept):
+        # the one point is its own diagonal, with an empty ring
+        space = build_space(Schema([]))
+        assert [p.coords for p in space.points] == [()]
+        context = ctx()
+        out = quick_prune([expr_evaluator("e", "m", "1")], keep).apply(space, context)
+        assert [(p.coords, p.metrics) for p in out.points] == [((), (1.0,))] * kept
+        assert (context.extra["predicate_evaluations"], context.extra["frontier"]) == (1, [])
+
     def test_numeric_keep_rejected(self):
         with pytest.raises(ConfigError):
             quick_prune([], "a + b")
@@ -600,14 +602,14 @@ BATCH_CASES = {
 
 
 def _permuted(case, shuffle):
-    space, *rest = BATCH_CASES[case]
-    points = list(space.points)
+    points = list(BATCH_CASES[case][0].points)
     shuffle(points)
-    return (DesignSpace(space.schema, points), *rest)
+    return case, DesignSpace(BATCH_CASES[case][0].schema, points)
 
 
-# the same grids with their points out of row-major order: quick_prune
-# walks positions, so its probe order must follow the grid, not the order
+# the same grids with their points out of row-major order, each with the
+# case it permutes: quick_prune walks the grid by row-major index, so a
+# permuted grid probes exactly the sequence its row-major case pins
 PERMUTED_CASES = {
     "2d_up_reversed": _permuted("2d_up", list.reverse),
     "concern_3d_up_shuffled": _permuted("concern_3d_up", random.Random(0).shuffle),
@@ -679,20 +681,6 @@ PROBE_SEQUENCES = {
         (4, 3, 2), (10, 3, 0), (2, 7, 0), (5, 6, 1), (1, 7, 2), (13, 0, 2), (5, 1, 0),
         (11, 0, 1), (15, 4, 0),
     ],
-    "2d_up_reversed": [
-        (0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (5, 2), (3, 4), (3, 3), (6, 2), (2, 5),
-        (2, 4), (1, 5), (7, 1), (1, 4), (8, 1), (0, 6), (0, 5), (8, 0), (4, 2), (0, 4),
-        (2, 3), (6, 4), (8, 5), (7, 3),
-    ],
-    "concern_3d_up_shuffled": [
-        (0, 0, 0), (1, 1, 1), (2, 2, 1), (2, 3, 2), (1, 3, 2), (1, 2, 3), (2, 3, 1),
-        (2, 2, 2), (1, 4, 1), (3, 2, 1), (1, 2, 2), (1, 3, 1), (3, 1, 2), (2, 4, 0),
-        (3, 3, 0), (1, 5, 0), (0, 4, 2), (4, 2, 0), (2, 1, 3), (0, 3, 3), (0, 5, 1),
-        (4, 1, 1), (1, 1, 3), (0, 2, 3), (1, 4, 0), (3, 2, 0), (3, 1, 1), (0, 5, 0),
-        (0, 4, 1), (4, 1, 0), (2, 1, 2), (2, 3, 0), (0, 3, 2), (4, 0, 2), (3, 0, 3),
-        (2, 0, 3), (3, 0, 2), (4, 0, 1), (2, 2, 0), (2, 1, 0), (4, 0, 3), (2, 4, 3),
-        (4, 4, 1), (2, 0, 1), (4, 4, 0), (3, 4, 0), (3, 1, 0),
-    ],
 }
 
 
@@ -716,11 +704,12 @@ class TestQuickPruneBatches:
         assert runs[1] == runs[4]
         assert runs[1][1] == pinned
 
-    @pytest.mark.parametrize("case", PROBE_SEQUENCES, ids=str)
+    @pytest.mark.parametrize("case", [*PROBE_SEQUENCES, *PERMUTED_CASES], ids=str)
     def test_probe_sequence_is_pinned(self, case):
-        space, expression, keep, side, concern, pinned = {**BATCH_CASES, **PERMUTED_CASES}[case]
+        case, permuted = PERMUTED_CASES.get(case, (case, None))
+        space, expression, keep, side, concern, pinned = BATCH_CASES[case]
         ev, calls = counting(expr_evaluator("e", "m", expression))
-        quick_prune([ev], keep, side=side, concern=concern).apply(space, ctx())
+        quick_prune([ev], keep, side=side, concern=concern).apply(permuted or space, ctx())
         assert calls == PROBE_SEQUENCES[case]
         assert len(calls) == pinned
 
@@ -1272,6 +1261,49 @@ class TestNeighbourhoodOracle:
         assert extra["fell_back"] == (extra["audit_failures"] > 0)
         assert extra["audit_failures"] <= extra["audited"]
         assert extra["unprobed_kept"] == len({image(p.coords) for p in points} - set(calls))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_quick_prune_does_not_depend_on_the_point_order(self, case, data):
+        # a weighted sum kicked up or down at some points is not monotone,
+        # so the walk infers, audits and may fall back: the grid listed
+        # in row-major order, reversed or permuted must probe the same
+        # coords in the same order, keep the same points in the order of
+        # its input and record the same provenance
+        schema, concern, weights = case
+        space = build_space(schema)
+        axes = [
+            k for k, p in enumerate(schema.params) if concern is None or concern in p.concerns
+        ]
+        work = list(itertools.product(*(range(schema.cardinalities[k]) for k in axes)))
+        kicks = data.draw(
+            st.lists(st.sampled_from([0] * 5 + [-3, 3]), min_size=len(work), max_size=len(work))
+        )
+        table = {
+            c: float(sum(weights[k] * x for k, x in zip(axes, c)) + kick)
+            for c, kick in zip(work, kicks)
+        }
+        threshold = data.draw(st.integers(int(min(table.values())), int(max(table.values()))))
+        side = data.draw(st.sampled_from(list(KeepSide)))
+        keep = f"m {'>=' if side is KeepSide.UPWARD else '<='} {threshold}"
+        orders = {
+            "row-major": space.points,
+            "reversed": space.points[::-1],
+            "drawn": tuple(data.draw(st.permutations(space.points))),
+        }
+
+        runs = []
+        for points in orders.values():
+            ev, calls = counting(Evaluator("e", ("m",), lambda v: (table[v.point.coords],)))
+            context = ctx()
+            out = quick_prune([ev], keep, side, concern).apply(DesignSpace(schema, points), context)
+            runs.append((points, calls, out.points, context.extra))
+        _, calls, kept, extra = runs[0]
+        by_coords = {p.coords: p for p in kept}
+        for points, other_calls, other_kept, other_extra in runs[1:]:
+            assert other_calls == calls
+            assert list(other_kept) == [by_coords[p.coords] for p in points if p.coords in by_coords]
+            assert other_extra == extra
 
     @settings(max_examples=120, derandomize=True, deadline=None)
     @given(case=oracle_cases(), data=st.data())
