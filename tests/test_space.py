@@ -365,6 +365,42 @@ def closure_of(space, frontier, side):
     return {space.points[i].coords for i in bitgrid.indices(closed)}
 
 
+class TestGridRing:
+    # the one Chebyshev ring: indices within one step on every axis
+    def test_interior_linf(self):
+        bitgrid = Grid(grid(5, 5).schema)
+        assert bitgrid.ring(12) == bitgrid.bits([6, 7, 8, 11, 13, 16, 17, 18])
+
+    @pytest.mark.parametrize(
+        "index, ring", [(0, [1, 5, 6]), (4, [3, 8, 9]), (20, [15, 16, 21]), (24, [18, 19, 23])]
+    )
+    def test_corner_clipping_linf(self, index, ring):
+        bitgrid = Grid(grid(5, 5).schema)
+        assert bitgrid.indices(bitgrid.ring(index)) == ring
+
+    @pytest.mark.parametrize(
+        "dims, index, ring",
+        [
+            # on a 2x3 grid index 2 is (0, 2) and index 3 is (1, 0): one
+            # index apart, but not neighbours, so no ring may wrap a row
+            ((2, 3), 0, [1, 3, 4]),
+            ((2, 3), 1, [0, 2, 3, 4, 5]),
+            ((2, 3), 2, [1, 4, 5]),
+            ((2, 3), 3, [0, 1, 4]),
+            ((2, 3), 4, [0, 1, 2, 3, 5]),
+            ((2, 3), 5, [1, 2, 4]),
+            ((3, 2), 0, [1, 2, 3]),
+            ((3, 2), 2, [0, 1, 3, 4, 5]),
+            ((3, 2), 5, [2, 3, 4]),
+        ],
+    )
+    def test_ring_does_not_wrap_a_row(self, dims, index, ring):
+        bitgrid = Grid(grid(*dims).schema)
+        assert bitgrid.indices(bitgrid.ring(index)) == ring
+        coords = list(itertools.product(*map(range, dims)))
+        assert [coords[i] for i in ring] == chebyshev_ring(coords[index], coords)
+
+
 class TestGridClosure:
     """The closure against its all-pairs definition: a point is closed when
     it sits at or beyond some frontier coords on every axis."""
